@@ -9,7 +9,6 @@ identical overhead and the gap is purely the delay-spectrum shape.
 
 import argparse
 import csv
-import json
 import sys
 
 from relaystream import (
@@ -21,20 +20,9 @@ from relaystream import (
     oswdf_optimize,
     run_monte_carlo,
 )
+from relaystream.cli import CliError, config_from_doc, load_json
 
 REFERENCE = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
-
-
-def load_config(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    return NetworkConfig(
-        T=int(doc["T"]),
-        N1=tuple(int(x) for x in doc["N1"]),
-        N2=tuple(int(x) for x in doc["N2"]),
-        dT1=tuple(int(x) for x in doc.get("dT1", [0] * len(doc["N1"]))),
-        dT2=tuple(int(x) for x in doc.get("dT2", [0] * len(doc["N2"]))),
-    )
 
 
 def main():
@@ -49,7 +37,12 @@ def main():
     ap.add_argument("--out", help="csv path; default stdout")
     args = ap.parse_args()
 
-    config = load_config(args.config) if args.config else REFERENCE
+    config = REFERENCE
+    if args.config:
+        try:
+            config = config_from_doc(load_json(args.config), args.config)
+        except CliError as e:
+            ap.error(str(e))
     symbolwise = oswdf_optimize(config)
     baseline = mwdf_plan(config, match=symbolwise)
     codes = [("oswdf", assemble(symbolwise)), ("mwdf-matched", assemble(baseline))]

@@ -158,6 +158,10 @@ def allocation_from_doc(doc: dict, path: str) -> Allocation:
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"{path}: bad hop entry: {e}")
     relabel = doc.get("relabel_delay")
+    try:
+        relabel = None if relabel is None else int(relabel)
+    except (TypeError, ValueError) as e:
+        raise CliError(f"{path}: bad relabel_delay: {e}")
     return Allocation(
         scheme=str(doc.get("scheme", "oswdf")),
         config=config,
@@ -168,11 +172,21 @@ def allocation_from_doc(doc: dict, path: str) -> Allocation:
         groupings1=g1,
         groupings2=g2,
         bottleneck=str(doc.get("bottleneck", "hop1")),
-        relabel_delay=None if relabel is None else int(relabel),
+        relabel_delay=relabel,
         capped=bool(doc.get("capped", False)),
         budgets1=b1,
         budgets2=b2,
     )
+
+
+def declared_k_mismatch(alloc: Allocation) -> Optional[str]:
+    """Name the first link whose declared k differs from the number of
+    symbols its grouping carries, or return None."""
+    for hop, ks, groupings in (("hop1", alloc.k1, alloc.groupings1), ("hop2", alloc.k2, alloc.groupings2)):
+        for link, (k, g) in enumerate(zip(ks, groupings)):
+            if g.total() != k:
+                return f"{hop} link {link} declares k={k} but its grouping carries {g.total()} symbols"
+    return None
 
 
 def emit(text: str, out: Optional[str]) -> None:
@@ -222,15 +236,10 @@ def cmd_plan(args) -> int:
 def cmd_verify(args) -> int:
     doc = load_json(args.allocation)
     alloc = allocation_from_doc(doc, args.allocation)
-    for hop, ks, groupings in (("hop1", alloc.k1, alloc.groupings1), ("hop2", alloc.k2, alloc.groupings2)):
-        for link, (k, g) in enumerate(zip(ks, groupings)):
-            if g.total() != k:
-                print(
-                    f"FAIL: {hop} link {link} declares k={k} but its grouping "
-                    f"carries {g.total()} symbols",
-                    file=sys.stderr,
-                )
-                return 1
+    mismatch = declared_k_mismatch(alloc)
+    if mismatch:
+        print(f"FAIL: {mismatch}", file=sys.stderr)
+        return 1
     try:
         code = assemble(alloc)
     except ValueError as e:
@@ -283,6 +292,9 @@ def _parse_eps_grid(text: str) -> list[float]:
 def cmd_simulate(args) -> int:
     doc = load_json(args.allocation)
     alloc = allocation_from_doc(doc, args.allocation)
+    mismatch = declared_k_mismatch(alloc)
+    if mismatch:
+        raise CliError(mismatch, code=1)
     try:
         code = assemble(alloc)
     except ValueError as e:

@@ -6,7 +6,11 @@ arrives, or when the component's k-th position (counting known pre-stream
 slots) arrives, whichever is earlier. That rule makes exhaustive per-link
 checking cheap (patterns never interact across components, so only
 positions inside one component span matter) and lets the Monte Carlo path
-run on numpy sliding windows instead of a symbolic decoder.
+skip the symbolic decoder. Packets are erased whole, so every component
+of one (n, k) shape on a link sees the same stream: one prefix count per
+shape gives each diagonal's k-th arrival in O(horizon), and each route
+class (link, shape, diagonal position, relay offset) is tested for
+lateness once, however many routes share it.
 
 The network decomposes per hop: the relay re-encodes consistently, so a
 source symbol survives end to end iff its first hop recovers it by the
@@ -22,6 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -412,40 +417,93 @@ class SimResult:
         return self.lost / self.packets if self.packets else 0.0
 
 
+def _kth_arrival(erased: np.ndarray, n: int, k: int, num_diag: int) -> np.ndarray:
+    """Where each diagonal of an (n, k) component collects its k-th symbol.
+
+    Diagonal i covers slots i .. i+n-1 of the link stream led by k-1 known
+    pre-stream slots, so diagonal k-1 starts at transmit time 0. Returns,
+    for i < num_diag, the window position of the k-th received slot; a
+    value >= n means the window never collects k. Slots past the end of
+    ``erased`` count as lost. O(num_diag), whatever n is.
+    """
+    pad = k - 1
+    received = np.zeros(num_diag + n - 1, dtype=bool)
+    received[:pad] = True
+    stream = ~erased[: num_diag + n - k]
+    received[pad : pad + len(stream)] = stream
+    # the k-th arrival from diagonal i is arrival number (arrivals before i) + k - 1;
+    # sentinels past the stream stand in for arrivals that never come
+    arrivals = np.concatenate(
+        [np.flatnonzero(received), np.full(k, num_diag + n, dtype=np.intp)]
+    )
+    head = received[:num_diag]
+    before = np.cumsum(head) - head
+    return arrivals[before + pad] - np.arange(num_diag)
+
+
+def _slot_shapes(spec: StreamingCodeSpec) -> np.ndarray:
+    """Rows (n_c, k_c, j), one per message slot: the shape of the slot's
+    component and the slot's 1-based position on the component diagonal."""
+    n = np.array([c.n for c in spec.components], dtype=np.int64)
+    k = np.array([c.k for c in spec.components], dtype=np.int64)
+    j = np.arange(spec.k) - np.repeat(spec.message_offsets, k) + 1
+    return np.column_stack([np.repeat(n, k), np.repeat(k, k), j])
+
+
 def _slot_delay_table(
     spec: StreamingCodeSpec, erased: np.ndarray, num_eval: int
 ) -> np.ndarray:
     """Recovery delay of every message slot at every time, vectorized.
 
     Returns int32 array (spec.k, num_eval); INF_DELAY marks never. Known
-    pre-stream slots count as received, matching the decoder.
+    pre-stream slots count as received, matching the decoder. Slots with
+    the same (n_c, k_c, j) have equal rows, so each is computed once.
     """
-    out = np.full((spec.k, num_eval), INF_DELAY, dtype=np.int32)
-    received = ~erased
-    own = received[:num_eval]
-    for ci, comp in enumerate(spec.components):
-        if comp.k == 0:
-            continue
-        moff = spec.message_offsets[ci]
-        pad = comp.k - 1
-        ext = np.concatenate([np.ones(pad, dtype=bool), received])
-        need = num_eval + pad + comp.n - 1
-        if len(ext) < need:
-            ext = np.concatenate([ext, np.zeros(need - len(ext), dtype=bool)])
-        windows = np.lib.stride_tricks.sliding_window_view(ext, comp.n)[: num_eval + pad]
-        cum = np.cumsum(windows, axis=1, dtype=np.int16)
-        reached = cum >= comp.k
-        pstar = np.where(
-            reached[:, -1], np.argmax(reached, axis=1), INF_DELAY
-        ).astype(np.int64)
-        for j in range(1, comp.k + 1):
+    out = np.empty((spec.k, num_eval), dtype=np.int32)
+    own = ~erased[:num_eval]
+    rows: dict[tuple[int, int, int], np.ndarray] = {}
+    index: dict[tuple[int, int], np.ndarray] = {}
+    for slot, (n, k, j) in enumerate(_slot_shapes(spec).tolist()):
+        if (n, k, j) not in rows:
+            if (n, k) not in index:
+                index[n, k] = _kth_arrival(erased, n, k, num_eval + k - 1)
             # symbol j of packet tau sits on diagonal tau - (j-1)
-            di0 = pad - (j - 1)
-            ps = pstar[di0 : di0 + num_eval]
-            late = np.where(ps >= INF_DELAY, INF_DELAY, ps - (j - 1))
-            delay = np.where(own, 0, late)
-            out[moff + j - 1] = delay.astype(np.int32)
+            p = index[n, k][k - j : k - j + num_eval]
+            rows[n, k, j] = np.where(own, 0, np.where(p >= n, INF_DELAY, p - (j - 1)))
+        out[slot] = rows[n, k, j]
     return out
+
+
+def _route_classes(code: NetworkCode) -> tuple[list[tuple[int, ...]], ...]:
+    """Per hop, the distinct (link, n_c, k_c, j, clock offset, allowed
+    delay) over the routes, keeping only the tightest allowed delay.
+
+    A routed symbol's delay on one hop depends only on its link, the
+    shape of its component, its diagonal position j and, on hop 2, the
+    relay delay by which its clock lags the source. Routes that agree on
+    those differ only in the delay each may take, and the smallest
+    allowed delay is late whenever a larger one is.
+    """
+    config = code.allocation.config
+    link1, slot1, relay, link2, slot2 = (
+        np.fromiter(map(attrgetter(field), code.routes), np.int64, len(code.routes))
+        for field in ("link1", "slot1", "relay_delay", "link2", "slot2")
+    )
+    sides = (
+        (code.hop1, link1, slot1, np.zeros_like(relay), relay - np.asarray(config.dT1)[link1]),
+        (code.hop2, link2, slot2, relay, config.T - relay - np.asarray(config.dT2)[link2]),
+    )
+    classes = []
+    for specs, link, slot, offset, allowed in sides:
+        shapes = np.concatenate([_slot_shapes(spec) for spec in specs])
+        first_slot = np.cumsum([0] + [spec.k for spec in specs])
+        rows = np.column_stack([link, shapes[first_slot[link] + slot], offset, allowed])
+        # sorted rows put each class's tightest allowed delay first
+        rows = rows[np.lexsort(rows.T[::-1])]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
+        classes.append(rows[first].tolist())
+    return tuple(classes)
 
 
 def loss_mask(
@@ -460,23 +518,32 @@ def loss_mask(
     relabel time on hop 1 or exceeds its remaining delay budget on hop 2.
     Bit arrays are indexed by each link's transmit clock and must cover
     num_packets plus the code span plus the deadline.
+
+    Each route class is tested once, straight from the k-th-arrival index
+    of its link and component shape; no per-slot table is built.
     """
-    config = code.allocation.config
-    delays1 = [
-        _slot_delay_table(spec, bits1[i], num_packets) for i, spec in enumerate(code.hop1)
-    ]
-    num_eval2 = num_packets + config.T + 1
-    delays2 = [
-        _slot_delay_table(spec, bits2[j], num_eval2) for j, spec in enumerate(code.hop2)
-    ]
+    classes1, classes2 = _route_classes(code)
+    # hop-2 clocks run up to the largest relay delay past the last packet
+    max_relay = max((offset for _, _, _, _, offset, _ in classes2), default=0)
     lost = np.zeros(num_packets, dtype=bool)
-    for r in code.routes:
-        allowed1 = r.relay_delay - config.dT1[r.link1]
-        late1 = delays1[r.link1][r.slot1] > allowed1
-        allowed2 = config.T - r.relay_delay - config.dT2[r.link2]
-        d2 = delays2[r.link2][r.slot2]
-        late2 = d2[r.relay_delay : r.relay_delay + num_packets] > allowed2
-        lost |= late1 | late2
+    for bits, num_eval, classes in (
+        (bits1, num_packets, classes1),
+        (bits2, num_packets + max_relay, classes2),
+    ):
+        index: dict[tuple[int, int, int], np.ndarray] = {}
+        for link, n, k, j, offset, allowed in classes:
+            if allowed < 0:
+                return np.ones(num_packets, dtype=bool)
+            if allowed >= INF_DELAY:
+                continue  # nothing is late: "never" is a delay of INF_DELAY
+            if (link, n, k) not in index:
+                index[link, n, k] = _kth_arrival(bits[link], n, k, num_eval + k - 1)
+            # symbol j at clock tau sits on diagonal tau - (j-1)
+            start = offset + k - j
+            p = index[link, n, k][start : start + num_packets]
+            # late iff erased and recovered after allowed, or never (p >= n)
+            erased = bits[link][offset : offset + num_packets]
+            lost |= erased & (p > min(allowed + j - 1, n - 1))
     return lost
 
 

@@ -175,6 +175,17 @@ def test_verify_rejects_inflated_k(planned_a, tmp_path, capsys):
     assert "declares k=25" in err and "24 symbols" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_bad_relabel_delay_is_a_usage_error(planned_a, tmp_path, capsys, command):
+    doc = json.loads(open(planned_a).read())
+    doc["relabel_delay"] = "a"
+    path = write(tmp_path, "relabel.json", doc)
+    code, out, err = run(capsys, [command, path])
+    assert code == 2
+    assert "bad relabel_delay" in err
+    assert out == ""
+
+
 def test_verify_rejects_unpairable_document(planned_a, tmp_path, capsys):
     # tightening T inside the document breaks assembly outright; the
     # diagnostic names the offending pair of slots
@@ -232,6 +243,17 @@ def test_simulate_deterministic(planned_b_mwdf, capsys):
     assert out1 == out2
     _, out3, _ = run(capsys, argv[:-1] + ["5"])
     assert out3 != out1
+
+
+def test_simulate_rejects_inflated_k(planned_a, tmp_path, capsys):
+    # refused with verify's message before anything is simulated
+    doc = json.loads(open(planned_a).read())
+    doc["hop1"][0]["k"] = 29
+    path = write(tmp_path, "bad.json", doc)
+    code, out, err = run(capsys, ["simulate", path, "--packets", "100"])
+    assert code == 1
+    assert "declares k=29" in err and "24 symbols" in err
+    assert out == ""
 
 
 def test_simulate_zero_packets(planned_b_mwdf, capsys):

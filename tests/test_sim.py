@@ -257,7 +257,11 @@ def test_budget_respecting_erasures_lose_nothing(make):
     assert not loss_mask(code, bits1, bits2, num).any()
 
 
-@pytest.mark.parametrize("cfg,num,eps", [(NET_B, 80, 0.18), (NET_A, 50, 0.1)])
+@pytest.mark.parametrize("cfg,num,eps", [
+    (NET_B, 80, 0.18),
+    (NET_A, 50, 0.1),
+    (NetworkConfig(T=6, N1=(1, 2), N2=(1,), dT1=(0, 1), dT2=(1,)), 60, 0.12),
+])
 def test_loss_mask_matches_full_pipeline(cfg, num, eps):
     code = assemble(oswdf_initial(cfg))
     span = max(c.span for c in code.hop1 + code.hop2)
