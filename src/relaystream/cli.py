@@ -66,6 +66,16 @@ def load_json(path: str) -> dict:
         raise CliError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}")
 
 
+def read_int(value: object, what: str, path: str) -> int:
+    """An integer field of a document. Integral floats such as 3.0 are
+    read as integers; anything else is refused rather than floored."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CliError(f"{path}: bad {what}: {value!r} is not an integer")
+    return value
+
+
 def config_from_doc(doc: dict, path: str) -> NetworkConfig:
     if not isinstance(doc, dict):
         raise CliError(f"{path}: top level must be an object")
@@ -74,11 +84,11 @@ def config_from_doc(doc: dict, path: str) -> NetworkConfig:
         raise CliError(f"{path}: missing required keys: {', '.join(missing)}")
     try:
         return NetworkConfig(
-            T=int(doc["T"]),
-            N1=tuple(int(x) for x in doc["N1"]),
-            N2=tuple(int(x) for x in doc["N2"]),
-            dT1=tuple(int(x) for x in doc.get("dT1", ())),
-            dT2=tuple(int(x) for x in doc.get("dT2", ())),
+            T=read_int(doc["T"], "T", path),
+            N1=tuple(read_int(x, "N1", path) for x in doc["N1"]),
+            N2=tuple(read_int(x, "N2", path) for x in doc["N2"]),
+            dT1=tuple(read_int(x, "dT1", path) for x in doc.get("dT1", ())),
+            dT2=tuple(read_int(x, "dT2", path) for x in doc.get("dT2", ())),
         )
     except (TypeError, ValueError) as e:
         raise CliError(f"{path}: bad config: {e}")
@@ -145,10 +155,13 @@ def allocation_from_doc(doc: dict, path: str) -> Allocation:
             )
         ns, ks, gs, bs = [], [], [], []
         for e, net in zip(entries, net_budgets):
-            ns.append(int(e["n"]))
-            ks.append(int(e["k"]))
-            gs.append(DelayGrouping.from_pairs((int(d), int(c)) for d, c in e["grouping"]))
-            bs.append(int(e.get("budget", net)))
+            ns.append(read_int(e["n"], "n", path))
+            ks.append(read_int(e["k"], "k", path))
+            gs.append(DelayGrouping.from_pairs(
+                (read_int(d, "grouping delay", path), read_int(c, "grouping count", path))
+                for d, c in e["grouping"]
+            ))
+            bs.append(read_int(e.get("budget", net), "budget", path))
         budgets = tuple(bs) if tuple(bs) != tuple(net_budgets) else None
         return tuple(ns), tuple(ks), tuple(gs), budgets
 
@@ -158,10 +171,7 @@ def allocation_from_doc(doc: dict, path: str) -> Allocation:
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"{path}: bad hop entry: {e}")
     relabel = doc.get("relabel_delay")
-    try:
-        relabel = None if relabel is None else int(relabel)
-    except (TypeError, ValueError) as e:
-        raise CliError(f"{path}: bad relabel_delay: {e}")
+    relabel = None if relabel is None else read_int(relabel, "relabel_delay", path)
     return Allocation(
         scheme=str(doc.get("scheme", "oswdf")),
         config=config,

@@ -13,6 +13,12 @@ component is recoverable within N + m - j slots, which is where the
 Packets are erased whole: one lost slot removes all n symbols of that time
 across every component. Diagonals that reach back before the start of the
 stream treat the missing source symbols as known zeros.
+
+Decoding needs no elimination per arrival. Any k positions of an MDS
+diagonal determine its whole message, and fewer than k determine only the
+systematic rows among them. So the decoder buffers each in-flight diagonal,
+hands a systematic symbol over the moment it arrives, and solves the
+diagonal once, at its k-th known position, for the rows still missing.
 """
 
 from __future__ import annotations
@@ -21,10 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .gf import FIELD_ORDER, MdsSpec, gf_inv, gf_mul, make_mds
+from .gf import FIELD_ORDER, MdsSpec, gf_mul, make_mds, solve_erasures
 from .spectrum import DelayGrouping, concat_groupings, optimal_grouping
-
-ERASED = None
 
 
 def component_grouping(N: int, m: int) -> DelayGrouping:
@@ -150,8 +154,9 @@ class CodecState:
     """Mutable per-stream encode/decode state for one StreamingCodeSpec.
 
     Encoding and decoding cursors advance independently so one instance can
-    serve either end of a link. The decoder keeps one linear tracker per
-    in-flight diagonal and logs every symbol the moment it is determined;
+    serve either end of a link. The decoder buffers each in-flight diagonal
+    as a length-n word (known pre-stream positions 0, missing ones None),
+    the count of its known positions and its still-unknown message rows;
     deadline checking is the verifier's job, not the decoder's.
     """
 
@@ -160,52 +165,8 @@ class CodecState:
         self.enc_time = 0
         self.dec_time = 0
         self._history: dict[int, tuple[int, ...]] = {}
-        self._trackers: dict[tuple[int, int], _DiagonalTracker] = {}
-        self.recovered: list[tuple[int, int, int, int]] = []  # (t, slot, value, at)
-
-
-class _LinearTracker:
-    """Echelon basis of known linear functionals of a diagonal's message."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self.rows: list[tuple[list[int], int]] = []
-
-    def add(self, vec: list[int], y: int) -> None:
-        v, y = self._reduce(vec, y)
-        if any(v):
-            lead = next(i for i, x in enumerate(v) if x)
-            inv = gf_inv(v[lead])
-            self.rows.append(([gf_mul(inv, x) for x in v], gf_mul(inv, y)))
-
-    def query(self, vec: list[int]) -> Optional[int]:
-        v, y = self._reduce(vec, 0)
-        return None if any(v) else y
-
-    def _reduce(self, vec: list[int], y: int) -> tuple[list[int], int]:
-        v = vec[:]
-        for bv, by in self.rows:
-            lead = next(i for i, x in enumerate(bv) if x)
-            if v[lead]:
-                f = v[lead]
-                v = [x ^ gf_mul(f, w) for x, w in zip(v, bv)]
-                y ^= gf_mul(f, by)
-        return v, y
-
-
-class _DiagonalTracker:
-    def __init__(self, comp: MdsSpec, diagonal: int):
-        self.comp = comp
-        self.diagonal = diagonal
-        self.solver = _LinearTracker(comp.k)
-        self.unknown: set[int] = set()
-        for j in range(1, comp.k + 1):
-            if diagonal + j - 1 < 0:
-                ej = [0] * comp.k
-                ej[j - 1] = 1
-                self.solver.add(ej, 0)  # pre-stream symbols are known zeros
-            else:
-                self.unknown.add(j)
+        # per component: diagonal start -> [word, known count, unknown rows]
+        self._diagonals: list[dict[int, list]] = [{} for _ in spec.components]
 
 
 def encode_step(state: CodecState, source_packet: Sequence[int]) -> tuple[int, ...]:
@@ -242,10 +203,12 @@ def encode_step(state: CodecState, source_packet: Sequence[int]) -> tuple[int, .
 def decode_step(
     state: CodecState, received: Optional[Sequence[int]], t: Optional[int] = None
 ) -> list[tuple[int, int, int]]:
-    """Feed one received packet (or ERASED) and return new recoveries.
+    """Feed one received packet (or None for an erasure) and return new
+    recoveries as (source time, source slot, value), ordered by component,
+    then position, then row.
 
-    Each recovery is (source time, source slot, value). Every recovery is
-    also appended to state.recovered together with the time it happened.
+    A diagonal is solved at most once, at its k-th known position, and only
+    if a row other than the arriving one is still unknown.
     """
     spec = state.spec
     if t is None:
@@ -254,36 +217,38 @@ def decode_step(
         raise ValueError("packets must be fed in time order")
     state.dec_time += 1
     news: list[tuple[int, int, int]] = []
-    if received is not None:
-        if len(received) != spec.n:
-            raise ValueError("received packet length mismatch")
-        for ci, comp in enumerate(spec.components):
-            if comp.k == 0:
-                continue
+    if received is not None and len(received) != spec.n:
+        raise ValueError("received packet length mismatch")
+    for ci, comp in enumerate(spec.components):
+        k = comp.k
+        if k == 0:
+            continue
+        diagonals = state._diagonals[ci]
+        if received is not None:
             coff = spec.channel_offsets[ci]
             moff = spec.message_offsets[ci]
-            for r in range(1, comp.n + 1):
+            n = comp.n
+            # positions past t + k sit on diagonals of pre-stream symbols only
+            for r, value in enumerate(received[coff : coff + min(n, t + k)], 1):
                 d = t - r + 1
-                if d + comp.k - 1 < 0:
-                    continue  # diagonal carries pre-stream symbols only
-                key = (ci, d)
-                tracker = state._trackers.get(key)
-                if tracker is None:
-                    tracker = _DiagonalTracker(comp, d)
-                    state._trackers[key] = tracker
-                col = [comp.generator[i][r - 1] for i in range(comp.k)]
-                tracker.solver.add(col, received[coff + r - 1])
-                for j in sorted(tracker.unknown):
-                    ej = [0] * comp.k
-                    ej[j - 1] = 1
-                    val = tracker.solver.query(ej)
-                    if val is not None:
-                        tracker.unknown.discard(j)
-                        src_t = d + j - 1
-                        slot = moff + j - 1
-                        news.append((src_t, slot, val))
-                        state.recovered.append((src_t, slot, val, t))
-    # diagonals whose last position is in the past can never progress
-    for key in [k for k in state._trackers if k[1] + spec.components[k[0]].n - 1 <= t]:
-        del state._trackers[key]
+                diag = diagonals.get(d)
+                if diag is None:
+                    pre = -d if d < 0 else 0
+                    word = [0] * pre + [None] * (n - pre)
+                    diag = diagonals[d] = [word, pre, set(range(pre + 1, k + 1))]
+                unknown = diag[2]
+                if not unknown:
+                    continue
+                diag[0][r - 1] = value
+                diag[1] += 1
+                if diag[1] == k and (len(unknown) > 1 or r not in unknown):
+                    message = solve_erasures(comp, diag[0])
+                    for j in sorted(unknown):
+                        news.append((d + j - 1, moff + j - 1, message[j - 1]))
+                    unknown.clear()
+                elif r in unknown:
+                    unknown.discard(r)
+                    news.append((t, moff + r - 1, value))
+        # t advances by one per call, so this drops every finished diagonal
+        diagonals.pop(t - comp.n + 1, None)
     return news

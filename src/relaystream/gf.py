@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 FIELD_ORDER = 256
 REDUCTION_POLY = 0x11D
@@ -153,63 +153,6 @@ class UnrecoverableError(Exception):
     """Raised when the erasure pattern exceeds the code's correction radius."""
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    """Full decode output plus the per-prefix determination report.
-
-    determined_after[p] is the set of message indices already pinned down by
-    the unerased symbols among positions 0..p-1. The streaming layer uses it
-    to assign per-symbol recovery times rather than block recovery times.
-    """
-
-    message: tuple[int, ...]
-    determined_after: tuple[frozenset[int], ...]
-
-
-def determined_set(spec: MdsSpec, positions: Iterable[int]) -> frozenset[int]:
-    """Message indices determined by the codeword symbols at ``positions``.
-
-    A message coordinate j is determined exactly when the unit vector e_j
-    lies in the column span of the generator restricted to ``positions``.
-    """
-    basis: list[list[int]] = []
-    for p in positions:
-        _basis_insert(basis, [spec.generator[i][p] for i in range(spec.k)])
-    out = []
-    for j in range(spec.k):
-        ej = [0] * spec.k
-        ej[j] = 1
-        if _reduces_to_zero(basis, ej):
-            out.append(j)
-    return frozenset(out)
-
-
-def _basis_insert(basis: list[list[int]], vec: list[int]) -> bool:
-    # Maintain a row-echelon basis; returns True if vec enlarged the span.
-    v = vec[:]
-    for b in basis:
-        lead = next(i for i, x in enumerate(b) if x)
-        if v[lead]:
-            f = v[lead]
-            v = [x ^ gf_mul(f, y) for x, y in zip(v, b)]
-    if any(v):
-        lead = next(i for i, x in enumerate(v) if x)
-        inv = gf_inv(v[lead])
-        basis.append([gf_mul(inv, x) for x in v])
-        return True
-    return False
-
-
-def _reduces_to_zero(basis: list[list[int]], vec: list[int]) -> bool:
-    v = vec[:]
-    for b in basis:
-        lead = next(i for i, x in enumerate(b) if x)
-        if v[lead]:
-            f = v[lead]
-            v = [x ^ gf_mul(f, y) for x, y in zip(v, b)]
-    return not any(v)
-
-
 def solve_erasures(spec: MdsSpec, received: Sequence[Optional[int]]) -> tuple[int, ...]:
     """Recover the full message from a word with erasures marked as None."""
     if len(received) != spec.n:
@@ -244,15 +187,3 @@ def solve_erasures(spec: MdsSpec, received: Sequence[Optional[int]]) -> tuple[in
                 acc ^= gf_mul(y, a[r][spec.k + i])
         message.append(acc)
     return tuple(message)
-
-
-def mds_decode(spec: MdsSpec, received: Sequence[Optional[int]]) -> DecodeResult:
-    """Decode a word with at most n - k erasures and report prefix progress."""
-    message = solve_erasures(spec, received)
-    report = [frozenset()]
-    positions: list[int] = []
-    for p in range(spec.n):
-        if received[p] is not None:
-            positions.append(p)
-        report.append(determined_set(spec, positions))
-    return DecodeResult(message=message, determined_after=tuple(report))

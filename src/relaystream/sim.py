@@ -145,8 +145,8 @@ def replay_witness(code: NetworkCode, witness: FailureWitness) -> Optional[int]:
 
     def table(times_list, links):
         return [
-            [t in set(times) for t in range(horizon)]
-            for times in list(times_list) + [()] * (links - len(times_list))
+            [t in erased for t in range(horizon)]
+            for erased in map(set, list(times_list) + [()] * (links - len(times_list)))
         ]
 
     state = run_network(
@@ -207,7 +207,9 @@ def verify_adversarial(
     sample_patterns: int = 2000,
     seed: int = 0,
 ) -> VerificationReport:
-    """Check the deadline guarantee link by link, then the pairing sums.
+    """Check the deadline guarantee link by link, then that every route
+    leaves the relay no sooner than its hop-1 slot may be recovered, then
+    the pairing sums.
 
     Per-link checks enumerate every budget-sized pattern inside each
     component's span. That covers every placement in the wider sliding
@@ -291,6 +293,22 @@ def verify_adversarial(
                         )
 
     for route in code.routes:
+        # the relay must hold the symbol before it forwards it
+        ready = code.hop1[route.link1].slot_delays[route.slot1] + config.dT1[route.link1]
+        if route.relay_delay < ready:
+            return VerificationReport(
+                ok=False,
+                exhaustive=exhaustive,
+                checked_patterns=checked,
+                detail=(
+                    f"symbol {route.sym} leaves the relay after {route.relay_delay} "
+                    f"slots, but hop-1 link {route.link1} slot {route.slot1} may "
+                    f"take {ready} (declared delay plus propagation)"
+                ),
+                failure=_route_witness(code, route, config.T),
+            )
+
+    for route in code.routes:
         total = route.relay_delay + route.dest_delay
         if total > config.T:
             witness = _route_witness(code, route, config.T)
@@ -344,11 +362,12 @@ def _cross_product_check(
     packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(start + w1 + 2)]
     count = 0
     for p1, p2 in pairs:
+        erased1, erased2 = set(p1), set(p2)
         state = run_network(
             code,
             packets,
-            [[t in set(p1) for t in range(horizon)]],
-            [[t in set(p2) for t in range(horizon)]],
+            [[t in erased1 for t in range(horizon)]],
+            [[t in erased2 for t in range(horizon)]],
             flush=horizon - len(packets),
         )
         count += 1

@@ -186,6 +186,61 @@ def test_bad_relabel_delay_is_a_usage_error(planned_a, tmp_path, capsys, command
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("relabel_delay", lambda doc: doc.update(relabel_delay=2.7)),
+        ("n", lambda doc: doc["hop1"][0].update(n=40.5)),
+        ("k", lambda doc: doc["hop2"][1].update(k=18.2)),
+        ("grouping delay", lambda doc: doc["hop1"][0]["grouping"][0].__setitem__(0, 4.5)),
+        ("grouping count", lambda doc: doc["hop1"][0]["grouping"][0].__setitem__(1, 7.9)),
+        ("budget", lambda doc: doc["hop1"][1].update(budget=3.5)),
+        ("T", lambda doc: doc["config"].update(T=5.5)),
+        ("N2", lambda doc: doc["config"].update(N2=[1, "2"])),
+    ],
+    ids=["relabel_delay", "n", "k", "grouping_delay", "grouping_count", "budget", "T", "N2"],
+)
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_non_integral_numbers_are_usage_errors(planned_a, tmp_path, capsys, command, field, edit):
+    # refused, not floored: 2.7 must not be read as 2
+    doc = json.loads(open(planned_a).read())
+    edit(doc)
+    path = write(tmp_path, "fractional.json", doc)
+    code, out, err = run(capsys, [command, path])
+    assert code == 2
+    assert f"bad {field}" in err
+    assert out == ""
+
+
+def test_integral_floats_are_read_as_integers(tmp_path, capsys):
+    cfg = write(tmp_path, "a.json", NET_A)
+    out_path = str(tmp_path / "mwdf.json")
+    assert main(["plan", "--config", cfg, "--scheme", "mwdf", "--out", out_path]) == 0
+    doc = json.loads(open(out_path).read())
+    doc["relabel_delay"] = 3.0
+    doc["config"]["T"] = 5.0
+    code, out, _ = run(capsys, ["verify", write(tmp_path, "floats.json", doc)])
+    assert code == 0
+    assert out.startswith("PASS: rate 3/4")
+
+
+@pytest.mark.parametrize("relabel", [-3, 2])
+def test_verify_rejects_relay_delay_below_hop1_deadline(tmp_path, capsys, relabel):
+    # the mwdf split relays at 3; relaying sooner forwards symbols the relay
+    # may not hold yet, which simulate would count as lost
+    cfg = write(tmp_path, "a.json", NET_A)
+    out_path = str(tmp_path / "mwdf.json")
+    assert main(["plan", "--config", cfg, "--scheme", "mwdf", "--out", out_path]) == 0
+    doc = json.loads(open(out_path).read())
+    doc["relabel_delay"] = relabel
+    code, out, err = run(capsys, ["verify", write(tmp_path, "early.json", doc)])
+    assert code == 1
+    assert out == ""
+    assert f"leaves the relay after {relabel} slots" in err
+    assert "may take 3" in err
+    assert "witness" in err and "achieved never" in err
+
+
 def test_verify_rejects_unpairable_document(planned_a, tmp_path, capsys):
     # tightening T inside the document breaks assembly outright; the
     # diagnostic names the offending pair of slots

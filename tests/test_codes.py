@@ -17,6 +17,8 @@ from relaystream.codes import (
 )
 from relaystream.spectrum import DelayGrouping
 
+from oracles import oracle_determined
+
 
 def stream_source(k, horizon, seed=1):
     vals = []
@@ -134,6 +136,65 @@ def test_exhaustive_delays_match_declaration_4_3():
     code = build_diagonal_mds(1, 3)
     worst = exhaustive_worst_delays(code, 1, window_start=5, window_len=7)
     assert worst == list(code.slot_delays)
+
+
+def oracle_recovery_steps(code, erased, horizon):
+    """(source time, slot) -> first decode step at which the received
+    columns of the symbol's diagonal, plus the unit vectors of its known
+    pre-stream rows, span the symbol's unit vector."""
+    memo = {}
+    out = {}
+    for ci, comp in enumerate(code.components):
+        k = comp.k
+        if k == 0:
+            continue
+        moff = code.message_offsets[ci]
+        for d in range(1 - k, horizon):
+            pre = [j for j in range(1, k + 1) if d + j - 1 < 0]
+            received = []
+            for step in range(max(d, 0), min(d + comp.n, horizon)):
+                if step not in erased:
+                    received.append(step - d + 1)
+                key = (comp.n, k, len(pre), tuple(received))
+                if key not in memo:
+                    rows = [[1 if i == j - 1 else 0 for i in range(k)] for j in pre]
+                    rows += [[comp.generator[i][r - 1] for i in range(k)] for r in received]
+                    memo[key] = oracle_determined(k, rows)
+                for j0 in memo[key]:
+                    src_t = d + j0
+                    if src_t >= 0:
+                        out.setdefault((src_t, moff + j0), step)
+    return out
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        build_diagonal_mds(2, 3),
+        build_diagonal_mds(1, 4),
+        # components (4,3), (3,2), (2,1) and a dead slot
+        build_grouped_code(10, 1, DelayGrouping.from_pairs([(3, 1), (2, 2), (1, 3)])),
+    ],
+    ids=["mds-5-3", "mds-5-4", "grouped-mixed"],
+)
+def test_decoder_matches_rank_oracle(code):
+    # every pattern of up to N+1 erasures in a window from the stream start:
+    # each symbol comes out exactly once, with the source value, at the
+    # first step where linear algebra pins it down, and never otherwise
+    window = code.span + 3
+    horizon = window + code.span + 1
+    source = stream_source(code.k, horizon, seed=5)
+    for count in range(code.N + 2):
+        for erased in itertools.combinations(range(window), count):
+            enc, dec = CodecState(code), CodecState(code)
+            emitted = {}
+            for t, packet in enumerate(source):
+                out = encode_step(enc, packet)
+                for st, slot, val in decode_step(dec, None if t in erased else out, t):
+                    assert (st, slot) not in emitted, (erased, st, slot)
+                    assert val == source[st][slot], (erased, st, slot)
+                    emitted[(st, slot)] = t
+            assert emitted == oracle_recovery_steps(code, set(erased), horizon), erased
 
 
 def test_spectrum_code_component_multisets():

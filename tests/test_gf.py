@@ -8,45 +8,7 @@ from hypothesis import strategies as st
 
 from relaystream import gf
 
-
-# ---------------------------------------------------------------------------
-# oracle: carry-less polynomial multiplication reduced mod 0x11D, no tables
-# ---------------------------------------------------------------------------
-
-def slow_mul(a: int, b: int) -> int:
-    acc = 0
-    for bit in range(8):
-        if b & (1 << bit):
-            acc ^= a << bit
-    for deg in range(15, 7, -1):
-        if acc & (1 << deg):
-            acc ^= 0x11D << (deg - 8)
-    return acc
-
-
-def oracle_rank(rows, mul):
-    # row-echelon rank over the field, arithmetic injected so the oracle
-    # never touches the library tables
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = next(x for x in range(1, 256) if mul(rows[rank][col], x) == 1)
-        rows[rank] = [mul(inv, v) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [v ^ mul(f, w) for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+from oracles import oracle_rank, slow_mul
 
 
 def test_mul_frozen_values():
@@ -146,52 +108,6 @@ def test_too_many_erasures_raises():
     rx = [None, None, None, word[3], word[4]]
     with pytest.raises(gf.UnrecoverableError):
         gf.solve_erasures(spec, rx)
-
-
-def oracle_determined(spec, positions):
-    # coordinate j is pinned down iff no generator-nullspace direction over
-    # the received columns moves it: j determined iff rank of columns equals
-    # rank of columns plus e_j row... computed here directly from ranks
-    cols = [[spec.generator[i][p] for i in range(spec.k)] for p in positions]
-    out = set()
-    base = oracle_rank([list(c) for c in cols], slow_mul) if cols else 0
-    for j in range(spec.k):
-        ej = [0] * spec.k
-        ej[j] = 1
-        grown = oracle_rank([list(c) for c in cols] + [ej], slow_mul)
-        if grown == base:
-            out.add(j)
-    return frozenset(out)
-
-
-def test_determined_set_matches_rank_oracle():
-    spec = gf.make_mds(5, 3)
-    for t in range(6):
-        for positions in itertools.combinations(range(5), t):
-            assert gf.determined_set(spec, positions) == oracle_determined(spec, positions)
-
-
-def test_prefix_report_no_erasures_reads_off_systematically():
-    spec = gf.make_mds(5, 3)
-    word = gf.encode(spec, (9, 8, 7))
-    res = gf.mds_decode(spec, list(word))
-    assert res.message == (9, 8, 7)
-    assert res.determined_after[0] == frozenset()
-    assert res.determined_after[1] == frozenset({0})
-    assert res.determined_after[2] == frozenset({0, 1})
-    assert res.determined_after[3] == frozenset({0, 1, 2})
-
-
-def test_prefix_report_with_leading_erasures():
-    spec = gf.make_mds(5, 3)
-    word = gf.encode(spec, (1, 2, 3))
-    rx = [None, None, word[2], word[3], word[4]]
-    res = gf.mds_decode(spec, rx)
-    assert res.message == (1, 2, 3)
-    # with positions {2}: only m_2; with {2,3}: still below rank 3
-    assert res.determined_after[3] == frozenset({2})
-    assert res.determined_after[4] == frozenset({2})
-    assert res.determined_after[5] == frozenset({0, 1, 2})
 
 
 @settings(max_examples=60)
