@@ -7,80 +7,29 @@ and execution (relay), and measurement plus verification (sim). The cli
 module exposes the same pipeline as subcommands.
 """
 
-from .channels import GeParams, ge_average_loss, sample_ge, sample_iid
-from .codes import (
-    CodecState,
-    StreamingCodeSpec,
-    build_diagonal_mds,
-    build_grouped_code,
-    build_spectrum_code,
-    decode_step,
-    encode_step,
-)
+from .channels import GeParams
 from .planner import (
-    Allocation,
     NetworkConfig,
-    cswdf_closed_form,
     cswdf_plan,
-    hop_rates,
     mwdf_plan,
     mwdf_rate,
-    oswdf_initial,
     oswdf_optimize,
-    point_rate,
     t_min,
     upper_bound,
 )
-from .relay import NetworkCode, NetworkState, assemble, match_spectra, run_network
-from .sim import (
-    ChannelSpec,
-    SimResult,
-    VerificationReport,
-    measure_spectrum,
-    replay_witness,
-    run_ensemble,
-    run_monte_carlo,
-    verify_adversarial,
-)
-from .spectrum import DelayGrouping, delay_lower_bound, optimal_grouping
+from .relay import assemble
+from .sim import ChannelSpec, run_monte_carlo, verify_adversarial
 
 __all__ = [
-    "Allocation",
     "ChannelSpec",
-    "CodecState",
-    "DelayGrouping",
     "GeParams",
-    "NetworkCode",
     "NetworkConfig",
-    "NetworkState",
-    "SimResult",
-    "StreamingCodeSpec",
-    "VerificationReport",
     "assemble",
-    "build_diagonal_mds",
-    "build_grouped_code",
-    "build_spectrum_code",
-    "cswdf_closed_form",
     "cswdf_plan",
-    "decode_step",
-    "delay_lower_bound",
-    "encode_step",
-    "ge_average_loss",
-    "hop_rates",
-    "match_spectra",
-    "measure_spectrum",
     "mwdf_plan",
     "mwdf_rate",
-    "optimal_grouping",
-    "oswdf_initial",
     "oswdf_optimize",
-    "point_rate",
-    "replay_witness",
-    "run_ensemble",
     "run_monte_carlo",
-    "run_network",
-    "sample_ge",
-    "sample_iid",
     "t_min",
     "upper_bound",
     "verify_adversarial",

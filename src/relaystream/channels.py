@@ -1,5 +1,5 @@
-"""Erasure sequence generation: exhaustive adversarial sets and sampled
-i.i.d. or two-state Markov (Gilbert-Elliott) loss patterns.
+"""Erasure sequence generation: sampled i.i.d. or two-state Markov
+(Gilbert-Elliott) loss patterns.
 
 Sampled generators take explicit 64-bit seeds and are reproducible bit for
 bit; simulation outputs always record the seed they were driven by. The
@@ -10,71 +10,27 @@ million-slot horizons.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-
-ENUMERATION_GUARD = 30  # horizons longer than this explode combinatorially
 
 
 class ErasureSequence:
     """Binary loss pattern over a finite horizon; 1 marks a lost packet."""
 
-    def __init__(self, bits: Sequence[int] | np.ndarray, budget: Optional[int] = None):
+    def __init__(self, bits: Sequence[int] | np.ndarray):
         arr = np.asarray(bits, dtype=bool)
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
         arr.flags.writeable = False
         self.bits = arr
-        self.budget = budget
-        if budget is not None and int(arr.sum()) > budget:
-            raise ValueError("pattern exceeds its declared erasure budget")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.bits)
 
     def count(self) -> int:
         return int(self.bits.sum())
 
-    def times(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.bits))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ErasureSequence) and np.array_equal(self.bits, other.bits)
-
-    def __hash__(self) -> int:
-        return hash(self.bits.tobytes())
-
-    def __repr__(self) -> str:
-        return f"ErasureSequence(times={self.times()}, horizon={self.horizon})"
-
-    @staticmethod
-    def from_times(times: Sequence[int], horizon: int, budget: Optional[int] = None) -> "ErasureSequence":
-        bits = np.zeros(horizon, dtype=bool)
-        for t in times:
-            bits[t] = True
-        return ErasureSequence(bits, budget=budget)
-
-
-def enumerate_adversarial(N: int, horizon: int) -> Iterator[ErasureSequence]:
-    """All C(horizon, N) placements of exactly N erasures.
-
-    Refuses horizons beyond the combinatorial guard; the caller should
-    switch to sampling instead.
-    """
-    if N < 0 or N > horizon:
-        raise ValueError("need 0 <= N <= horizon")
-    if horizon > ENUMERATION_GUARD:
-        raise ValueError(
-            f"horizon {horizon} exceeds enumeration guard {ENUMERATION_GUARD}: "
-            f"would visit {math.comb(horizon, N)} patterns"
-        )
-    for times in itertools.combinations(range(horizon), N):
-        yield ErasureSequence.from_times(times, horizon, budget=N)
 
 
 def sample_iid(eps: float, horizon: int, seed: int) -> ErasureSequence:

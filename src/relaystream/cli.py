@@ -9,7 +9,8 @@ document, and ``ensemble`` compares the planners over random networks.
 Configs and allocation documents are JSON. Exact rates appear as "p/q"
 strings next to a float so logs stay greppable and lossless at once.
 Exit codes: 0 success or pass, 1 verification failure, 2 bad usage or
-unparseable input.
+unparseable input. Exit-1 messages start with ``FAIL:``, exit-2 messages
+with ``error:``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -34,9 +37,12 @@ from .planner import (
     t_min,
     upper_bound,
 )
-from .relay import assemble
+from .relay import NetworkCode, assemble
 from .sim import ChannelSpec, run_ensemble, run_monte_carlo, verify_adversarial
 from .spectrum import DelayGrouping
+
+
+RATE_RE = re.compile(r"[0-9]+/[0-9]+")
 
 
 class CliError(Exception):
@@ -143,6 +149,8 @@ def allocation_to_doc(alloc: Allocation) -> dict:
 
 
 def allocation_from_doc(doc: dict, path: str) -> Allocation:
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: top level must be an object")
     for key in ("scheme", "config", "hop1", "hop2"):
         if key not in doc:
             raise CliError(f"{path}: allocation document missing {key!r}")
@@ -189,14 +197,38 @@ def allocation_from_doc(doc: dict, path: str) -> Allocation:
     )
 
 
-def declared_k_mismatch(alloc: Allocation) -> Optional[str]:
-    """Name the first link whose declared k differs from the number of
-    symbols its grouping carries, or return None."""
+def load_code(path: str) -> tuple[Allocation, NetworkCode]:
+    """Read, check and assemble an allocation document.
+
+    Usage errors exit 2. A document that parses but does not hold
+    together exits 1: a link's k differs from the symbols its grouping
+    carries, the codes do not assemble, or the stated rate differs from
+    the rate the codes carry.
+    """
+    doc = load_json(path)
+    alloc = allocation_from_doc(doc, path)
+    stated = None
+    if "rate" in doc:
+        exact = doc["rate"].get("exact") if isinstance(doc["rate"], dict) else None
+        try:
+            # "p/q" only: Fraction would also expand an exponent such as 1e999999999
+            stated = Fraction(RATE_RE.fullmatch(exact)[0])
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise CliError(f"{path}: bad rate: {doc['rate']!r} has no exact p/q value")
     for hop, ks, groupings in (("hop1", alloc.k1, alloc.groupings1), ("hop2", alloc.k2, alloc.groupings2)):
         for link, (k, g) in enumerate(zip(ks, groupings)):
             if g.total() != k:
-                return f"{hop} link {link} declares k={k} but its grouping carries {g.total()} symbols"
-    return None
+                raise CliError(
+                    f"{hop} link {link} declares k={k} but its grouping carries {g.total()} symbols",
+                    code=1,
+                )
+    try:
+        code = assemble(alloc)
+    except ValueError as e:
+        raise CliError(f"allocation does not assemble: {e}", code=1)
+    if stated is not None and stated != alloc.rate:
+        raise CliError(f"document states rate {stated} but its codes carry {alloc.rate}", code=1)
+    return alloc, code
 
 
 def emit(text: str, out: Optional[str]) -> None:
@@ -244,26 +276,13 @@ def cmd_plan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc = load_json(args.allocation)
-    alloc = allocation_from_doc(doc, args.allocation)
-    mismatch = declared_k_mismatch(alloc)
-    if mismatch:
-        print(f"FAIL: {mismatch}", file=sys.stderr)
-        return 1
-    try:
-        code = assemble(alloc)
-    except ValueError as e:
-        print(f"FAIL: allocation does not assemble: {e}", file=sys.stderr)
-        return 1
+    alloc, code = load_code(args.allocation)
     check_config = alloc.config
     if args.deadline is not None:
-        check_config = NetworkConfig(
-            T=args.deadline,
-            N1=alloc.config.N1,
-            N2=alloc.config.N2,
-            dT1=alloc.config.dT1,
-            dT2=alloc.config.dT2,
-        )
+        try:
+            check_config = replace(alloc.config, T=args.deadline)
+        except ValueError as e:
+            raise CliError(f"bad --deadline: {e}")
     report = verify_adversarial(code, config=check_config)
     mode = "exhaustive" if report.exhaustive else "sampled (not exhaustive)"
     if report.ok:
@@ -300,15 +319,7 @@ def _parse_eps_grid(text: str) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
-    doc = load_json(args.allocation)
-    alloc = allocation_from_doc(doc, args.allocation)
-    mismatch = declared_k_mismatch(alloc)
-    if mismatch:
-        raise CliError(mismatch, code=1)
-    try:
-        code = assemble(alloc)
-    except ValueError as e:
-        raise CliError(f"allocation does not assemble: {e}", code=1)
+    alloc, code = load_code(args.allocation)
     if args.packets < 0:
         raise CliError("--packets must be nonnegative")
 
@@ -436,7 +447,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"{'FAIL' if e.code == 1 else 'error'}: {e}", file=sys.stderr)
         return e.code
 
 

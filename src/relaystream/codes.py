@@ -194,9 +194,8 @@ def encode_step(state: CodecState, source_packet: Sequence[int]) -> tuple[int, .
                     acc ^= gf_mul(m, comp.generator[j - 1][r - 1])
             out.append(acc)
     state.enc_time += 1
-    horizon = t - spec.span
-    for old in [u for u in state._history if u < horizon]:
-        del state._history[old]
+    # t advances by one per call, so this drops the one entry out of reach
+    state._history.pop(t - spec.span - 1, None)
     return tuple(out)
 
 

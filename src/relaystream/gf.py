@@ -41,10 +41,6 @@ def _build_tables() -> None:
 _build_tables()
 
 
-def gf_add(a: int, b: int) -> int:
-    return a ^ b
-
-
 def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
@@ -57,30 +53,12 @@ def gf_inv(a: int) -> int:
     return GF_EXP[255 - GF_LOG[a]]
 
 
-def gf_div(a: int, b: int) -> int:
-    return gf_mul(a, gf_inv(b))
-
-
 def gf_pow(a: int, e: int) -> int:
     if e == 0:
         return 1
     if a == 0:
         return 0
     return GF_EXP[(GF_LOG[a] * e) % 255]
-
-
-def field_arithmetic(a: int, b: int, op: str) -> int:
-    """Dispatcher over the three primitive field operations.
-
-    ``op`` is one of ``add``, ``mul``, ``inv``; ``b`` is ignored for ``inv``.
-    """
-    if op == "add":
-        return gf_add(a, b)
-    if op == "mul":
-        return gf_mul(a, b)
-    if op == "inv":
-        return gf_inv(a)
-    raise ValueError(f"unknown field op {op!r}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +73,6 @@ class MdsSpec:
     n: int
     k: int
     generator: tuple[tuple[int, ...], ...]
-    systematic: bool = True
 
     def __post_init__(self) -> None:
         if not (0 <= self.k <= self.n):
@@ -134,19 +111,6 @@ def _row_reduce_to_systematic(rows: list[list[int]], k: int) -> None:
             if r != col and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [v ^ gf_mul(f, w) for v, w in zip(rows[r], rows[col])]
-
-
-def encode(spec: MdsSpec, message: Sequence[int]) -> tuple[int, ...]:
-    if len(message) != spec.k:
-        raise ValueError("message length mismatch")
-    out = list(message[:]) + [0] * (spec.n - spec.k)
-    for col in range(spec.k, spec.n):
-        acc = 0
-        for i, m in enumerate(message):
-            if m:
-                acc ^= gf_mul(m, spec.generator[i][col])
-        out[col] = acc
-    return tuple(out)
 
 
 class UnrecoverableError(Exception):

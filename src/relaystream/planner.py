@@ -27,7 +27,7 @@ Schemes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Optional, Sequence
@@ -590,24 +590,8 @@ def oswdf_optimize(config: NetworkConfig) -> Allocation:
                 best = cand
             lb = max(lb, cand.rate)
     if capped and best.scheme == "oswdf":
-        best = _with_capped(best)
+        best = replace(best, capped=True)
     return best
-
-
-def _with_capped(alloc: Allocation) -> Allocation:
-    return Allocation(
-        scheme=alloc.scheme,
-        config=alloc.config,
-        n1=alloc.n1,
-        n2=alloc.n2,
-        k1=alloc.k1,
-        k2=alloc.k2,
-        groupings1=alloc.groupings1,
-        groupings2=alloc.groupings2,
-        bottleneck=alloc.bottleneck,
-        relabel_delay=alloc.relabel_delay,
-        capped=True,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -30,40 +30,6 @@ from .codes import CodecState, StreamingCodeSpec, build_grouped_code, decode_ste
 from .planner import Allocation
 
 
-def match_spectra(
-    mass1: dict[int, int], mass2: dict[int, int], deadline: int
-) -> list[tuple[int, int, int]]:
-    """Pair two per-delay symbol masses under d1 + d2 <= deadline.
-
-    Returns (d1, d2, count) triples, largest d1 first. Total masses must be
-    equal; raises naming the first violated pair if no pairing exists.
-    """
-    m1 = sorted(((d, c) for d, c in mass1.items() if c), reverse=True)
-    m2 = sorted((d, c) for d, c in mass2.items() if c)
-    if sum(c for _, c in m1) != sum(c for _, c in m2):
-        raise ValueError("pairing needs equal symbol masses on both hops")
-    out: list[tuple[int, int, int]] = []
-    i = j = 0
-    take1 = take2 = 0
-    while i < len(m1) and j < len(m2):
-        d1, c1 = m1[i]
-        d2, c2 = m2[j]
-        if d1 + d2 > deadline:
-            raise ValueError(
-                f"no pairing: a delay-{d1} first-hop symbol cannot reach the "
-                f"destination through a delay-{d2} slot within T={deadline}"
-            )
-        c = min(c1 - take1, c2 - take2)
-        out.append((d1, d2, c))
-        take1 += c
-        take2 += c
-        if take1 == c1:
-            i, take1 = i + 1, 0
-        if take2 == c2:
-            j, take2 = j + 1, 0
-    return out
-
-
 @dataclass(frozen=True)
 class SymbolRoute:
     """End-to-end path of one source symbol."""
@@ -110,6 +76,28 @@ def _slot_entries(
     return entries
 
 
+def _pair(
+    entries1: Sequence[tuple[int, int, int]],
+    entries2: Sequence[tuple[int, int, int]],
+    T: int,
+) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
+    """Pair (delay, link, slot) entries of the two hops under d1 + d2 <= T.
+
+    The slowest hop-1 slot takes the fastest hop-2 slot, and so on down
+    both lists. Raises naming the first pair of slots over the deadline;
+    then no pairing exists.
+    """
+    pairs = list(zip(sorted(entries1, reverse=True), sorted(entries2)))
+    for (e1, l1, s1), (e2, l2, s2) in pairs:
+        if e1 + e2 > T:
+            raise ValueError(
+                f"allocation is not pairable: hop-1 link {l1} slot {s1} "
+                f"(delay {e1}) + hop-2 link {l2} slot {s2} (delay {e2}) "
+                f"> T={T}"
+            )
+    return pairs
+
+
 def assemble(alloc: Allocation) -> NetworkCode:
     """Build runnable per-link codes and route the end-to-end symbols.
 
@@ -127,17 +115,11 @@ def assemble(alloc: Allocation) -> NetworkCode:
         for n, N, g in zip(alloc.n2, alloc.build_budgets2(), alloc.groupings2)
     )
     k = alloc.k
-    entries1 = sorted(_slot_entries(hop1, config.dT1, alloc.relabel_delay))[:k]
-    entries2 = sorted(_slot_entries(hop2, config.dT2, None))[:k]
-
-    pairs = list(zip(sorted(entries1, reverse=True), sorted(entries2)))
-    for (e1, l1, s1), (e2, l2, s2) in pairs:
-        if e1 + e2 > config.T:
-            raise ValueError(
-                f"allocation is not pairable: hop-1 link {l1} slot {s1} "
-                f"(delay {e1}) + hop-2 link {l2} slot {s2} (delay {e2}) "
-                f"> T={config.T}"
-            )
+    pairs = _pair(
+        sorted(_slot_entries(hop1, config.dT1, alloc.relabel_delay))[:k],
+        sorted(_slot_entries(hop2, config.dT2, None))[:k],
+        config.T,
+    )
     routes = tuple(
         SymbolRoute(
             sym=sym,

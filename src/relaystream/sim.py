@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import ENUMERATION_GUARD, GeParams, sample_ge, sample_iid
+from .channels import GeParams, sample_ge, sample_iid
 from .codes import StreamingCodeSpec
 from .planner import (
     NetworkConfig,
@@ -45,6 +45,7 @@ from .relay import NetworkCode, run_network
 from .spectrum import DelayGrouping
 
 INF_DELAY = 1 << 20  # sentinel for "never recovered"
+ENUMERATION_GUARD = 30  # longer components are sampled: C(n, N) patterns explode
 
 
 # ---------------------------------------------------------------------------

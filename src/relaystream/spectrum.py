@@ -87,9 +87,6 @@ class DelayGrouping:
         return DelayGrouping(entries=tuple((d + dt, c) for d, c in self.entries))
 
 
-EMPTY_GROUPING = DelayGrouping(entries=())
-
-
 def concat_groupings(a: DelayGrouping, b: DelayGrouping) -> DelayGrouping:
     """Spectrum of the concatenated code: per-delay counts add."""
     return DelayGrouping.from_pairs(tuple(a.entries) + tuple(b.entries))

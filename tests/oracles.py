@@ -1,5 +1,9 @@
 """Independent oracles shared by the tests: field multiplication without
-the library's tables, and rank and determination by plain elimination."""
+the library's tables, block encoding by plain matrix products, and rank
+and determination by plain elimination."""
+
+from functools import reduce
+from operator import xor
 
 
 def slow_mul(a: int, b: int) -> int:
@@ -12,6 +16,14 @@ def slow_mul(a: int, b: int) -> int:
         if acc & (1 << deg):
             acc ^= 0x11D << (deg - 8)
     return acc
+
+
+def block_encode(spec, message):
+    # codeword = message x generator, one column at a time
+    return tuple(
+        reduce(xor, (slow_mul(m, row[col]) for m, row in zip(message, spec.generator)), 0)
+        for col in range(spec.n)
+    )
 
 
 def oracle_rank(rows, mul):

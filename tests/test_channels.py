@@ -1,4 +1,4 @@
-"""Channel generators: exhaustiveness, reproducibility, calibration."""
+"""Channel generators: reproducibility and calibration."""
 
 import math
 
@@ -6,40 +6,11 @@ import numpy as np
 import pytest
 
 from relaystream.channels import (
-    ENUMERATION_GUARD,
-    ErasureSequence,
     GeParams,
-    enumerate_adversarial,
     ge_average_loss,
     sample_ge,
     sample_iid,
 )
-
-
-def test_enumerate_zero_budget():
-    seqs = list(enumerate_adversarial(0, 7))
-    assert len(seqs) == 1
-    assert seqs[0].count() == 0
-
-
-def test_enumerate_counts_and_distinctness():
-    seqs = list(enumerate_adversarial(2, 5))
-    assert len(seqs) == math.comb(5, 2) == 10
-    assert len(set(seqs)) == 10
-    assert all(s.count() == 2 for s in seqs)
-    seqs = list(enumerate_adversarial(3, 10))
-    assert len(seqs) == 120
-    assert len(set(seqs)) == 120
-
-
-def test_enumeration_guard():
-    with pytest.raises(ValueError, match="guard"):
-        next(enumerate_adversarial(3, ENUMERATION_GUARD + 1))
-
-
-def test_budget_declaration_enforced():
-    with pytest.raises(ValueError):
-        ErasureSequence.from_times([0, 1, 2], horizon=5, budget=2)
 
 
 def test_iid_edge_cases_and_determinism():

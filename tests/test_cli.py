@@ -170,9 +170,10 @@ def test_verify_rejects_inflated_k(planned_a, tmp_path, capsys):
     doc = json.loads(open(planned_a).read())
     doc["hop1"][0]["k"] += 1
     path = write(tmp_path, "bad.json", doc)
-    code, _, err = run(capsys, ["verify", path])
+    code, out, err = run(capsys, ["verify", path])
     assert code == 1
-    assert "declares k=25" in err and "24 symbols" in err
+    assert out == ""
+    assert err == "FAIL: hop1 link 0 declares k=25 but its grouping carries 24 symbols\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate"])
@@ -247,9 +248,35 @@ def test_verify_rejects_unpairable_document(planned_a, tmp_path, capsys):
     doc = json.loads(open(planned_a).read())
     doc["config"]["T"] = 4
     path = write(tmp_path, "tight.json", doc)
-    code, _, err = run(capsys, ["verify", path])
+    code, out, err = run(capsys, ["verify", path])
     assert code == 1
-    assert "not pairable" in err
+    assert out == ""
+    assert err.startswith("FAIL: allocation does not assemble: allocation is not pairable: hop-1 link ")
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_stated_rate_must_match_the_codes(planned_a, tmp_path, capsys, command):
+    doc = json.loads(open(planned_a).read())
+    doc["rate"] = {"exact": "1/2", "decimal": 0.5}
+    code, out, err = run(capsys, [command, write(tmp_path, "half.json", doc)])
+    assert code == 1
+    assert out == ""
+    assert err == "FAIL: document states rate 1/2 but its codes carry 1\n"
+
+
+@pytest.mark.parametrize(
+    "rate",
+    ["1/1", {"decimal": 1.0}, {"exact": 1}, {"exact": "1/0"}, {"exact": "1e9"}],
+    ids=["bare", "no_exact", "number", "zero_denominator", "exponent"],
+)
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_malformed_rate_is_a_usage_error(planned_a, tmp_path, capsys, command, rate):
+    doc = json.loads(open(planned_a).read())
+    doc["rate"] = rate
+    code, out, err = run(capsys, [command, write(tmp_path, "rate.json", doc)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "bad rate" in err
 
 
 def test_verify_deadline_audit_produces_witness(planned_a, capsys):
@@ -258,6 +285,14 @@ def test_verify_deadline_audit_produces_witness(planned_a, capsys):
     assert "witness" in err
     assert "required delay 4" in err
     assert "achieved 5" in err
+
+
+@pytest.mark.parametrize("deadline", ["0", "-2"])
+def test_verify_nonpositive_deadline_is_a_usage_error(planned_a, capsys, deadline):
+    code, out, err = run(capsys, ["verify", planned_a, "--deadline", deadline])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad --deadline")
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +336,23 @@ def test_simulate_deterministic(planned_b_mwdf, capsys):
 
 
 def test_simulate_rejects_inflated_k(planned_a, tmp_path, capsys):
-    # refused with verify's message before anything is simulated
+    # refused with verify's line before anything is simulated
     doc = json.loads(open(planned_a).read())
     doc["hop1"][0]["k"] = 29
     path = write(tmp_path, "bad.json", doc)
     code, out, err = run(capsys, ["simulate", path, "--packets", "100"])
     assert code == 1
-    assert "declares k=29" in err and "24 symbols" in err
     assert out == ""
+    assert err == "FAIL: hop1 link 0 declares k=29 but its grouping carries 24 symbols\n"
+
+
+def test_simulate_rejects_unpairable_document(planned_a, tmp_path, capsys):
+    doc = json.loads(open(planned_a).read())
+    doc["config"]["T"] = 4
+    path = write(tmp_path, "tight.json", doc)
+    verify = run(capsys, ["verify", path])
+    assert verify[0] == 1 and verify[2].startswith("FAIL: allocation does not assemble")
+    assert run(capsys, ["simulate", path, "--packets", "100"]) == verify
 
 
 def test_simulate_zero_packets(planned_b_mwdf, capsys):

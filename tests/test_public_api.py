@@ -1,0 +1,68 @@
+"""The public API is what the experiment scripts and the README import.
+
+Trimming the package namespace can break a script without breaking any
+import inside the package, so the scripts and the README's library
+sketch are run here.
+"""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+import relaystream
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPTS = {
+    "rate_sweep.py": ["--deadlines", "2"],
+    "loss_curves.py": ["--packets", "200", "--eps", "0.01"],
+}
+
+
+def readme_sketch() -> str:
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    section = text.split("## Library sketch", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def package_imports(source: str) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "relaystream"
+        for alias in node.names
+    }
+
+
+def test_all_names_resolve():
+    for name in relaystream.__all__:
+        assert getattr(relaystream, name) is not None, name
+
+
+def test_all_is_what_scripts_and_readme_import():
+    used = package_imports(readme_sketch())
+    for script in SCRIPTS:
+        with open(os.path.join(ROOT, "scripts", script)) as fh:
+            used |= package_imports(fh.read())
+    assert sorted(relaystream.__all__) == sorted(used)
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs(script):
+    path = filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", script), *SCRIPTS[script]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") >= 2
+
+
+def test_readme_sketch_runs(capsys):
+    exec(compile(readme_sketch(), "README.md", "exec"), {})
+    assert 0 <= float(capsys.readouterr().out) < 1
