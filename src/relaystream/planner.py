@@ -27,6 +27,8 @@ Schemes:
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
@@ -35,7 +37,6 @@ from typing import Optional, Sequence
 from .spectrum import (
     DelayGrouping,
     SpectrumConstraint,
-    concat_groupings,
     delay_lower_bound,
     max_symbols_under_constraint,
     optimal_grouping,
@@ -154,23 +155,35 @@ def upper_bound(config: NetworkConfig) -> Fraction:
 
 
 def mwdf_rate(config: NetworkConfig) -> tuple[Fraction, int, int]:
-    """Best message-wise rate over all integer splits T1 + T2 <= T."""
+    """Best message-wise rate over all integer splits T1 + T2 <= T.
 
-    def hop_sum(links: Sequence[tuple[int, int]], horizon: int) -> Fraction:
-        acc = Fraction(0)
-        for n, dt in links:
-            acc += point_rate(horizon - dt, n)
-        return acc
+    Each hop's rate sum is computed once per horizon h in [0, T]. Since
+    point_rate is nondecreasing in its delay, so is each sum, and for a
+    given t1 the best t2 is T - t1: the rate is the max over t1 of
+    min(h1[t1], h2[T - t1]). The split returned is the lexicographically
+    first (t1, t2) reaching that rate: the smallest such t1, then the
+    smallest t2 whose hop-2 sum reaches it. A zero rate returns (0, 0, T).
+    """
+    t = config.T
 
-    links1 = list(zip(config.N1, config.dT1))
-    links2 = list(zip(config.N2, config.dT2))
-    best = (Fraction(0), 0, config.T)
-    for t1 in range(config.T + 1):
-        for t2 in range(config.T - t1 + 1):
-            rate = min(hop_sum(links1, t1), hop_sum(links2, t2))
-            if rate > best[0]:
-                best = (rate, t1, t2)
-    return best
+    def hop_sums(Ns: Sequence[int], dTs: Sequence[int]) -> list[Fraction]:
+        # sum of point_rate(h - dt, n) over its positive terms, as one num/den
+        sums = []
+        for h in range(t + 1):
+            num, den = 0, 1
+            for n, dt in zip(Ns, dTs):
+                b = h - dt + 1
+                if b > n:
+                    num, den = num * b + (b - n) * den, den * b
+            sums.append(Fraction(num, den))
+        return sums
+
+    h1, h2 = hop_sums(config.N1, config.dT1), hop_sums(config.N2, config.dT2)
+    rate, neg_t1 = max((min(h1[t1], h2[t - t1]), -t1) for t1 in range(t + 1))
+    if rate == 0:
+        return Fraction(0), 0, t
+    t1 = -neg_t1
+    return rate, t1, bisect_left(h2, rate, 0, t - t1 + 1)
 
 
 @dataclass(frozen=True)
@@ -252,40 +265,27 @@ def cswdf_plan(config: NetworkConfig) -> tuple[Fraction, Allocation]:
     Pair (i, j) carries (T+1-Z1_i-Z2_j)+ symbols; pairs that carry nothing
     are dropped and contribute no slots. Every surviving pair's delays run
     from its hop budget boundary downward, so the two hops mirror each
-    other and every pairing sum is exactly T.
+    other and every pairing sum is exactly T. Each link's grouping counts,
+    per delay, the surviving pairs whose range covers it: the counts are
+    accumulated as integers and turned into one grouping per link.
     """
     t = config.T
     z1, z2 = config.Z1, config.Z2
-    pair_k = {
-        (i, j): max(0, t + 1 - z1[i] - z2[j])
-        for i in range(len(z1))
-        for j in range(len(z2))
-    }
-    n1 = [0] * len(z1)
-    n2 = [0] * len(z2)
-    k1 = [0] * len(z1)
-    k2 = [0] * len(z2)
-    g1 = [DelayGrouping(())] * len(z1)
-    g2 = [DelayGrouping(())] * len(z2)
-    for (i, j), kij in pair_k.items():
-        if kij == 0:
-            continue
-        n1[i] += t + 1 - z2[j] - config.dT1[i]
-        n2[j] += t + 1 - z1[i] - config.dT2[j]
-        k1[i] += kij
-        k2[j] += kij
-        g1[i] = concat_groupings(
-            g1[i],
-            DelayGrouping.from_pairs(
-                [(d, 1) for d in range(config.N1[i], t - z2[j] - config.dT1[i] + 1)]
-            ),
-        )
-        g2[j] = concat_groupings(
-            g2[j],
-            DelayGrouping.from_pairs(
-                [(d, 1) for d in range(config.N2[j], t - z1[i] - config.dT2[j] + 1)]
-            ),
-        )
+    n1, k1, c1 = [0] * len(z1), [0] * len(z1), [Counter() for _ in z1]
+    n2, k2, c2 = [0] * len(z2), [0] * len(z2), [Counter() for _ in z2]
+    for i in range(len(z1)):
+        for j in range(len(z2)):
+            kij = t + 1 - z1[i] - z2[j]
+            if kij <= 0:
+                continue
+            n1[i] += t + 1 - z2[j] - config.dT1[i]
+            n2[j] += t + 1 - z1[i] - config.dT2[j]
+            k1[i] += kij
+            k2[j] += kij
+            c1[i].update(range(config.N1[i], t - z2[j] - config.dT1[i] + 1))
+            c2[j].update(range(config.N2[j], t - z1[i] - config.dT2[j] + 1))
+    g1 = [DelayGrouping.from_pairs(c.items()) for c in c1]
+    g2 = [DelayGrouping.from_pairs(c.items()) for c in c2]
     alloc = Allocation(
         scheme="cswdf",
         config=config,
@@ -319,23 +319,15 @@ class _HopLinks:
 
 def _hop_views(eff: EffectiveConfig) -> tuple[_HopLinks, _HopLinks]:
     c = eff.config
-    h1 = _HopLinks(
-        hop=1,
-        order=sorted(range(len(c.N1)), key=lambda i: (-eff.z1[i], -c.N1[i], i)),
-        N=c.N1,
-        dT=c.dT1,
-        max_delay=eff.max_delay1,
-        usable=eff.usable1,
+
+    def view(hop, N, dT, z, max_delay, usable) -> _HopLinks:
+        order = sorted(range(len(N)), key=lambda i: (-z[i], -N[i], i))
+        return _HopLinks(hop, order, N, dT, max_delay, usable)
+
+    return (
+        view(1, c.N1, c.dT1, eff.z1, eff.max_delay1, eff.usable1),
+        view(2, c.N2, c.dT2, eff.z2, eff.max_delay2, eff.usable2),
     )
-    h2 = _HopLinks(
-        hop=2,
-        order=sorted(range(len(c.N2)), key=lambda i: (-eff.z2[i], -c.N2[i], i)),
-        N=c.N2,
-        dT=c.dT2,
-        max_delay=eff.max_delay2,
-        usable=eff.usable2,
-    )
-    return h1, h2
 
 
 def _link_grouping(n: int, k: int, N: int, max_delay: int) -> DelayGrouping:

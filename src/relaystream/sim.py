@@ -577,7 +577,8 @@ def run_monte_carlo(
 
     ``channel`` is one spec applied to every link or a sequence giving one
     per link, hop-1 links first. Per-link sequences draw from independent
-    child seeds spawned from ``seed``, so results replay bit for bit.
+    child seeds spawned from ``seed``, so results replay bit for bit. The
+    result's channel describes the shared spec, or every link's ("per-link").
     """
     config = code.allocation.config
     links = len(code.hop1) + len(code.hop2)
@@ -598,10 +599,14 @@ def run_monte_carlo(
         for j in range(len(code.hop2))
     ]
     lost = loss_mask(code, bits1, bits2, num_packets)
+    described = per_link[0].describe()
+    if any(spec != per_link[0] for spec in per_link):
+        described = {"channel": "per-link", "eps": "", "alpha": "", "beta": "",
+                     "links": [spec.describe() for spec in per_link]}
     return SimResult(
         scheme=code.allocation.scheme,
         config=config,
-        channel=per_link[0].describe(),
+        channel=described,
         packets=num_packets,
         lost=int(lost.sum()),
         seed=seed,

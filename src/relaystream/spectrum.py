@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, floor
 from typing import Iterable, Sequence, Union
 
@@ -51,7 +52,6 @@ class DelayGrouping:
         acc: dict[int, Count] = {}
         for d, c in pairs:
             acc[d] = _as_count(acc.get(d, 0) + c)
-        acc = {d: c for d, c in acc.items()}
         nonzero = [d for d, c in acc.items() if c != 0]
         if not nonzero:
             return DelayGrouping(entries=())
@@ -233,9 +233,12 @@ def max_symbols_under_constraint(
     """
     if not delays:
         raise ValueError("no candidate delays")
+    # above[i]: budget at delays strictly above entries[i]'s delay, one pass
+    above = list(accumulate((c for _, c in constraint.entries), initial=0))
+    top = constraint.entries[0][0]
     kprime: list[Fraction] = []
     for d in delays:
-        allowed = Fraction(constraint.allowed_above(d + delay_shift))
-        kprime.append(n - Fraction(n * N, 1) * (1 - allowed / n) / (d + 1))
+        allowed = above[min(max(top - d - delay_shift, 0), len(above) - 1)]
+        kprime.append(Fraction(n * (d + 1) - N * (n - allowed), d + 1))
     best = min(kprime)
     return max(0, floor(best)), kprime

@@ -1,9 +1,15 @@
 """Independent oracles shared by the tests: field multiplication without
-the library's tables, block encoding by plain matrix products, and rank
-and determination by plain elimination."""
+the library's tables, block encoding by plain matrix products, rank and
+determination by plain elimination, and the planners' straightforward
+constructions (every mwdf split tried, cswdf groupings concatenated pair
+by pair)."""
 
+from fractions import Fraction
 from functools import reduce
 from operator import xor
+
+from relaystream.planner import Allocation, point_rate
+from relaystream.spectrum import DelayGrouping, concat_groupings
 
 
 def slow_mul(a: int, b: int) -> int:
@@ -62,3 +68,70 @@ def oracle_determined(k, rows):
         if oracle_rank(list(rows) + [ej], slow_mul) == base:
             out.add(j)
     return frozenset(out)
+
+
+def mwdf_rate_bruteforce(config):
+    # every split T1 + T2 <= T; strict > keeps the lexicographically first
+    def hop_sum(links, horizon):
+        acc = Fraction(0)
+        for n, dt in links:
+            acc += point_rate(horizon - dt, n)
+        return acc
+
+    links1 = list(zip(config.N1, config.dT1))
+    links2 = list(zip(config.N2, config.dT2))
+    best = (Fraction(0), 0, config.T)
+    for t1 in range(config.T + 1):
+        for t2 in range(config.T - t1 + 1):
+            rate = min(hop_sum(links1, t1), hop_sum(links2, t2))
+            if rate > best[0]:
+                best = (rate, t1, t2)
+    return best
+
+
+def cswdf_groupings_by_concat(config):
+    # the whole cswdf allocation, each link's grouping grown by one
+    # concat_groupings call per surviving link pair
+    t = config.T
+    z1, z2 = config.Z1, config.Z2
+    pair_k = {
+        (i, j): max(0, t + 1 - z1[i] - z2[j])
+        for i in range(len(z1))
+        for j in range(len(z2))
+    }
+    n1 = [0] * len(z1)
+    n2 = [0] * len(z2)
+    k1 = [0] * len(z1)
+    k2 = [0] * len(z2)
+    g1 = [DelayGrouping(())] * len(z1)
+    g2 = [DelayGrouping(())] * len(z2)
+    for (i, j), kij in pair_k.items():
+        if kij == 0:
+            continue
+        n1[i] += t + 1 - z2[j] - config.dT1[i]
+        n2[j] += t + 1 - z1[i] - config.dT2[j]
+        k1[i] += kij
+        k2[j] += kij
+        g1[i] = concat_groupings(
+            g1[i],
+            DelayGrouping.from_pairs(
+                [(d, 1) for d in range(config.N1[i], t - z2[j] - config.dT1[i] + 1)]
+            ),
+        )
+        g2[j] = concat_groupings(
+            g2[j],
+            DelayGrouping.from_pairs(
+                [(d, 1) for d in range(config.N2[j], t - z1[i] - config.dT2[j] + 1)]
+            ),
+        )
+    return Allocation(
+        scheme="cswdf",
+        config=config,
+        n1=tuple(n1),
+        n2=tuple(n2),
+        k1=tuple(k1),
+        k2=tuple(k2),
+        groupings1=tuple(g1),
+        groupings2=tuple(g2),
+        bottleneck="hop1" if max(n1, default=0) >= max(n2, default=0) else "hop2",
+    )

@@ -2,6 +2,7 @@
 document round-trips, witness reporting, CSV determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -59,6 +60,18 @@ def test_bounds_lossless_links(tmp_path, capsys):
     # with nothing to erase every value is the smaller link count
     for key in ("upper", "mwdf", "cswdf_closed_form", "cswdf"):
         assert doc[key]["exact"] == "2/1", key
+
+
+def test_bounds_large_deadline_is_cheap(tmp_path, capsys):
+    # the split search is linear in T: T = 2000 takes well under a second,
+    # where trying every split T1 + T2 <= T takes minutes
+    cfg = write(tmp_path, "big.json", {"T": 2000, "N1": [1, 2, 3], "N2": [2, 4]})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["bounds", "--config", cfg])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mwdf"]["exact"] == "1993/998" and doc["mwdf"]["split"] == [5, 1995]
 
 
 def test_bounds_parse_error_reports_line(tmp_path, capsys):

@@ -11,6 +11,7 @@ values derived by hand from the converse bound and the pairing budget):
   leaves a gap (8 vs 7 symbols) and the bisection converges to 13/20.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,8 @@ from relaystream.planner import (
     t_min,
     upper_bound,
 )
+
+from oracles import cswdf_groupings_by_concat, mwdf_rate_bruteforce
 
 NET_A = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
 NET_B = NetworkConfig(T=4, N1=(1,), N2=(3, 2))
@@ -120,6 +123,39 @@ def test_pure_delay_cheaper_than_extra_erasure():
 def test_mwdf_rate_reference_networks():
     assert mwdf_rate(NET_A) == (Fraction(3, 4), 3, 2)
     assert mwdf_rate(NET_B) == (Fraction(1, 2), 1, 3)
+
+
+def random_network(rng: random.Random) -> NetworkConfig:
+    """1-4 links per hop, budgets 0-6, delays 0-4, T from 1 to t_min + 6."""
+    l1, l2 = rng.randint(1, 4), rng.randint(1, 4)
+    N1 = tuple(rng.randint(0, 6) for _ in range(l1))
+    N2 = tuple(rng.randint(0, 6) for _ in range(l2))
+    dT1 = tuple(rng.choice((0, 0, rng.randint(1, 4))) for _ in range(l1))
+    dT2 = tuple(rng.choice((0, 0, rng.randint(1, 4))) for _ in range(l2))
+    tmin = t_min(NetworkConfig(T=1, N1=N1, N2=N2, dT1=dT1, dT2=dT2))
+    T = max(1, tmin + rng.randint(-tmin, 6))
+    return NetworkConfig(T=T, N1=N1, N2=N2, dT1=dT1, dT2=dT2)
+
+
+def test_fast_planners_match_their_oracles():
+    # linear-time mwdf split search and one-pass cswdf groupings against
+    # the double loop over all splits and the pair-by-pair concatenation
+    rng = random.Random(2024)
+    zero_rate = below_tmin = zero_budget = delayed = 0
+    for _ in range(400):
+        cfg = random_network(rng)
+        expected = mwdf_rate_bruteforce(cfg)
+        got = mwdf_rate(cfg)
+        assert got == expected and repr(got) == repr(expected), cfg
+        alloc = cswdf_groupings_by_concat(cfg)
+        rate, got_alloc = cswdf_plan(cfg)
+        assert got_alloc == alloc and repr(got_alloc) == repr(alloc), cfg
+        assert rate == alloc.rate
+        zero_rate += expected == (0, 0, cfg.T)
+        below_tmin += cfg.T < t_min(cfg)
+        zero_budget += 0 in cfg.N1 + cfg.N2
+        delayed += any(cfg.dT1 + cfg.dT2)
+    assert min(zero_rate, below_tmin, zero_budget, delayed) >= 20
 
 
 def test_cswdf_reference_networks():

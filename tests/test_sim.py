@@ -219,6 +219,24 @@ def test_ge_channel_runs_deterministically():
     assert a.channel["channel"] == "ge"
 
 
+def test_channel_description_per_link():
+    code = assemble(oswdf_initial(NET_A))
+    links = len(code.hop1) + len(code.hop2)
+    iid = ChannelSpec("iid", eps=0.01)
+    ge = ChannelSpec("ge", ge=GeParams(alpha=0.05, beta=0.4, eps=0.01))
+    same = run_monte_carlo(code, [iid] * links, 500, seed=2)
+    assert same.channel == iid.describe()
+    mixed = [iid] * links
+    mixed[-1] = ge
+    res = run_monte_carlo(code, mixed, 500, seed=2)
+    assert res.channel == {
+        "channel": "per-link", "eps": "", "alpha": "", "beta": "",
+        "links": [spec.describe() for spec in mixed],
+    }
+    assert res.channel["links"][0]["channel"] == "iid"
+    assert res.channel["links"][-1]["channel"] == "ge"
+
+
 def repair_to_budget(bits, span, budget):
     """Drop erasures until every span-length window holds at most budget."""
     out = np.zeros_like(bits)
