@@ -59,19 +59,6 @@ class GeParams:
             raise ValueError("eps must be below 1")
 
 
-def ge_average_loss(params: GeParams) -> float:
-    """Stationary loss rate: eps weighted by beta/(alpha+beta) plus the
-    bad-state mass alpha/(alpha+beta).
-
-    With alpha = beta = 0 the chain never leaves its initial state; we
-    start stationary-by-convention in the good state and return eps.
-    """
-    a, b = params.alpha, params.beta
-    if a == 0 and b == 0:
-        return params.eps
-    return (b * params.eps + a) / (a + b)
-
-
 def sample_ge(params: GeParams, horizon: int, seed: int) -> ErasureSequence:
     """Sample a Gilbert-Elliott loss pattern, initial state stationary."""
     rng = np.random.default_rng(seed)

@@ -114,13 +114,9 @@ def allocation_to_doc(alloc: Allocation) -> dict:
     def hop(ns, ks, groupings, budgets, net_budgets):
         entries = []
         for i, (n, k, g) in enumerate(zip(ns, ks, groupings)):
-            e = {
-                "n": int(n),
-                "k": int(k),
-                "grouping": [[int(d), int(c)] for d, c in g.entries if c],
-            }
+            e = {"n": n, "k": k, "grouping": [[d, c] for d, c in g.entries if c]}
             if budgets[i] != net_budgets[i]:
-                e["budget"] = int(budgets[i])
+                e["budget"] = budgets[i]
             entries.append(e)
         return entries
 
@@ -128,7 +124,7 @@ def allocation_to_doc(alloc: Allocation) -> dict:
         "scheme": alloc.scheme,
         "config": config_to_doc(alloc.config),
         "rate": fraction_doc(alloc.rate),
-        "n": int(alloc.n),
+        "n": alloc.n,
         "hop1": hop(alloc.n1, alloc.k1, alloc.groupings1,
                     alloc.build_budgets1(), alloc.config.N1),
         "hop2": hop(alloc.n2, alloc.k2, alloc.groupings2,

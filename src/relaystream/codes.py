@@ -28,12 +28,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .gf import FIELD_ORDER, MdsSpec, gf_mul, make_mds, solve_erasures
-from .spectrum import DelayGrouping, concat_groupings, optimal_grouping
-
-
-def component_grouping(N: int, m: int) -> DelayGrouping:
-    # one symbol at each delay N .. N+m-1
-    return DelayGrouping.from_pairs([(N + m - 1 - i, 1) for i in range(m)])
+from .spectrum import DelayGrouping
 
 
 @dataclass(frozen=True)
@@ -51,11 +46,7 @@ class StreamingCodeSpec:
             raise ValueError("component lengths do not fill the packet")
         if self.k != sum(c.k for c in self.components):
             raise ValueError("component dimensions do not sum to k")
-        agg = DelayGrouping(())
-        for c in self.components:
-            if c.k:
-                agg = concat_groupings(agg, component_grouping(self.N, c.k))
-        if agg != self.grouping:
+        if DelayGrouping.from_pairs((d, 1) for d in self.slot_delays) != self.grouping:
             raise ValueError("declared grouping does not match the components")
 
     @cached_property
@@ -87,18 +78,6 @@ class StreamingCodeSpec:
         return tuple(out)
 
 
-def build_diagonal_mds(N: int, k: int) -> StreamingCodeSpec:
-    """Single diagonally interleaved (N+k, k) MDS component."""
-    if N < 1 or k < 1:
-        raise ValueError("need N >= 1 and k >= 1")
-    if N + k > FIELD_ORDER:
-        raise ValueError("component too long for the field")
-    comp = make_mds(N + k, k)
-    return StreamingCodeSpec(
-        components=(comp,), n=N + k, k=k, N=N, grouping=component_grouping(N, k)
-    )
-
-
 def build_grouped_code(n: int, N: int, grouping: DelayGrouping) -> StreamingCodeSpec:
     """Realize an arbitrary staircase-decomposable grouping in n slots.
 
@@ -111,8 +90,6 @@ def build_grouped_code(n: int, N: int, grouping: DelayGrouping) -> StreamingCode
     for d, c in grouping.entries:
         if c and d < N:
             raise ValueError(f"delay {d} below the erasure budget N={N}")
-        if not isinstance(c, int):
-            raise ValueError("grouping counts must be integers to build a code")
         counts[d] = c
     comps: list[MdsSpec] = []
     top = max(counts, default=N - 1)
@@ -134,20 +111,8 @@ def build_grouped_code(n: int, N: int, grouping: DelayGrouping) -> StreamingCode
     if used < n:
         comps.append(make_mds(n - used, 0))
     return StreamingCodeSpec(
-        components=tuple(comps), n=n, k=int(grouping.total()), N=N, grouping=grouping
+        components=tuple(comps), n=n, k=grouping.total(), N=N, grouping=grouping
     )
-
-
-def build_spectrum_code(n: int, k: int, N: int, worst_delay: int) -> StreamingCodeSpec:
-    """Extremal-grouping code: the standard achievability construction.
-
-    Concatenates components (N+m, m) with m = worst_delay+1-N and, when the
-    rate calls for it, (N+m-1, m-1) components; at the capacity point the two
-    counts fill the n slots exactly. Below it the grouping legitimately needs
-    fewer than n slots and the remainder is dead-padded by build_grouped_code.
-    """
-    grouping = optimal_grouping(n, k, N, worst_delay)
-    return build_grouped_code(n, N, grouping)
 
 
 class CodecState:

@@ -28,7 +28,6 @@ Schemes:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
@@ -266,13 +265,14 @@ def cswdf_plan(config: NetworkConfig) -> tuple[Fraction, Allocation]:
     are dropped and contribute no slots. Every surviving pair's delays run
     from its hop budget boundary downward, so the two hops mirror each
     other and every pairing sum is exactly T. Each link's grouping counts,
-    per delay, the surviving pairs whose range covers it: the counts are
-    accumulated as integers and turned into one grouping per link.
+    per delay, the surviving pairs whose range covers it; all of a link's
+    ranges start at its budget, so that is the number of range tops at or
+    above the delay.
     """
     t = config.T
     z1, z2 = config.Z1, config.Z2
-    n1, k1, c1 = [0] * len(z1), [0] * len(z1), [Counter() for _ in z1]
-    n2, k2, c2 = [0] * len(z2), [0] * len(z2), [Counter() for _ in z2]
+    n1, k1, tops1 = [0] * len(z1), [0] * len(z1), [[] for _ in z1]
+    n2, k2, tops2 = [0] * len(z2), [0] * len(z2), [[] for _ in z2]
     for i in range(len(z1)):
         for j in range(len(z2)):
             kij = t + 1 - z1[i] - z2[j]
@@ -282,10 +282,17 @@ def cswdf_plan(config: NetworkConfig) -> tuple[Fraction, Allocation]:
             n2[j] += t + 1 - z1[i] - config.dT2[j]
             k1[i] += kij
             k2[j] += kij
-            c1[i].update(range(config.N1[i], t - z2[j] - config.dT1[i] + 1))
-            c2[j].update(range(config.N2[j], t - z1[i] - config.dT2[j] + 1))
-    g1 = [DelayGrouping.from_pairs(c.items()) for c in c1]
-    g2 = [DelayGrouping.from_pairs(c.items()) for c in c2]
+            tops1[i].append(t - z2[j] - config.dT1[i])
+            tops2[j].append(t - z1[i] - config.dT2[j])
+
+    def stacked(budget: int, tops: list[int]) -> DelayGrouping:
+        tops.sort()
+        return DelayGrouping.from_pairs(
+            (d, len(tops) - bisect_left(tops, d)) for d in range(budget, tops[-1] + 1 if tops else 0)
+        )
+
+    g1 = [stacked(N, tops) for N, tops in zip(config.N1, tops1)]
+    g2 = [stacked(N, tops) for N, tops in zip(config.N2, tops2)]
     alloc = Allocation(
         scheme="cswdf",
         config=config,
@@ -389,7 +396,7 @@ def _fill_under_constraint(
             continue
         N, dt, maxd = links.N[i], links.dT[i], links.max_delay[i]
         if N == 0:
-            k_i = min(n, int(constraint.allowed_above(dt - 1)))
+            k_i = min(n, constraint.allowed_above(dt - 1))
         else:
             delays = list(range(maxd, N - 2, -1))
             k_i, _ = max_symbols_under_constraint(n, N, delays, constraint, delay_shift=dt)

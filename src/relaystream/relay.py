@@ -191,7 +191,7 @@ class NetworkState:
         source_packet: Sequence[int],
         erase1: Sequence[bool] = (),
         erase2: Sequence[bool] = (),
-    ) -> list[Delivery]:
+    ) -> None:
         code = self.code
         config = code.allocation.config
         t = self.time
@@ -233,7 +233,6 @@ class NetworkState:
                 row[slot] = value
             self._sent2[j][t] = encode_step(self.state2[j], row)
 
-        out: list[Delivery] = []
         for j, spec in enumerate(code.hop2):
             sent_at = t - config.dT2[j]
             if sent_at < 0:
@@ -249,15 +248,12 @@ class NetworkState:
                 src_t = relay_t - r.relay_delay
                 if src_t < 0:
                     continue
-                d = Delivery(src_time=src_t, sym=sym, value=value, at=t)
-                out.append(d)
-                self.deliveries.append(d)
+                self.deliveries.append(Delivery(src_time=src_t, sym=sym, value=value, at=t))
 
         horizon = t - 4 * (config.T + 1) - max(c.span for c in code.hop1)
         for key in [p for p in self._pending if p[2] < horizon]:
             del self._pending[key]
         self.time += 1
-        return out
 
 
 def run_network(

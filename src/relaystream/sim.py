@@ -42,7 +42,6 @@ from .planner import (
     upper_bound,
 )
 from .relay import NetworkCode, run_network
-from .spectrum import DelayGrouping
 
 INF_DELAY = 1 << 20  # sentinel for "never recovered"
 ENUMERATION_GUARD = 30  # longer components are sampled: C(n, N) patterns explode
@@ -94,18 +93,6 @@ def component_worst_delays(
                 worst[j] = d
                 argmax[j] = erased
     return tuple(worst), tuple(argmax)
-
-
-def measure_spectrum(spec: StreamingCodeSpec, budget: Optional[int] = None) -> DelayGrouping:
-    """Empirical delay spectrum under exhaustive per-component erasures."""
-    budget = spec.N if budget is None else budget
-    pairs: list[tuple[int, int]] = []
-    for comp in spec.components:
-        if comp.k == 0:
-            continue
-        worst, _ = component_worst_delays(comp.n, comp.k, budget)
-        pairs.extend((d, 1) for d in worst)
-    return DelayGrouping.from_pairs(pairs)
 
 
 # ---------------------------------------------------------------------------

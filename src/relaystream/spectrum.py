@@ -5,11 +5,13 @@ grouping: a list of (delay, count) pairs sorted by strictly decreasing
 delay. This module provides the grouping container, the converse lower
 bound on group delays, the extremal grouping that meets the bound, the
 constrained maximization used by the allocator when a hop must fit under
-the pairing budget left by the other hop, and the bookkeeping operations
-(concatenation, constraint subtraction) the allocator iterates.
+the pairing budget left by the other hop, and the constraint subtraction
+the allocator iterates.
 
-All arithmetic is exact: counts are integers and intermediate rate values
-are fractions.Fraction, never floats. Rates like 8/9 must compare exactly.
+A count is a number of symbols, so it is an int: both containers reject
+any other type, and the converse bound is an integer ceiling. Only the
+rate-like bound kprime of the constrained maximization is a
+fractions.Fraction, never a float.
 """
 
 from __future__ import annotations
@@ -17,16 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, floor
-from typing import Iterable, Sequence, Union
-
-Count = Union[int, Fraction]
-
-
-def _as_count(x: Count) -> Count:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
+from math import floor
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -38,86 +32,70 @@ class DelayGrouping:
     the extremes are trimmed by from_pairs, the canonical constructor.
     """
 
-    entries: tuple[tuple[int, Count], ...]
+    entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         delays = [d for d, _ in self.entries]
         if any(a <= b for a, b in zip(delays, delays[1:])):
             raise ValueError("delays must be strictly decreasing")
-        if any(c < 0 for _, c in self.entries):
-            raise ValueError("counts must be nonnegative")
+        if any(type(c) is not int or c < 0 for _, c in self.entries):
+            raise ValueError("counts must be nonnegative integers")
 
     @staticmethod
-    def from_pairs(pairs: Iterable[tuple[int, Count]]) -> "DelayGrouping":
-        acc: dict[int, Count] = {}
+    def from_pairs(pairs: Iterable[tuple[int, int]]) -> "DelayGrouping":
+        acc: dict[int, int] = {}
         for d, c in pairs:
-            acc[d] = _as_count(acc.get(d, 0) + c)
+            acc[d] = acc.get(d, 0) + c
         nonzero = [d for d, c in acc.items() if c != 0]
         if not nonzero:
             return DelayGrouping(entries=())
         hi, lo = max(nonzero), min(nonzero)
         return DelayGrouping(
-            entries=tuple((d, _as_count(acc.get(d, 0))) for d in range(hi, lo - 1, -1))
+            entries=tuple((d, acc.get(d, 0)) for d in range(hi, lo - 1, -1))
         )
 
-    def total(self) -> Count:
-        return _as_count(sum((c for _, c in self.entries), 0))
+    def total(self) -> int:
+        return sum(c for _, c in self.entries)
 
-    def count_at(self, delay: int) -> Count:
+    def count_at(self, delay: int) -> int:
         for d, c in self.entries:
             if d == delay:
                 return c
         return 0
-
-    def count_at_least(self, delay: int) -> Count:
-        return _as_count(sum((c for d, c in self.entries if d >= delay), 0))
 
     def worst_delay(self) -> int:
         if not self.entries:
             raise ValueError("empty grouping has no worst delay")
         return self.entries[0][0]
 
-    def nonzero(self) -> tuple[tuple[int, Count], ...]:
+    def nonzero(self) -> tuple[tuple[int, int], ...]:
         return tuple((d, c) for d, c in self.entries if c != 0)
 
     def scaled(self, m: int) -> "DelayGrouping":
-        return DelayGrouping(entries=tuple((d, _as_count(c * m)) for d, c in self.entries))
+        return DelayGrouping(entries=tuple((d, c * m) for d, c in self.entries))
 
     def shifted(self, dt: int) -> "DelayGrouping":
         return DelayGrouping(entries=tuple((d + dt, c) for d, c in self.entries))
 
 
-def concat_groupings(a: DelayGrouping, b: DelayGrouping) -> DelayGrouping:
-    """Spectrum of the concatenated code: per-delay counts add."""
-    return DelayGrouping.from_pairs(tuple(a.entries) + tuple(b.entries))
+def delay_lower_bound(n: int, k: int, N: int) -> int:
+    """Smallest worst-case delay of a code of rate k/n surviving N erasures.
 
-
-def delay_lower_bound(n: int, k: Count, N: int, prefix_counts: Sequence[Count] = ()) -> int:
-    """Minimal admissible delay of the next equally-delayed group.
-
-    For a systematic code of rate k/n surviving N erasures, the group that
-    comes after prefix_counts symbols at strictly larger delays cannot be
-    decoded faster than
-
-        ceil( N*n/(n-k) * (1 - sum(prefix)/n) - 1 ).
+    The converse bound ceil(N*n/(n-k)) - 1, by integer floor division.
     """
     if k >= n:
         raise ValueError("bound needs k < n (some redundancy)")
     if N < 1:
         raise ValueError("bound needs N >= 1")
-    prefix = sum(prefix_counts, start=Fraction(0))
-    if prefix > k:
-        raise ValueError("prefix exceeds message size")
-    value = Fraction(N * n, n - k) * (1 - Fraction(prefix, n)) - 1
-    return ceil(value)
+    return -(-N * n // (n - k)) - 1
 
 
-def optimal_grouping(n: int, k: Count, N: int, worst_delay: int) -> DelayGrouping:
+def optimal_grouping(n: int, k: int, N: int, worst_delay: int) -> DelayGrouping:
     """Extremal grouping meeting the converse bound at every group.
 
-    Puts n - (worst_delay/N)*(n-k) symbols at worst_delay and (n-k)/N at
-    every delay below it down to N. Requires N | (n-k); the planner rescales
-    n until that holds.
+    Puts n - worst_delay*((n-k)/N) symbols at worst_delay and (n-k)/N at
+    every delay below it down to N. Requires N | (n-k), so every count is
+    an int; the planner rescales n until that holds.
     """
     if k >= n:
         raise ValueError("need k < n")
@@ -126,11 +104,11 @@ def optimal_grouping(n: int, k: Count, N: int, worst_delay: int) -> DelayGroupin
         raise ValueError(f"(n-k)={parity} not divisible by N={N}; rescale n first")
     if worst_delay < delay_lower_bound(n, k, N):
         raise ValueError("worst_delay below the converse bound")
-    head = n - Fraction(worst_delay * parity, N)
+    step = parity // N
+    head = n - worst_delay * step
     if head < 0:
         raise ValueError("worst_delay too large: head group would be negative")
-    step = parity // N
-    pairs = [(worst_delay, _as_count(head))]
+    pairs = [(worst_delay, head)]
     pairs += [(d, step) for d in range(worst_delay - 1, N - 1, -1)]
     g = DelayGrouping.from_pairs(pairs)
     assert g.total() == k
@@ -148,7 +126,7 @@ class SpectrumConstraint:
     (smallest allowed delay - 1, 0): delays below it add no budget.
     """
 
-    entries: tuple[tuple[int, Count], ...]
+    entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         delays = [d for d, _ in self.entries]
@@ -156,30 +134,27 @@ class SpectrumConstraint:
             raise ValueError("constraint needs at least the terminal entry")
         if any(a != b + 1 for a, b in zip(delays, delays[1:])):
             raise ValueError("constraint entries must be dense, decreasing")
-        if any(c < 0 for _, c in self.entries):
-            raise ValueError("counts must be nonnegative")
+        if any(type(c) is not int or c < 0 for _, c in self.entries):
+            raise ValueError("counts must be nonnegative integers")
 
     @staticmethod
-    def from_pairs(pairs: Iterable[tuple[int, Count]], min_allowed_delay: int) -> "SpectrumConstraint":
-        acc: dict[int, Count] = {}
+    def from_pairs(pairs: Iterable[tuple[int, int]], min_allowed_delay: int) -> "SpectrumConstraint":
+        acc: dict[int, int] = {}
         for d, c in pairs:
-            acc[d] = _as_count(acc.get(d, 0) + c)
+            acc[d] = acc.get(d, 0) + c
         hi = max(list(acc) + [min_allowed_delay - 1])
         lo = min_allowed_delay - 1
         if any(d < lo for d, c in acc.items() if c != 0):
             raise ValueError("constraint mass below the terminal delay")
         return SpectrumConstraint(
-            entries=tuple((d, _as_count(acc.get(d, 0))) for d in range(hi, lo - 1, -1))
+            entries=tuple((d, acc.get(d, 0)) for d in range(hi, lo - 1, -1))
         )
 
-    def total(self) -> Count:
-        return _as_count(sum((c for _, c in self.entries), 0))
-
-    def allowed_above(self, delay: int) -> Count:
-        return _as_count(sum((c for d, c in self.entries if d > delay), 0))
+    def allowed_above(self, delay: int) -> int:
+        return sum(c for d, c in self.entries if d > delay)
 
     def scaled(self, m: int) -> "SpectrumConstraint":
-        return SpectrumConstraint(entries=tuple((d, _as_count(c * m)) for d, c in self.entries))
+        return SpectrumConstraint(entries=tuple((d, c * m) for d, c in self.entries))
 
 
 def subtract_constraint(constraint: SpectrumConstraint, used: DelayGrouping) -> SpectrumConstraint:
@@ -204,11 +179,11 @@ def subtract_constraint(constraint: SpectrumConstraint, used: DelayGrouping) -> 
         if remaining[d] < 0:
             if d == top:
                 raise ValueError("constraint oversubscribed")
-            remaining[d + 1] = _as_count(remaining[d + 1] + remaining[d])
+            remaining[d + 1] += remaining[d]
             remaining[d] = 0
     # delays below the terminal never gain budget, so drop them back off
     return SpectrumConstraint(
-        entries=tuple((d, _as_count(remaining[d])) for d in range(top, bottom - 1, -1))
+        entries=tuple((d, remaining[d]) for d in range(top, bottom - 1, -1))
     )
 
 

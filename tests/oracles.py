@@ -1,15 +1,20 @@
 """Independent oracles shared by the tests: field multiplication without
 the library's tables, block encoding by plain matrix products, rank and
-determination by plain elimination, and the planners' straightforward
-constructions (every mwdf split tried, cswdf groupings concatenated pair
-by pair)."""
+determination by plain elimination, the converse bound in exact fractions,
+the planners' straightforward constructions (every mwdf split tried, cswdf
+groupings concatenated pair by pair), and the code builders, spectrum
+measurement and channel statistics that only the tests need."""
 
 from fractions import Fraction
 from functools import reduce
+from math import ceil
 from operator import xor
 
+from relaystream.codes import StreamingCodeSpec, build_grouped_code
+from relaystream.gf import FIELD_ORDER, make_mds
 from relaystream.planner import Allocation, point_rate
-from relaystream.spectrum import DelayGrouping, concat_groupings
+from relaystream.sim import component_worst_delays
+from relaystream.spectrum import DelayGrouping, optimal_grouping
 
 
 def slow_mul(a: int, b: int) -> int:
@@ -135,3 +140,74 @@ def cswdf_groupings_by_concat(config):
         groupings2=tuple(g2),
         bottleneck="hop1" if max(n1, default=0) >= max(n2, default=0) else "hop2",
     )
+
+
+def delay_lower_bound_fraction(n, k, N, prefix_counts=()):
+    # the paper's converse bound: the group after prefix_counts symbols at
+    # strictly larger delays cannot be decoded faster than
+    # ceil(N*n/(n-k) * (1 - sum(prefix)/n) - 1), evaluated in Fractions
+    if k >= n:
+        raise ValueError("bound needs k < n (some redundancy)")
+    if N < 1:
+        raise ValueError("bound needs N >= 1")
+    prefix = sum(prefix_counts, start=Fraction(0))
+    if prefix > k:
+        raise ValueError("prefix exceeds message size")
+    return ceil(Fraction(N * n, n - k) * (1 - Fraction(prefix, n)) - 1)
+
+
+def concat_groupings(a, b):
+    # spectrum of the concatenated code: per-delay counts add
+    return DelayGrouping.from_pairs(tuple(a.entries) + tuple(b.entries))
+
+
+def count_at_least(grouping, delay):
+    return sum(c for d, c in grouping.entries if d >= delay)
+
+
+def constraint_total(constraint):
+    return sum(c for _, c in constraint.entries)
+
+
+def component_grouping(N, m):
+    # one symbol at each delay N .. N+m-1
+    return DelayGrouping.from_pairs([(N + m - 1 - i, 1) for i in range(m)])
+
+
+def build_diagonal_mds(N, k):
+    # single diagonally interleaved (N+k, k) MDS component
+    if N < 1 or k < 1:
+        raise ValueError("need N >= 1 and k >= 1")
+    if N + k > FIELD_ORDER:
+        raise ValueError("component too long for the field")
+    return StreamingCodeSpec(
+        components=(make_mds(N + k, k),), n=N + k, k=k, N=N, grouping=component_grouping(N, k)
+    )
+
+
+def build_spectrum_code(n, k, N, worst_delay):
+    # the extremal-grouping code, the standard achievability construction;
+    # below the capacity point build_grouped_code dead-pads the spare slots
+    return build_grouped_code(n, N, optimal_grouping(n, k, N, worst_delay))
+
+
+def measure_spectrum(spec, budget=None):
+    # empirical delay spectrum under exhaustive per-component erasures
+    budget = spec.N if budget is None else budget
+    pairs = []
+    for comp in spec.components:
+        if comp.k == 0:
+            continue
+        worst, _ = component_worst_delays(comp.n, comp.k, budget)
+        pairs.extend((d, 1) for d in worst)
+    return DelayGrouping.from_pairs(pairs)
+
+
+def ge_average_loss(params):
+    # stationary loss rate: eps weighted by beta/(alpha+beta) plus the
+    # bad-state mass alpha/(alpha+beta); with alpha = beta = 0 the chain
+    # stays in its initial good state and loses at eps
+    a, b = params.alpha, params.beta
+    if a == 0 and b == 0:
+        return params.eps
+    return (b * params.eps + a) / (a + b)

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from relaystream.channels import GeParams, ge_average_loss, sample_ge
-from relaystream.codes import CodecState, build_grouped_code, build_spectrum_code, decode_step, encode_step
+from relaystream.channels import GeParams, sample_ge
+from relaystream.codes import CodecState, build_grouped_code, decode_step, encode_step
 from relaystream.planner import (
     NetworkConfig,
     cswdf_plan,
@@ -32,8 +32,10 @@ from relaystream.planner import (
     upper_bound,
 )
 from relaystream.relay import assemble
-from relaystream.sim import ChannelSpec, measure_spectrum, run_ensemble, run_monte_carlo, verify_adversarial
+from relaystream.sim import ChannelSpec, run_ensemble, run_monte_carlo, verify_adversarial
 from relaystream.spectrum import DelayGrouping, delay_lower_bound, optimal_grouping
+
+from oracles import build_spectrum_code, ge_average_loss, measure_spectrum
 
 NET_A = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
 NET_B = NetworkConfig(T=4, N1=(1,), N2=(3, 2))

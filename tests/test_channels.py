@@ -5,12 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from relaystream.channels import (
-    GeParams,
-    ge_average_loss,
-    sample_ge,
-    sample_iid,
-)
+from relaystream.channels import GeParams, sample_ge, sample_iid
+
+from oracles import ge_average_loss
 
 
 def test_iid_edge_cases_and_determinism():

@@ -5,18 +5,16 @@ import itertools
 
 import pytest
 
-from relaystream.codes import (
-    CodecState,
-    build_diagonal_mds,
-    build_grouped_code,
-    build_spectrum_code,
-    component_grouping,
-    decode_step,
-    encode_step,
-)
+from relaystream.codes import CodecState, build_grouped_code, decode_step, encode_step
 from relaystream.spectrum import DelayGrouping
 
-from oracles import block_encode, oracle_determined
+from oracles import (
+    block_encode,
+    build_diagonal_mds,
+    build_spectrum_code,
+    component_grouping,
+    oracle_determined,
+)
 
 
 def stream_source(k, horizon, seed=1):

@@ -28,7 +28,6 @@ from relaystream.sim import (
     FailureWitness,
     component_worst_delays,
     loss_mask,
-    measure_spectrum,
     replay_witness,
     run_ensemble,
     run_monte_carlo,
@@ -36,6 +35,8 @@ from relaystream.sim import (
     _slot_delay_table,
 )
 from relaystream.spectrum import DelayGrouping
+
+from oracles import measure_spectrum
 
 NET_A = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
 NET_B = NetworkConfig(T=4, N1=(1,), N2=(3, 2))

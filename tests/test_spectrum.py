@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from relaystream.spectrum import (
     DelayGrouping,
     SpectrumConstraint,
-    concat_groupings,
     delay_lower_bound,
     max_symbols_under_constraint,
     optimal_grouping,
     subtract_constraint,
 )
+
+from oracles import concat_groupings, constraint_total, count_at_least, delay_lower_bound_fraction
 
 
 def G(*pairs):
@@ -26,13 +27,33 @@ def test_delay_lower_bound_values():
     assert delay_lower_bound(4, 3, 1) == 3
     assert delay_lower_bound(2, 1, 1) == 1
     # prefix symbols relax the bound
-    assert delay_lower_bound(5, 3, 2, [1]) == 3
-    assert delay_lower_bound(5, 3, 2, [1, 1]) == 2
+    assert delay_lower_bound_fraction(5, 3, 2, [1]) == 3
+    assert delay_lower_bound_fraction(5, 3, 2, [1, 1]) == 2
+
+
+def test_delay_lower_bound_matches_fraction_oracle():
+    for n in range(1, 61):
+        for k in range(n):
+            for N in range(1, 9):
+                assert delay_lower_bound(n, k, N) == delay_lower_bound_fraction(n, k, N), (n, k, N)
 
 
 def test_delay_lower_bound_rejects_rateless():
     with pytest.raises(ValueError):
         delay_lower_bound(5, 5, 2)
+
+
+@pytest.mark.parametrize(
+    "count", [Fraction(1, 2), Fraction(2, 1), 1.0, True], ids=["Fraction(1,2)", "Fraction(2,1)", "1.0", "True"]
+)
+def test_counts_must_be_integers(count):
+    with pytest.raises(ValueError, match="integers"):
+        DelayGrouping(((2, count),))
+    with pytest.raises(ValueError, match="integers"):
+        SpectrumConstraint(((2, count), (1, 0)))
+    if not isinstance(count, bool):  # summing in from_pairs turns True into 1
+        with pytest.raises(ValueError, match="integers"):
+            DelayGrouping.from_pairs([(2, count), (1, 1)])
 
 
 def test_optimal_grouping_table_code():
@@ -80,7 +101,7 @@ def test_concat_commutes_and_conserves(a_pairs, b_pairs):
 def test_grouping_dense_with_internal_zeros():
     g = G((5, 2), (2, 3))
     assert g.entries == ((5, 2), (4, 0), (3, 0), (2, 3))
-    assert g.count_at_least(3) == 2
+    assert count_at_least(g, 3) == 2
     assert g.total() == 5
 
 
@@ -132,7 +153,7 @@ def test_subtract_conserves_total():
     con = constraint_fig4()
     used = G((2, 5), (1, 2))
     after = subtract_constraint(con, used)
-    assert after.total() == con.total() - used.total()
+    assert constraint_total(after) == constraint_total(con) - used.total()
 
 
 @st.composite
@@ -156,7 +177,7 @@ def test_optimal_grouping_meets_bound_with_equality(code):
     prefix = []
     for d, c in g.entries:
         if c > 0:
-            assert d >= delay_lower_bound(n, k, N, prefix)
+            assert d >= delay_lower_bound_fraction(n, k, N, prefix)
         prefix.append(c)
     # every tail group sits exactly on the pre-ceiling bound (the head group
     # may be trimmed away entirely when T1 sits at its feasibility edge)
@@ -198,4 +219,4 @@ def test_constrained_max_respects_cumulative_budget(args):
     if g.entries and g.worst_delay() > top:
         return
     for d, _ in g.entries:
-        assert g.count_at_least(d) <= con.allowed_above(d - 1)
+        assert count_at_least(g, d) <= con.allowed_above(d - 1)
