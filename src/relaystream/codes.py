@@ -14,20 +14,25 @@ Packets are erased whole: one lost slot removes all n symbols of that time
 across every component. Diagonals that reach back before the start of the
 stream treat the missing source symbols as known zeros.
 
-Decoding needs no elimination per arrival. Any k positions of an MDS
-diagonal determine its whole message, and fewer than k determine only the
-systematic rows among them. So the decoder buffers each in-flight diagonal,
-hands a systematic symbol over the moment it arrives, and solves the
-diagonal once, at its k-th known position, for the rows still missing.
+Each spec compiles a plan: its components that carry symbols, grouped
+by shape (n, k). Encoding copies a component's systematic rows with one
+slice and forms each parity symbol as k lookups in 256-entry product rows
+cached on the shape's MdsSpec. Decoding needs no elimination per arrival:
+any k positions of an MDS diagonal determine its whole message, fewer
+than k only the systematic rows among them. So a systematic symbol is
+handed over as it arrives, and a diagonal an erasure touched is solved
+once, at its k-th known position, for the rows still missing; one record
+per shape serves every component of that shape.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .gf import FIELD_ORDER, MdsSpec, gf_mul, make_mds, solve_erasures
+from .gf import FIELD_ORDER, MdsSpec, make_mds, solve_erasures
 from .spectrum import DelayGrouping
 
 
@@ -62,12 +67,25 @@ class StreamingCodeSpec:
         return tuple(out)
 
     @cached_property
-    def channel_offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for c in self.components:
-            out.append(acc)
-            acc += c.n
-        return tuple(out)
+    def plan(self) -> tuple[tuple[MdsSpec, tuple[tuple[int, int], ...]], ...]:
+        """Components with k >= 1 by shape: (MdsSpec, ((channel offset, message offset), ...))."""
+        groups: dict[MdsSpec, list[tuple[int, int]]] = {}
+        coff = 0
+        for c, moff in zip(self.components, self.message_offsets):
+            if c.k:
+                groups.setdefault(c, []).append((coff, moff))
+            coff += c.n
+        return tuple((c, tuple(places)) for c, places in groups.items())
+
+    @cached_property
+    def systematic(self) -> tuple[tuple[int, int], ...]:
+        """(message slot, channel position) per systematic symbol, in plan order."""
+        return tuple(
+            (moff + r, coff + r)
+            for comp, places in self.plan
+            for r in range(comp.k)
+            for coff, moff in places
+        )
 
     @cached_property
     def slot_delays(self) -> tuple[int, ...]:
@@ -119,19 +137,30 @@ class CodecState:
     """Mutable per-stream encode/decode state for one StreamingCodeSpec.
 
     Encoding and decoding cursors advance independently so one instance can
-    serve either end of a link. The decoder buffers each in-flight diagonal
-    as a length-n word (known pre-stream positions 0, missing ones None),
-    the count of its known positions and its still-unknown message rows;
-    deadline checking is the verifier's job, not the decoder's.
+    serve either end of a link. Each keeps its last span packets (source
+    packets, zeros before the stream; received ones, None when erased). Per
+    shape, the decoder keeps [known count, unknown rows] for each diagonal
+    an erasure has touched. Deadline checking is the verifier's job.
     """
 
     def __init__(self, spec: StreamingCodeSpec):
         self.spec = spec
         self.enc_time = 0
         self.dec_time = 0
-        self._history: dict[int, tuple[int, ...]] = {}
-        # per component: diagonal start -> [word, known count, unknown rows]
-        self._diagonals: list[dict[int, list]] = [{} for _ in spec.components]
+        self._history: dict[int, Sequence[int]] = dict.fromkeys(range(-spec.span, 0), (0,) * spec.k)
+        self._received: dict[int, Optional[Sequence[int]]] = {}
+        self._records: list[dict[int, list]] = [{} for _ in spec.plan]
+
+    def fork(self) -> "CodecState":
+        """An independent copy that continues from this exact point."""
+        other = copy.copy(self)
+        other._history = dict(self._history)
+        other._received = dict(self._received)
+        other._records = [
+            {d: [count, set(unknown)] for d, (count, unknown) in records.items()}
+            for records in self._records
+        ]
+        return other
 
 
 def encode_step(state: CodecState, source_packet: Sequence[int]) -> tuple[int, ...]:
@@ -140,27 +169,20 @@ def encode_step(state: CodecState, source_packet: Sequence[int]) -> tuple[int, .
     if len(source_packet) != spec.k:
         raise ValueError("source packet length mismatch")
     t = state.enc_time
-    state._history[t] = tuple(source_packet)
-    out: list[int] = []
-    for ci, comp in enumerate(spec.components):
-        moff = spec.message_offsets[ci]
-        for r in range(1, comp.n + 1):
-            d = t - r + 1
-            if r <= comp.k:
-                out.append(source_packet[moff + r - 1])
-                continue
-            acc = 0
-            for j in range(1, comp.k + 1):
-                src_t = d + j - 1
-                if src_t < 0:
-                    continue
-                m = state._history[src_t][moff + j - 1]
-                if m:
-                    acc ^= gf_mul(m, comp.generator[j - 1][r - 1])
-            out.append(acc)
     state.enc_time += 1
+    history = state._history
+    history[t] = source_packet = tuple(source_packet)
     # t advances by one per call, so this drops the one entry out of reach
-    state._history.pop(t - spec.span - 1, None)
+    history.pop(t - spec.span, None)
+    out = [0] * spec.n  # dead slots stay zero
+    for comp, places in spec.plan:
+        for coff, moff in places:
+            out[coff : coff + comp.k] = source_packet[moff : moff + comp.k]
+            for r, terms in comp.parity_terms:
+                acc = 0
+                for lag, j, table in terms:
+                    acc ^= table[history[t - lag][moff + j]]
+                out[coff + r] = acc
     return tuple(out)
 
 
@@ -168,8 +190,8 @@ def decode_step(
     state: CodecState, received: Optional[Sequence[int]], t: Optional[int] = None
 ) -> list[tuple[int, int, int]]:
     """Feed one received packet (or None for an erasure) and return new
-    recoveries as (source time, source slot, value), ordered by component,
-    then position, then row.
+    recoveries as (source time, source slot, value), ordered by component
+    shape, then position, then component, then row.
 
     A diagonal is solved at most once, at its k-th known position, and only
     if a row other than the arriving one is still unknown.
@@ -179,40 +201,53 @@ def decode_step(
         t = state.dec_time
     if t != state.dec_time:
         raise ValueError("packets must be fed in time order")
-    state.dec_time += 1
-    news: list[tuple[int, int, int]] = []
     if received is not None and len(received) != spec.n:
         raise ValueError("received packet length mismatch")
-    for ci, comp in enumerate(spec.components):
-        k = comp.k
-        if k == 0:
-            continue
-        diagonals = state._diagonals[ci]
-        if received is not None:
-            coff = spec.channel_offsets[ci]
-            moff = spec.message_offsets[ci]
-            n = comp.n
-            # positions past t + k sit on diagonals of pre-stream symbols only
-            for r, value in enumerate(received[coff : coff + min(n, t + k)], 1):
+    state.dec_time += 1
+    if received is not None:
+        received = tuple(received)
+    past = state._received
+    past[t] = received
+    past.pop(t - spec.span, None)
+    if received is not None and not any(state._records):
+        # nothing lost within reach: each systematic symbol arrives as itself
+        return [(t, slot, received[pos]) for slot, pos in spec.systematic]
+    news: list[tuple[int, int, int]] = []
+    for (comp, places), records in zip(spec.plan, state._records):
+        n, k = comp.n, comp.k
+        if received is None:
+            # each diagonal still short of its message rows loses position
+            # t - d + 1; if untouched so far, its earlier positions all
+            # arrived (or predate the stream), so t - d of them are known
+            for d in range(t - k + 1, t + 1):
+                records.setdefault(d, [t - d, set(range(t - d + 1, k + 1))])
+        else:
+            for r in range(1, n + 1):
                 d = t - r + 1
-                diag = diagonals.get(d)
-                if diag is None:
-                    pre = -d if d < 0 else 0
-                    word = [0] * pre + [None] * (n - pre)
-                    diag = diagonals[d] = [word, pre, set(range(pre + 1, k + 1))]
-                unknown = diag[2]
+                record = records.get(d)
+                if record is None:
+                    if r <= k:
+                        news.extend((t, moff + r - 1, received[coff + r - 1]) for coff, moff in places)
+                    continue
+                unknown = record[1]
                 if not unknown:
                     continue
-                diag[0][r - 1] = value
-                diag[1] += 1
-                if diag[1] == k and (len(unknown) > 1 or r not in unknown):
-                    message = solve_erasures(comp, diag[0])
-                    for j in sorted(unknown):
-                        news.append((d + j - 1, moff + j - 1, message[j - 1]))
+                record[0] += 1
+                if record[0] == k and (len(unknown) > 1 or r not in unknown):
+                    rows = sorted(unknown)
+                    for coff, moff in places:
+                        # pre-stream positions are 0, erased and future ones None
+                        word = [
+                            0 if s < 0 else None if s > t or past[s] is None else past[s][coff + s - d]
+                            for s in range(d, d + n)
+                        ]
+                        message = solve_erasures(comp, word)
+                        news.extend((d + j - 1, moff + j - 1, message[j - 1]) for j in rows)
                     unknown.clear()
                 elif r in unknown:
                     unknown.discard(r)
-                    news.append((t, moff + r - 1, value))
+                    news.extend((t, moff + r - 1, received[coff + r - 1]) for coff, moff in places)
         # t advances by one per call, so this drops every finished diagonal
-        diagonals.pop(t - comp.n + 1, None)
+        records.pop(t - n + 1, None)
     return news
+

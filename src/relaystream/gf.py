@@ -15,7 +15,7 @@ here are tiny (n <= ~40), so no structured RS decoder is warranted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 FIELD_ORDER = 256
@@ -80,6 +80,21 @@ class MdsSpec:
         if len(self.generator) != self.k or any(len(r) != self.n for r in self.generator):
             raise ValueError("generator shape mismatch")
 
+    @cached_property
+    def parity_terms(self) -> tuple[tuple[int, tuple[tuple[int, int, list[int]], ...]], ...]:
+        """Per parity column r >= k, (r, terms): column r is the XOR over
+        (lag, j, table) of table[m], m being message symbol j, sent lag =
+        r - j slots earlier, and table[x] = x * generator[j][r] (product
+        tables, after Plank, Greenan and Miller, FAST 2013). Built on first
+        use, so the tables live and go with the cached spec."""
+        tables = {0: [0] * FIELD_ORDER}
+        for c in {g for row in self.generator for g in row[self.k :]} - {0}:
+            tables[c] = [0] + [GF_EXP[GF_LOG[c] + GF_LOG[x]] for x in range(1, FIELD_ORDER)]
+        return tuple(
+            (r, tuple((r - j, j, tables[self.generator[j][r]]) for j in range(self.k)))
+            for r in range(self.k, self.n)
+        )
+
 
 @lru_cache(maxsize=None)
 def make_mds(n: int, k: int) -> MdsSpec:
@@ -126,7 +141,23 @@ def solve_erasures(spec: MdsSpec, received: Sequence[Optional[int]]) -> tuple[in
         raise UnrecoverableError(
             f"{spec.n - len(present)} erasures exceed correction radius {spec.n - spec.k}"
         )
-    cols = present[: spec.k]
+    cols = tuple(present[: spec.k])
+    inverse = _inverse(spec, cols)
+    message = []
+    for i in range(spec.k):
+        acc = 0
+        for r in range(spec.k):
+            y = received[cols[r]]
+            assert y is not None
+            if y:
+                acc ^= gf_mul(y, inverse[r][i])
+        message.append(acc)
+    return tuple(message)
+
+
+@lru_cache(maxsize=4096)
+def _inverse(spec: MdsSpec, cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Inverse of G[:, cols], shared by every word that lost the same positions."""
     # Solve m . G[:, cols] = y by Gauss-Jordan on the k x k system.
     a = [[spec.generator[i][c] for c in cols] + [0] * spec.k for i in range(spec.k)]
     for i in range(spec.k):
@@ -140,14 +171,4 @@ def solve_erasures(spec: MdsSpec, received: Sequence[Optional[int]]) -> tuple[in
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [v ^ gf_mul(f, w) for v, w in zip(a[r], a[col])]
-    # a now holds the inverse in its right half (transposed use below).
-    message = []
-    for i in range(spec.k):
-        acc = 0
-        for r in range(spec.k):
-            y = received[cols[r]]
-            assert y is not None
-            if y:
-                acc ^= gf_mul(y, a[r][spec.k + i])
-        message.append(acc)
-    return tuple(message)
+    return tuple(tuple(row[spec.k :]) for row in a)

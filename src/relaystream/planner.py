@@ -399,7 +399,7 @@ def _fill_under_constraint(
             k_i = min(n, constraint.allowed_above(dt - 1))
         else:
             delays = list(range(maxd, N - 2, -1))
-            k_i, _ = max_symbols_under_constraint(n, N, delays, constraint, delay_shift=dt)
+            k_i = max_symbols_under_constraint(n, N, delays, constraint, delay_shift=dt)
             if k_i and (n - k_i) % N != 0:
                 rescale(N)
                 k_i *= N

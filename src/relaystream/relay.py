@@ -18,13 +18,16 @@ a within-budget adversary the symbol is always there; beyond the budget
 (stochastic channels) a missing symbol is replaced by zero and noted as a
 protocol violation. Because the relay re-encodes its own row consistently,
 a wrong value corrupts only its own coordinate at the destination, never
-its neighbors.
+its neighbors. The runtime buffers relay symbols by source time and can
+fork, so replays that share a prefix run it once.
 """
 
 from __future__ import annotations
 
+import copy
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .codes import CodecState, StreamingCodeSpec, build_grouped_code, decode_step, encode_step
 from .planner import Allocation
@@ -149,7 +152,7 @@ def assemble(alloc: Allocation) -> NetworkCode:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class Delivery:
     src_time: int
     sym: int
@@ -173,6 +176,11 @@ class NetworkState:
     ingests its arrivals. Erasure flags refer to the packet arriving this
     slot on each link. Deliveries report every source symbol the moment the
     destination determines it.
+
+    The relay buffers recovered hop-1 symbols in one bucket per source
+    time and drops the bucket that falls out of reach each slot. fork()
+    copies the whole pipeline, so runs that share a prefix need not
+    repeat it.
     """
 
     def __init__(self, code: NetworkCode):
@@ -182,9 +190,34 @@ class NetworkState:
         self.state2 = [CodecState(spec) for spec in code.hop2]
         self._sent1: list[dict[int, tuple[int, ...]]] = [{} for _ in code.hop1]
         self._sent2: list[dict[int, tuple[int, ...]]] = [{} for _ in code.hop2]
-        self._pending: dict[tuple[int, int, int], int] = {}  # (link1, slot1, src_t)
+        # src_t -> (link1, slot1) -> value
+        self._pending: dict[int, dict[tuple[int, int], int]] = {}
+        # routing tables for step(), shared with forks: hop-1 slot -> sym
+        # (k: zero); per routed hop-2 slot (slot, sym, relay delay, (link1,
+        # slot1)), and the reverse map slot -> (sym, relay delay)
+        routes = code.routes
+        self._fill1 = [[code.k if sym is None else sym for sym in fill] for fill in code.hop1_fill]
+        self._feed2 = [
+            [(slot, sym, routes[sym].relay_delay, (routes[sym].link1, routes[sym].slot1))
+             for slot, sym in enumerate(fill) if sym is not None]
+            for fill in code.hop2_fill
+        ]
+        self._back2 = [{slot: (sym, delay) for slot, sym, delay, _ in feed} for feed in self._feed2]
+        self._keep = 4 * (code.deadline + 1) + max(c.span for c in code.hop1)
         self.violations: list[Violation] = []
         self.deliveries: list[Delivery] = []
+
+    def fork(self) -> "NetworkState":
+        """An independent copy that continues from this exact point."""
+        other = copy.copy(self)
+        other.state1 = [s.fork() for s in self.state1]
+        other.state2 = [s.fork() for s in self.state2]
+        other._sent1 = [dict(sent) for sent in self._sent1]
+        other._sent2 = [dict(sent) for sent in self._sent2]
+        other._pending = {t: dict(bucket) for t, bucket in self._pending.items()}
+        other.violations = list(self.violations)
+        other.deliveries = list(self.deliveries)
+        return other
 
     def step(
         self,
@@ -192,99 +225,95 @@ class NetworkState:
         erase1: Sequence[bool] = (),
         erase2: Sequence[bool] = (),
     ) -> None:
-        code = self.code
-        config = code.allocation.config
+        config = self.code.allocation.config
+        pending = self._pending
         t = self.time
-        erase1 = tuple(erase1) or (False,) * len(code.hop1)
-        erase2 = tuple(erase2) or (False,) * len(code.hop2)
-        if len(source_packet) != code.k:
+        if len(source_packet) != self.code.k:
             raise ValueError("source packet must carry one value per routed symbol")
 
-        for i, spec in enumerate(code.hop1):
-            row = [0] * spec.k
-            for slot, sym in enumerate(code.hop1_fill[i]):
-                if sym is not None:
-                    row[slot] = source_packet[sym]
-            self._sent1[i][t] = encode_step(self.state1[i], row)
+        # per link: transmit this slot's packet, then take in the one arriving
+        row1 = [*source_packet, 0]
+        links1 = zip(self.state1, self._sent1, self._fill1, config.dT1)
+        for i, (state, sent, fill, dt) in enumerate(links1):
+            sent[t] = encode_step(state, list(map(row1.__getitem__, fill)))
+            if t >= dt:
+                pkt = None if erase1 and erase1[i] else sent[t - dt]
+                del sent[t - dt]
+                for src_t, slot, value in decode_step(state, pkt, t - dt):
+                    pending.setdefault(src_t, {})[i, slot] = value
 
-        for i in range(len(code.hop1)):
-            sent_at = t - config.dT1[i]
-            if sent_at < 0:
-                continue
-            pkt = self._sent1[i].pop(sent_at)
-            for src_t, slot, value in decode_step(
-                self.state1[i], None if erase1[i] else pkt, sent_at
-            ):
-                self._pending[(i, slot, src_t)] = value
-
-        for j, spec in enumerate(code.hop2):
-            row = [0] * spec.k
-            for slot, sym in enumerate(code.hop2_fill[j]):
-                if sym is None:
-                    continue
-                r = code.routes[sym]
-                src_t = t - r.relay_delay
+        links2 = zip(self.state2, self._sent2, self._feed2, self._back2, config.dT2)
+        for j, (state, sent, feed, back, dt) in enumerate(links2):
+            row = [0] * state.spec.k
+            for slot, sym, relay_delay, key in feed:
+                src_t = t - relay_delay
                 if src_t < 0:
                     continue  # pre-stream symbols are known zeros
-                value = self._pending.get((r.link1, r.slot1, src_t))
+                bucket = pending.get(src_t)
+                value = bucket.get(key) if bucket else None
                 if value is None:
                     self.violations.append(Violation(src_time=src_t, sym=sym, at=t))
                     value = 0
                 row[slot] = value
-            self._sent2[j][t] = encode_step(self.state2[j], row)
+            sent[t] = encode_step(state, row)
+            if t >= dt:
+                pkt = None if erase2 and erase2[j] else sent[t - dt]
+                del sent[t - dt]
+                for relay_t, slot, value in decode_step(state, pkt, t - dt):
+                    route = back.get(slot)
+                    if route is not None and relay_t >= route[1]:
+                        self.deliveries.append(Delivery(relay_t - route[1], route[0], value, t))
 
-        for j, spec in enumerate(code.hop2):
-            sent_at = t - config.dT2[j]
-            if sent_at < 0:
-                continue
-            pkt = self._sent2[j].pop(sent_at)
-            for relay_t, slot, value in decode_step(
-                self.state2[j], None if erase2[j] else pkt, sent_at
-            ):
-                sym = code.hop2_fill[j][slot]
-                if sym is None:
-                    continue
-                r = code.routes[sym]
-                src_t = relay_t - r.relay_delay
-                if src_t < 0:
-                    continue
-                self.deliveries.append(Delivery(src_time=src_t, sym=sym, value=value, at=t))
-
-        horizon = t - 4 * (config.T + 1) - max(c.span for c in code.hop1)
-        for key in [p for p in self._pending if p[2] < horizon]:
-            del self._pending[key]
+        # t advances by one per step, so this drops the one bucket out of reach
+        pending.pop(t - self._keep - 1, None)
         self.time += 1
+
+    def run(
+        self,
+        packets: Sequence[Sequence[int]],
+        lost1: Sequence[Iterable[int]],
+        lost2: Sequence[Iterable[int]],
+        until: int,
+    ) -> None:
+        """Step until the clock reads ``until``. lost1/lost2 hold, per hop
+        link, the lost transmission times; packets past the list are zero."""
+        config = self.code.allocation.config
+        # a packet sent at x arrives at x + dT
+        arrive1 = [{x + dt for x in lost} for dt, lost in zip(config.dT1, lost1)]
+        arrive2 = [{x + dt for x in lost} for dt, lost in zip(config.dT2, lost2)]
+        any1, any2 = set().union(*arrive1), set().union(*arrive2)
+        zero = [0] * self.code.k
+        for t in range(self.time, until):
+            self.step(
+                packets[t] if t < len(packets) else zero,
+                [t in a for a in arrive1] if t in any1 else (),
+                [t in a for a in arrive2] if t in any2 else (),
+            )
 
 
 def run_network(
     code: NetworkCode,
     packets: Sequence[Sequence[int]],
-    erasures1: Sequence[Sequence[bool]] = (),
-    erasures2: Sequence[Sequence[bool]] = (),
+    erasures1: Sequence[Sequence[bool] | AbstractSet[int]] = (),
+    erasures2: Sequence[Sequence[bool] | AbstractSet[int]] = (),
     flush: Optional[int] = None,
 ) -> NetworkState:
     """Drive a packet stream through the network and drain the pipeline.
 
-    erasures1/erasures2 give, per hop link, the lost transmission times as
-    boolean sequences over the stream (indexed by the link's transmit
-    clock). The stream is padded with zero packets so every in-flight
-    symbol either arrives or misses its deadline before returning.
+    erasures1/erasures2 give, per hop link, the lost transmission times
+    (indexed by the link's transmit clock), as a set of times or as a
+    boolean sequence over the stream. The stream is padded with zero
+    packets so every in-flight symbol either arrives or misses its deadline
+    before returning.
     """
     state = NetworkState(code)
     config = code.allocation.config
     span = max(c.span for c in code.hop1 + code.hop2)
     total = len(packets) + (flush if flush is not None else config.T + span + max(config.dT1 + config.dT2) + 1)
 
-    def flag(table: Sequence[Sequence[bool]], link: int, when: int) -> bool:
-        if link >= len(table):
-            return False
-        row = table[link]
-        return bool(row[when]) if 0 <= when < len(row) else False
+    def lost(table, links: int) -> list[AbstractSet[int]]:
+        rows = [r if isinstance(r, AbstractSet) else {t for t, e in enumerate(r) if e} for r in table]
+        return rows + [set()] * (links - len(rows))
 
-    zero = [0] * code.k
-    for t in range(total):
-        pkt = packets[t] if t < len(packets) else zero
-        e1 = [flag(erasures1, i, t - config.dT1[i]) for i in range(len(code.hop1))]
-        e2 = [flag(erasures2, j, t - config.dT2[j]) for j in range(len(code.hop2))]
-        state.step(pkt, e1, e2)
+    state.run(packets, lost(erasures1, len(code.hop1)), lost(erasures2, len(code.hop2)), total)
     return state

@@ -41,7 +41,7 @@ from .planner import (
     t_min,
     upper_bound,
 )
-from .relay import NetworkCode, run_network
+from .relay import NetworkCode, NetworkState, run_network
 
 INF_DELAY = 1 << 20  # sentinel for "never recovered"
 ENUMERATION_GUARD = 30  # longer components are sampled: C(n, N) patterns explode
@@ -131,17 +131,11 @@ def replay_witness(code: NetworkCode, witness: FailureWitness) -> Optional[int]:
     rng = random.Random(20240 + witness.src_time)
     packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(witness.src_time + span + 1)]
 
-    def table(times_list, links):
-        return [
-            [t in erased for t in range(horizon)]
-            for erased in map(set, list(times_list) + [()] * (links - len(times_list)))
-        ]
-
     state = run_network(
         code,
         packets,
-        table(witness.erasures1, len(code.hop1)),
-        table(witness.erasures2, len(code.hop2)),
+        [set(times) for times in witness.erasures1],
+        [set(times) for times in witness.erasures2],
         flush=horizon - len(packets),
     )
     truth = packets[witness.src_time][witness.sym]
@@ -334,7 +328,13 @@ def verify_adversarial(
 def _cross_product_check(
     code: NetworkCode, config: NetworkConfig, rng, cap: int = 400, window: Optional[int] = None
 ):
-    """Replay joint hop-pattern pairs through the real pipeline."""
+    """Replay joint hop-pattern pairs through the real pipeline.
+
+    Every pair runs the same packets, so up to the first step an erasure
+    reaches, min(p1[0] + dT1, p2[0] + dT2), it matches the erasure-free
+    run. That run is made once, forked at each such step, and every pair
+    resumes from its fork.
+    """
     spec1, spec2 = code.hop1[0], code.hop2[0]
     w1 = spec1.span + max(d for d in spec1.slot_delays)
     w2 = spec2.span + max((d for d in spec2.slot_delays), default=0)
@@ -348,16 +348,17 @@ def _cross_product_check(
         pairs = rng.sample(pairs, cap)
     horizon = start + w1 + w2 + config.T + 2
     packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(start + w1 + 2)]
+    dt1, dt2 = code.allocation.config.dT1[0], code.allocation.config.dT2[0]
+    reach = [min([p[0] + dt for p, dt in ((p1, dt1), (p2, dt2)) if p] + [horizon]) for p1, p2 in pairs]
+    base = NetworkState(code)
+    forks = {}
+    for at in sorted(set(reach)):
+        base.run(packets, [()], [()], at)
+        forks[at] = base.fork()
     count = 0
-    for p1, p2 in pairs:
-        erased1, erased2 = set(p1), set(p2)
-        state = run_network(
-            code,
-            packets,
-            [[t in erased1 for t in range(horizon)]],
-            [[t in erased2 for t in range(horizon)]],
-            flush=horizon - len(packets),
-        )
+    for (p1, p2), at in zip(pairs, reach):
+        state = forks[at].fork()
+        state.run(packets, [set(p1)], [set(p2)], horizon)
         count += 1
         got = {}
         for d in state.deliveries:
@@ -455,30 +456,6 @@ def _slot_shapes(spec: StreamingCodeSpec) -> np.ndarray:
     k = np.array([c.k for c in spec.components], dtype=np.int64)
     j = np.arange(spec.k) - np.repeat(spec.message_offsets, k) + 1
     return np.column_stack([np.repeat(n, k), np.repeat(k, k), j])
-
-
-def _slot_delay_table(
-    spec: StreamingCodeSpec, erased: np.ndarray, num_eval: int
-) -> np.ndarray:
-    """Recovery delay of every message slot at every time, vectorized.
-
-    Returns int32 array (spec.k, num_eval); INF_DELAY marks never. Known
-    pre-stream slots count as received, matching the decoder. Slots with
-    the same (n_c, k_c, j) have equal rows, so each is computed once.
-    """
-    out = np.empty((spec.k, num_eval), dtype=np.int32)
-    own = ~erased[:num_eval]
-    rows: dict[tuple[int, int, int], np.ndarray] = {}
-    index: dict[tuple[int, int], np.ndarray] = {}
-    for slot, (n, k, j) in enumerate(_slot_shapes(spec).tolist()):
-        if (n, k, j) not in rows:
-            if (n, k) not in index:
-                index[n, k] = _kth_arrival(erased, n, k, num_eval + k - 1)
-            # symbol j of packet tau sits on diagonal tau - (j-1)
-            p = index[n, k][k - j : k - j + num_eval]
-            rows[n, k, j] = np.where(own, 0, np.where(p >= n, INF_DELAY, p - (j - 1)))
-        out[slot] = rows[n, k, j]
-    return out
 
 
 def _route_classes(code: NetworkCode) -> tuple[list[tuple[int, ...]], ...]:

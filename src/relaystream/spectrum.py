@@ -9,17 +9,14 @@ the pairing budget left by the other hop, and the constraint subtraction
 the allocator iterates.
 
 A count is a number of symbols, so it is an int: both containers reject
-any other type, and the converse bound is an integer ceiling. Only the
-rate-like bound kprime of the constrained maximization is a
-fractions.Fraction, never a float.
+any other type, the converse bound is an integer ceiling and the
+constrained maximization an integer floor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-from math import floor
 from typing import Iterable, Sequence
 
 
@@ -193,7 +190,7 @@ def max_symbols_under_constraint(
     delays: Sequence[int],
     constraint: SpectrumConstraint,
     delay_shift: int = 0,
-) -> tuple[int, list[Fraction]]:
+) -> int:
     """Largest message size a rate-adjusted code can carry under the budget.
 
     For each candidate delay d (largest first, down to N-1), inverting the
@@ -201,19 +198,20 @@ def max_symbols_under_constraint(
 
         k'[d] = n - n*N*(1 - allowed_above(d)/n) / (d + 1);
 
-    the achievable message size is floor(min k'). The entry at d = N-1
-    degenerates to the total budget at delays >= N, capping the code by the
-    pairing mass it may consume. delay_shift maps code delays to constraint
-    delays when the link adds a fixed propagation delay.
+    the achievable message size is floor(min k') = min floor(k'[d]),
+    computed by integer floor division. The entry at d = N-1 degenerates
+    to the total budget at delays >= N, capping the code by the pairing
+    mass it may consume. delay_shift maps code delays to constraint delays
+    when the link adds a fixed propagation delay.
     """
     if not delays:
         raise ValueError("no candidate delays")
     # above[i]: budget at delays strictly above entries[i]'s delay, one pass
     above = list(accumulate((c for _, c in constraint.entries), initial=0))
     top = constraint.entries[0][0]
-    kprime: list[Fraction] = []
-    for d in delays:
+
+    def floor_kprime(d: int) -> int:
         allowed = above[min(max(top - d - delay_shift, 0), len(above) - 1)]
-        kprime.append(Fraction(n * (d + 1) - N * (n - allowed), d + 1))
-    best = min(kprime)
-    return max(0, floor(best)), kprime
+        return (n * (d + 1) - N * (n - allowed)) // (d + 1)
+
+    return max(0, min(map(floor_kprime, delays)))

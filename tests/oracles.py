@@ -1,19 +1,32 @@
 """Independent oracles shared by the tests: field multiplication without
 the library's tables, block encoding by plain matrix products, rank and
-determination by plain elimination, the converse bound in exact fractions,
-the planners' straightforward constructions (every mwdf split tried, cswdf
-groupings concatenated pair by pair), and the code builders, spectrum
-measurement and channel statistics that only the tests need."""
+determination by plain elimination, the converse bound and the
+constrained maximization in exact fractions, the planners'
+straightforward constructions (every mwdf split tried, cswdf groupings
+concatenated pair by pair), the joint replay rerun from time 0 for every
+pattern pair, the per-slot recovery-delay table of the k-th-arrival
+rule, and the code builders, spectrum measurement and channel statistics
+that only the tests need."""
 
 from fractions import Fraction
 from functools import reduce
-from math import ceil
+from itertools import combinations
+from math import ceil, floor
 from operator import xor
+
+import numpy as np
 
 from relaystream.codes import StreamingCodeSpec, build_grouped_code
 from relaystream.gf import FIELD_ORDER, make_mds
 from relaystream.planner import Allocation, point_rate
-from relaystream.sim import component_worst_delays
+from relaystream.relay import run_network
+from relaystream.sim import (
+    INF_DELAY,
+    FailureWitness,
+    _kth_arrival,
+    _slot_shapes,
+    component_worst_delays,
+)
 from relaystream.spectrum import DelayGrouping, optimal_grouping
 
 
@@ -154,6 +167,70 @@ def delay_lower_bound_fraction(n, k, N, prefix_counts=()):
     if prefix > k:
         raise ValueError("prefix exceeds message size")
     return ceil(Fraction(N * n, n - k) * (1 - Fraction(prefix, n)) - 1)
+
+
+def max_symbols_kprime(n, N, delays, constraint, delay_shift=0):
+    # the constrained maximization in exact fractions: one bound
+    # k'[d] = (n*(d+1) - N*(n - allowed_above(d))) / (d+1) per candidate
+    # delay, and the message size floor(min k'), as (size, [k'...])
+    kprime = [
+        Fraction(n * (d + 1) - N * (n - constraint.allowed_above(d + delay_shift)), d + 1)
+        for d in delays
+    ]
+    return max(0, floor(min(kprime))), kprime
+
+
+def cross_product_from_zero(code, config, rng, cap=400, window=None):
+    # the joint replay without forks: every pattern pair reruns the whole
+    # stream from time 0 through run_network, erasures given as
+    # horizon-long boolean tables; same pairs, packets and rng draws
+    spec1, spec2 = code.hop1[0], code.hop2[0]
+    w1 = spec1.span + max(spec1.slot_delays)
+    w2 = spec2.span + max(spec2.slot_delays, default=0)
+    if window is not None:
+        w1, w2 = min(w1, window), min(w2, window)
+    start = max(spec1.span, spec2.span) + 1
+    pats1 = list(combinations(range(start, start + w1), min(config.N1[0], w1)))
+    pats2 = list(combinations(range(start, start + w2), min(config.N2[0], w2)))
+    pairs = [(a, b) for a in pats1 for b in pats2]
+    if len(pairs) > cap:
+        pairs = rng.sample(pairs, cap)
+    horizon = start + w1 + w2 + config.T + 2
+    packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(start + w1 + 2)]
+    count = 0
+    for p1, p2 in pairs:
+        state = run_network(
+            code,
+            packets,
+            [[t in p1 for t in range(horizon)]],
+            [[t in p2 for t in range(horizon)]],
+            flush=horizon - len(packets),
+        )
+        count += 1
+        got = {}
+        for d in state.deliveries:
+            got.setdefault((d.src_time, d.sym), (d.value, d.at))
+        for t, pkt in enumerate(packets):
+            for sym in range(code.k):
+                val = got.get((t, sym))
+                if val is None or val[0] != pkt[sym] or val[1] > t + config.T:
+                    late = None if val is None or val[0] != pkt[sym] else val[1] - t
+                    return FailureWitness((tuple(p1),), (tuple(p2),), t, sym, config.T, late), count
+    return None, count
+
+
+def slot_delay_table(spec, erased, num_eval):
+    # recovery delay of every message slot at every time, int32 (spec.k,
+    # num_eval), INF_DELAY for never: the k-th-arrival rule of the Monte
+    # Carlo kernel applied slot by slot; known pre-stream slots count as
+    # received, matching the decoder
+    out = np.empty((spec.k, num_eval), dtype=np.int32)
+    own = ~erased[:num_eval]
+    for slot, (n, k, j) in enumerate(_slot_shapes(spec).tolist()):
+        # symbol j of packet tau sits on diagonal tau - (j-1)
+        p = _kth_arrival(erased, n, k, num_eval + k - 1)[k - j : k - j + num_eval]
+        out[slot] = np.where(own, 0, np.where(p >= n, INF_DELAY, p - (j - 1)))
+    return out
 
 
 def concat_groupings(a, b):

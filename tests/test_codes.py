@@ -2,10 +2,14 @@
 against the block-code layer and exhaustively against small erasure sets."""
 
 import itertools
+import random
+from itertools import accumulate
 
 import pytest
 
 from relaystream.codes import CodecState, build_grouped_code, decode_step, encode_step
+from relaystream.planner import NetworkConfig, oswdf_optimize
+from relaystream.relay import assemble
 from relaystream.spectrum import DelayGrouping
 
 from oracles import (
@@ -13,6 +17,7 @@ from oracles import (
     build_diagonal_mds,
     build_spectrum_code,
     component_grouping,
+    concat_groupings,
     oracle_determined,
 )
 
@@ -63,6 +68,40 @@ def test_encoder_emits_block_codewords_along_diagonals():
         word = tuple(sent[d + r - 1][r - 1] for r in range(1, comp.n + 1))
         msg = tuple(source[d + j - 1][j - 1] for j in range(1, comp.k + 1))
         assert word == block_encode(comp, msg)
+
+
+def stream_encode_oracle(code, source):
+    # every channel symbol straight from the generator: position r of a
+    # component at time t is column r of the block codeword of the diagonal
+    # begun at t - r + 1, with pre-stream message symbols zero (rows not
+    # yet sent feed only their own systematic columns, so zero them too)
+    sent = []
+    for t in range(len(source)):
+        out = [0] * code.n
+        coffs = accumulate((c.n for c in code.components), initial=0)
+        for comp, coff, moff in zip(code.components, coffs, code.message_offsets):
+            for r in range(comp.n):
+                d = t - r
+                msg = [source[d + j][moff + j] if 0 <= d + j <= t else 0 for j in range(comp.k)]
+                out[coff + r] = block_encode(comp, msg)[r] if comp.k else 0
+        sent.append(tuple(out))
+    return sent
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_encoder_matches_generator_products(seed):
+    # random staircase groupings, dead slots included
+    rng = random.Random(seed)
+    N = rng.randint(1, 3)
+    grouping, used = DelayGrouping(()), 0
+    for _ in range(rng.randint(1, 4)):
+        m = rng.randint(1, 4)
+        grouping = concat_groupings(grouping, component_grouping(N, m))
+        used += N + m
+    code = build_grouped_code(used + rng.randint(0, 3), N, grouping)
+    source = [tuple(rng.randrange(256) for _ in range(code.k)) for _ in range(3 * code.span)]
+    enc = CodecState(code)
+    assert [encode_step(enc, p) for p in source] == stream_encode_oracle(code, source)
 
 
 def test_stream_start_parities_treat_prehistory_as_zero():
@@ -135,11 +174,19 @@ def test_exhaustive_delays_match_declaration_4_3():
     assert worst == list(code.slot_delays)
 
 
+OSWDF_8_2_3 = assemble(oswdf_optimize(NetworkConfig(T=8, N1=(2,), N2=(3,))))
+
+
+# (n, k, known pre-stream rows, received positions) -> determined rows;
+# every component of one shape comes from make_mds, so shares a generator
+_DETERMINED = {}
+
+
 def oracle_recovery_steps(code, erased, horizon):
     """(source time, slot) -> first decode step at which the received
     columns of the symbol's diagonal, plus the unit vectors of its known
     pre-stream rows, span the symbol's unit vector."""
-    memo = {}
+    memo = _DETERMINED
     out = {}
     for ci, comp in enumerate(code.components):
         k = comp.k
@@ -171,8 +218,12 @@ def oracle_recovery_steps(code, erased, horizon):
         build_diagonal_mds(1, 4),
         # components (4,3), (3,2), (2,1) and a dead slot
         build_grouped_code(10, 1, DelayGrouping.from_pairs([(3, 1), (2, 2), (1, 3)])),
+        # the oswdf hop codes of T=8, N1=(2,), N2=(3,): several components
+        # of one shape share the decoder's per-shape records
+        OSWDF_8_2_3.hop1[0],  # (5,3) x 6 + (4,2) x 3
+        OSWDF_8_2_3.hop2[0],  # (7,4) x 6
     ],
-    ids=["mds-5-3", "mds-5-4", "grouped-mixed"],
+    ids=["mds-5-3", "mds-5-4", "grouped-mixed", "oswdf-8-hop1", "oswdf-8-hop2"],
 )
 def test_decoder_matches_rank_oracle(code):
     # every pattern of up to N+1 erasures in a window from the stream start:

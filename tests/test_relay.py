@@ -262,3 +262,26 @@ def test_passthrough_second_hop():
     state = run_network(code, packets, e1)
     assert not state.violations
     assert_stream_recovered(code, state, packets)
+
+@pytest.mark.parametrize("cfg,lost1,lost2", [
+    # NET_A with bursts on every link
+    (NetworkConfig(T=5, N1=(2, 3), N2=(1, 2)), [{3, 4}, {3, 4, 5}], [{6}, {6, 7}]),
+    # a 1x1 network with propagation delays and a budget overrun
+    (NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,), dT2=(1,)), [{4, 5, 6}], [{7, 9}]),
+])
+def test_fork_resumes_like_a_fresh_run(cfg, lost1, lost2):
+    # forked at every time, the copy ends exactly where an unforked run
+    # does, even while the original goes on under other erasures
+    code = assemble(oswdf_optimize(cfg))
+    packets = lcg_packets(12, code.k)
+    fresh = run_network(code, packets, lost1, lost2)
+    end = fresh.time
+    assert fresh.deliveries
+    for at in range(end + 1):
+        state = NetworkState(code)
+        state.run(packets, lost1, lost2, at)
+        twin = state.fork()
+        state.run(packets, [set(range(0, end, 2))] * len(lost1), [set(range(end))] * len(lost2), end)
+        twin.run(packets, lost1, lost2, end)
+        assert twin.deliveries == fresh.deliveries, at
+        assert twin.violations == fresh.violations, at

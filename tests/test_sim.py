@@ -20,6 +20,7 @@ from relaystream.planner import (
     cswdf_plan,
     mwdf_plan,
     oswdf_initial,
+    oswdf_optimize,
 )
 from relaystream.relay import assemble, run_network
 from relaystream.sim import (
@@ -32,11 +33,11 @@ from relaystream.sim import (
     run_ensemble,
     run_monte_carlo,
     verify_adversarial,
-    _slot_delay_table,
+    _cross_product_check,
 )
 from relaystream.spectrum import DelayGrouping
 
-from oracles import measure_spectrum
+from oracles import cross_product_from_zero, measure_spectrum, slot_delay_table
 
 NET_A = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
 NET_B = NetworkConfig(T=4, N1=(1,), N2=(3, 2))
@@ -100,7 +101,7 @@ def test_fast_rule_matches_codec_exhaustively(n, N, grouping, window):
     for times in itertools.combinations(range(window), N):
         erased = np.zeros(horizon, dtype=bool)
         erased[list(times)] = True
-        fast = _slot_delay_table(spec, erased, num_eval)
+        fast = slot_delay_table(spec, erased, num_eval)
         slow = codec_slot_delays(spec, erased, num_eval)
         assert np.array_equal(fast.astype(np.int64), slow), times
 
@@ -137,6 +138,37 @@ def test_verify_single_link_cross_product():
     code = assemble(oswdf_initial(cfg))
     report = verify_adversarial(code, window=7)
     assert report.ok and report.exhaustive
+
+
+# the 1x1 shapes of the audit benchmark: (N1, N2, dT1, dT2, T - t_min)
+AUDIT_1X1 = (
+    ((1,), (1,), (0,), (0,), 0),
+    ((1,), (1,), (0,), (1,), 0),
+    ((1,), (1,), (0,), (0,), 1),
+    ((1,), (2,), (0,), (0,), 0),
+    ((1,), (2,), (1,), (0,), 0),
+    ((2,), (1,), (0,), (1,), 0),
+    ((2,), (2,), (0,), (0,), 0),
+    ((1,), (3,), (0,), (0,), 0),
+    ((3,), (1,), (0,), (0,), 0),
+)
+
+
+@pytest.mark.parametrize("shape", AUDIT_1X1, ids=str)
+def test_forked_cross_product_matches_rerun_from_zero(shape):
+    # resuming every pair from the erasure-free run's fork gives the same
+    # witness and count as rerunning it from time 0, at the planned
+    # deadline (no failure) and one slot tighter (a witness)
+    n1, n2, dt1, dt2, offset = shape
+    config = NetworkConfig(T=n1[0] + dt1[0] + n2[0] + dt2[0] + offset,
+                           N1=n1, N2=n2, dT1=dt1, dT2=dt2)
+    code = assemble(oswdf_optimize(config))
+    for T in (config.T, config.T - 1):
+        check = NetworkConfig(T=T, N1=n1, N2=n2, dT1=dt1, dT2=dt2)
+        fast = _cross_product_check(code, check, random.Random(T))
+        slow = cross_product_from_zero(code, check, random.Random(T))
+        assert fast == slow
+        assert (fast[0] is None) == (T == config.T)
 
 
 def test_verify_reports_per_link_violation(monkeypatch):

@@ -15,7 +15,13 @@ from relaystream.spectrum import (
     subtract_constraint,
 )
 
-from oracles import concat_groupings, constraint_total, count_at_least, delay_lower_bound_fraction
+from oracles import (
+    concat_groupings,
+    constraint_total,
+    count_at_least,
+    delay_lower_bound_fraction,
+    max_symbols_kprime,
+)
 
 
 def G(*pairs):
@@ -120,17 +126,19 @@ def test_constraint_shape():
 
 def test_max_symbols_first_link():
     con = constraint_fig4()
-    k, kprime = max_symbols_under_constraint(12, 3, [3, 2], con)
+    k, kprime = max_symbols_kprime(12, 3, [3, 2], con)
     assert kprime == [3, 4]
     assert k == 3
+    assert max_symbols_under_constraint(12, 3, [3, 2], con) == k
 
 
 def test_max_symbols_second_link_after_subtraction():
     con = subtract_constraint(constraint_fig4(), G((3, 3)))
     assert con.entries == ((3, 1), (2, 4), (1, 0))
-    k, kprime = max_symbols_under_constraint(12, 2, [3, 2, 1], con)
+    k, kprime = max_symbols_kprime(12, 2, [3, 2, 1], con)
     assert kprime == [6, Fraction(14, 3), 5]
     assert k == 4
+    assert max_symbols_under_constraint(12, 2, [3, 2, 1], con) == k
 
 
 def test_subtract_constraint_worked_sequence():
@@ -211,7 +219,7 @@ def constraint_and_link(draw):
 def test_constrained_max_respects_cumulative_budget(args):
     con, N, n, top = args
     delays = list(range(top, N - 2, -1))
-    k, _ = max_symbols_under_constraint(n, N, delays, con)
+    k = max_symbols_under_constraint(n, N, delays, con)
     if k <= 0 or (n - k) % N != 0:
         return
     T1 = delay_lower_bound(n, k, N)
@@ -220,3 +228,13 @@ def test_constrained_max_respects_cumulative_budget(args):
         return
     for d, _ in g.entries:
         assert count_at_least(g, d) <= con.allowed_above(d - 1)
+
+
+@settings(max_examples=200)
+@given(constraint_and_link(), st.integers(0, 3))
+def test_max_symbols_matches_fraction_oracle(args, shift):
+    # the integer floor per delay equals the floor of the least exact k'
+    con, N, n, top = args
+    delays = list(range(top, N - 2, -1))
+    k, _ = max_symbols_kprime(n, N, delays, con, delay_shift=shift)
+    assert max_symbols_under_constraint(n, N, delays, con, delay_shift=shift) == k
