@@ -68,17 +68,17 @@ def sample_ge(params: GeParams, horizon: int, seed: int) -> ErasureSequence:
         in_bad = False
     else:
         in_bad = rng.random() < a / (a + b)
+    # one draw per sojourn, in chain order; a sojourn may end past the horizon
+    geometric, uniform, eps = rng.geometric, rng.random, params.eps
     pos = 0
     while pos < horizon:
         if in_bad:
-            run = horizon - pos if b == 0 else int(rng.geometric(b))
-            run = min(run, horizon - pos)
-            bits[pos : pos + run] = True
+            end = horizon if b == 0 else pos + geometric(b)
+            bits[pos:end] = True
         else:
-            run = horizon - pos if a == 0 else int(rng.geometric(a))
-            run = min(run, horizon - pos)
-            if params.eps > 0:
-                bits[pos : pos + run] = rng.random(run) < params.eps
-        pos += run
+            end = horizon if a == 0 else pos + geometric(a)
+            if eps > 0:
+                bits[pos:end] = uniform(min(end, horizon) - pos) < eps
+        pos = end
         in_bad = not in_bad
     return ErasureSequence(bits)

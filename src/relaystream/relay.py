@@ -19,7 +19,8 @@ a within-budget adversary the symbol is always there; beyond the budget
 protocol violation. Because the relay re-encodes its own row consistently,
 a wrong value corrupts only its own coordinate at the destination, never
 its neighbors. The runtime buffers relay symbols by source time and can
-fork, so replays that share a prefix run it once.
+fork, so replays that share a prefix run it once; a replay whose pipeline
+is back to another run's can take that run's later deliveries.
 """
 
 from __future__ import annotations
@@ -218,6 +219,20 @@ class NetworkState:
         other.violations = list(self.violations)
         other.deliveries = list(self.deliveries)
         return other
+
+    def pipeline(self) -> tuple:
+        """Everything later steps read: the clock, each codec's clocks,
+        windows and decoder records, the packets in flight and the relay
+        buffer; not the logs (violations, deliveries), which no step reads.
+
+        Two runs of one code with equal pipelines, fed the same packets
+        and erasures from here on, deliver the same from here on.
+        """
+        codecs = [
+            (s.enc_time, s.dec_time, s._history, s._received, s._records)
+            for s in self.state1 + self.state2
+        ]
+        return self.time, codecs, self._sent1, self._sent2, self._pending
 
     def step(
         self,

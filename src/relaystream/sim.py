@@ -16,6 +16,12 @@ The network decomposes per hop: the relay re-encodes consistently, so a
 source symbol survives end to end iff its first hop recovers it by the
 relabel time and its second hop recovers the forwarded coordinate within
 the route's remaining delay budget. Both sides reduce to the rule above.
+
+On 1x1 networks the verifier spot-checks that decomposition by replaying
+joint hop-pattern pairs through the real pipeline, and the replay leans on
+the same split: hop 2 reads hop 1 only through the rows the relay
+forwards, so only hop-1 patterns that change a forwarded row are replayed
+jointly with each hop-2 pattern (see ``_cross_product_check``).
 """
 
 from __future__ import annotations
@@ -328,19 +334,32 @@ def verify_adversarial(
 def _cross_product_check(
     code: NetworkCode, config: NetworkConfig, rng, cap: int = 400, window: Optional[int] = None
 ):
-    """Replay joint hop-pattern pairs through the real pipeline.
+    """Replay joint hop-pattern pairs through the real pipeline, each hop
+    pattern once where that is exact.
 
-    Every pair runs the same packets, so up to the first step an erasure
-    reaches, min(p1[0] + dT1, p2[0] + dT2), it matches the erasure-free
-    run. That run is made once, forked at each such step, and every pair
-    resumes from its fork.
+    Hop 2 reads hop 1 only through the rows the relay forwards. A hop-1
+    pattern whose run, with hop 2 clear, delivers exactly what the
+    erasure-free run delivers forwarded the same rows, so any pair with
+    it delivers what its hop-2 pattern does with hop 1 clear: one replay,
+    keyed ((), p2), serves all those pairs. A pair whose hop-1 pattern
+    changes a forwarded row (the relay sends it before hop 1 recovers it,
+    say) is replayed jointly, keyed (p1, p2). Pair order, rng draws, the
+    count and the witness are those of replaying every pair.
+
+    Every replay runs the same packets, so up to its first erasure
+    arrival it matches the erasure-free run. That run is made once and
+    forked where replays start and settle; each replay resumes from its
+    fork. One span past its last erasure arrival, a replay whose
+    pipeline equals the erasure-free run's there will deliver what that
+    run delivers from then on, so it stops and takes those deliveries.
     """
     spec1, spec2 = code.hop1[0], code.hop2[0]
     w1 = spec1.span + max(d for d in spec1.slot_delays)
     w2 = spec2.span + max((d for d in spec2.slot_delays), default=0)
     if window is not None:
         w1, w2 = min(w1, window), min(w2, window)
-    start = max(spec1.span, spec2.span) + 1
+    span = max(spec1.span, spec2.span)
+    start = span + 1
     pats1 = list(itertools.combinations(range(start, start + w1), min(config.N1[0], w1)))
     pats2 = list(itertools.combinations(range(start, start + w2), min(config.N2[0], w2)))
     pairs = [(a, b) for a in pats1 for b in pats2]
@@ -349,34 +368,54 @@ def _cross_product_check(
     horizon = start + w1 + w2 + config.T + 2
     packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(start + w1 + 2)]
     dt1, dt2 = code.allocation.config.dT1[0], code.allocation.config.dT2[0]
-    reach = [min([p[0] + dt for p, dt in ((p1, dt1), (p2, dt2)) if p] + [horizon]) for p1, p2 in pairs]
+
+    def window_of(p1, p2) -> tuple[int, int]:
+        # the first erasure arrival, and the step one span past the last
+        arrivals = [x + dt1 for x in p1] + [x + dt2 for x in p2]
+        return min(arrivals, default=horizon), min(max(arrivals, default=horizon) + span + 1, horizon)
+
+    # a joint window runs from the earlier start to the later end of its hops'
+    stops = {horizon}
+    for p1, p2 in pairs:
+        stops.update(window_of(p1, ()) + window_of((), p2))
     base = NetworkState(code)
     forks = {}
-    for at in sorted(set(reach)):
+    for at in sorted(stops):
         base.run(packets, [()], [()], at)
         forks[at] = base.fork()
-    count = 0
-    for (p1, p2), at in zip(pairs, reach):
-        state = forks[at].fork()
+    clear = forks[horizon].deliveries
+
+    def deliveries(p1, p2) -> list:
+        first, settled = window_of(p1, p2)
+        state = forks[first].fork()
+        state.run(packets, [set(p1)], [set(p2)], settled)
+        if state.pipeline() == forks[settled].pipeline():
+            return state.deliveries + clear[len(forks[settled].deliveries):]
         state.run(packets, [set(p1)], [set(p2)], horizon)
-        count += 1
+        return state.deliveries
+
+    @lru_cache(maxsize=None)
+    def forwards_clear(p1) -> bool:
+        return deliveries(p1, ()) == clear
+
+    @lru_cache(maxsize=None)
+    def first_miss(p1, p2) -> Optional[tuple[int, int, Optional[int]]]:
         got = {}
-        for d in state.deliveries:
+        for d in deliveries(p1, p2):
             got.setdefault((d.src_time, d.sym), (d.value, d.at))
         for t, pkt in enumerate(packets):
             for sym in range(code.k):
                 val = got.get((t, sym))
                 if val is None or val[0] != pkt[sym] or val[1] > t + config.T:
-                    witness = FailureWitness(
-                        erasures1=(tuple(p1),),
-                        erasures2=(tuple(p2),),
-                        src_time=t,
-                        sym=sym,
-                        required_delay=config.T,
-                        actual_delay=None if val is None or val[0] != pkt[sym] else val[1] - t,
-                    )
-                    return witness, count
-    return None, count
+                    return t, sym, None if val is None or val[0] != pkt[sym] else val[1] - t
+        return None
+
+    for count, (p1, p2) in enumerate(pairs, 1):
+        miss = first_miss(() if forwards_clear(p1) else p1, p2)
+        if miss is not None:
+            t, sym, late = miss
+            return FailureWitness((p1,), (p2,), t, sym, config.T, late), count
+    return None, len(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,20 @@ def test_verify_deadline_audit_produces_witness(planned_a, capsys):
     assert "achieved 5" in err
 
 
+def test_verify_loose_deadline_is_cheap(tmp_path, capsys):
+    # the joint replay of a 1x1 network runs to a horizon past the audited
+    # deadline, but each settled replay stops a span past its last erasure
+    # and takes the rest from the one erasure-free run
+    cfg = write(tmp_path, "one.json", {"T": 4, "N1": [2], "N2": [1]})
+    out_path = str(tmp_path / "mwdf.json")
+    assert main(["plan", "--config", cfg, "--scheme", "mwdf", "--out", out_path]) == 0
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["verify", out_path, "--deadline", "20000"])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert out.startswith("PASS") and "73 patterns checked" in out
+
+
 @pytest.mark.parametrize("deadline", ["0", "-2"])
 def test_verify_nonpositive_deadline_is_a_usage_error(planned_a, capsys, deadline):
     code, out, err = run(capsys, ["verify", planned_a, "--deadline", deadline])

@@ -285,3 +285,52 @@ def test_fork_resumes_like_a_fresh_run(cfg, lost1, lost2):
         twin.run(packets, lost1, lost2, end)
         assert twin.deliveries == fresh.deliveries, at
         assert twin.violations == fresh.violations, at
+
+
+@pytest.mark.parametrize("cfg,lost1,lost2,settles", [
+    (NetworkConfig(T=5, N1=(2, 3), N2=(1, 2)), [{3, 4}, {3, 4, 5}], [{6}, {6, 7}], True),
+    (NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,), dT2=(1,)), [{4, 5}], [{7, 9}], True),
+    # over the hop-1 budget: the relay buffer stays short of symbols
+    (NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,), dT2=(1,)), [{4, 5, 6}], [{7, 9}], False),
+])
+def test_pipeline_settles_one_span_past_the_last_erasure(cfg, lost1, lost2, settles):
+    # the pipeline leaves the erasure-free run's with the first erasure
+    # arrival; within budget it is back one span past the last, though the
+    # delivery logs still differ
+    code = assemble(oswdf_optimize(cfg))
+    packets = lcg_packets(12, code.k)
+    arrivals = [x + dt for lost, dt in zip(lost1 + lost2, cfg.dT1 + cfg.dT2) for x in lost]
+    span = max(c.span for c in code.hop1 + code.hop2)
+    clear, erased = NetworkState(code), NetworkState(code)
+    checks = ((min(arrivals), True), (min(arrivals) + 1, False), (max(arrivals) + span + 1, settles))
+    for at, equal in checks:
+        clear.run(packets, [()] * len(lost1), [()] * len(lost2), at)
+        erased.run(packets, lost1, lost2, at)
+        assert (clear.pipeline() == erased.pipeline()) == equal, at
+    assert clear.deliveries != erased.deliveries
+
+
+def test_pipeline_holds_everything_later_steps_read():
+    # a change to any clock, codec window or record, packet in flight or
+    # relay bucket shows in the pipeline; the logs do not
+    code = assemble(oswdf_optimize(NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,), dT2=(1,))))
+    state = NetworkState(code)
+    state.run(lcg_packets(12, code.k), [{4, 5}], [{7}], 9)
+    pokes = (
+        lambda s: setattr(s, "time", s.time + 1),
+        lambda s: setattr(s.state2[0], "enc_time", s.state2[0].enc_time + 1),
+        lambda s: setattr(s.state1[0], "dec_time", s.state1[0].dec_time + 1),
+        lambda s: s.state2[0]._history.pop(min(s.state2[0]._history)),
+        lambda s: s.state1[0]._received.pop(min(s.state1[0]._received)),
+        lambda s: next(r for c in s.state1 + s.state2 for r in c._records if r).clear(),
+        lambda s: s._sent2[0].clear(),
+        lambda s: s._pending.pop(min(s._pending)),
+    )
+    for i, poke in enumerate(pokes):
+        twin = state.fork()
+        poke(twin)
+        assert twin.pipeline() != state.pipeline(), i
+    twin = state.fork()
+    twin.deliveries.clear()
+    twin.violations.append(None)
+    assert twin.pipeline() == state.pipeline()

@@ -6,6 +6,7 @@ and the vectorized network loss mask against the full source-relay-
 destination pipeline on random erasures. Everything else leans on those.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -169,6 +170,30 @@ def test_forked_cross_product_matches_rerun_from_zero(shape):
         slow = cross_product_from_zero(code, check, random.Random(T))
         assert fast == slow
         assert (fast[0] is None) == (T == config.T)
+
+
+# 1x1 mwdf networks (N1, N2, dT1, dT2, T) whose relabel delay is then
+# lowered: the relay forwards rows before hop 1 may recover them, so the
+# hop-1 patterns change what hop 2 carries and their pairs replay jointly
+MISTIMED_1X1 = (
+    ((2,), (1,), (0,), (0,), 4),
+    ((3,), (1,), (0,), (0,), 5),
+    ((2,), (2,), (0,), (0,), 5),
+    ((2,), (1,), (0,), (1,), 5),
+)
+
+
+@pytest.mark.parametrize("lower", (1, 2))
+@pytest.mark.parametrize("shape", MISTIMED_1X1, ids=str)
+def test_forked_cross_product_matches_rerun_from_zero_when_mistimed(shape, lower):
+    n1, n2, dt1, dt2, T = shape
+    config = NetworkConfig(T=T, N1=n1, N2=n2, dT1=dt1, dT2=dt2)
+    alloc = mwdf_plan(config)
+    code = assemble(dataclasses.replace(alloc, relabel_delay=alloc.relabel_delay - lower))
+    fast = _cross_product_check(code, config, random.Random(T))
+    slow = cross_product_from_zero(code, config, random.Random(T))
+    assert fast == slow
+    assert fast[0] is not None
 
 
 def test_verify_reports_per_link_violation(monkeypatch):
