@@ -126,9 +126,9 @@ def allocation_to_doc(alloc: Allocation) -> dict:
         "rate": fraction_doc(alloc.rate),
         "n": alloc.n,
         "hop1": hop(alloc.n1, alloc.k1, alloc.groupings1,
-                    alloc.build_budgets1(), alloc.config.N1),
+                    alloc.budgets1, alloc.config.N1),
         "hop2": hop(alloc.n2, alloc.k2, alloc.groupings2,
-                    alloc.build_budgets2(), alloc.config.N2),
+                    alloc.budgets2, alloc.config.N2),
         "bottleneck": alloc.bottleneck,
         "relabel_delay": alloc.relabel_delay,
         "capped": alloc.capped,
@@ -166,8 +166,7 @@ def allocation_from_doc(doc: dict, path: str) -> Allocation:
                 for d, c in e["grouping"]
             ))
             bs.append(read_int(e.get("budget", net), "budget", path))
-        budgets = tuple(bs) if tuple(bs) != tuple(net_budgets) else None
-        return tuple(ns), tuple(ks), tuple(gs), budgets
+        return tuple(ns), tuple(ks), tuple(gs), tuple(bs)
 
     try:
         n1, k1, g1, b1 = hop(doc["hop1"], config.N1)
@@ -309,9 +308,12 @@ SIM_COLUMNS = [
 
 def _parse_eps_grid(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        grid = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise CliError(f"bad --eps value: {text!r}")
+    if not all(0 <= e <= 1 for e in grid):  # NaN fails both comparisons
+        raise CliError(f"bad --eps value: {text!r}")
+    return grid
 
 
 def cmd_simulate(args) -> int:

@@ -81,46 +81,6 @@ class NetworkConfig:
         return tuple(n + d for n, d in zip(self.N2, self.dT2))
 
 
-@dataclass(frozen=True)
-class EffectiveConfig:
-    """Per-link effective-delay view used by every planner."""
-
-    config: NetworkConfig
-    z1: tuple[int, ...]
-    z2: tuple[int, ...]
-    z1_min: int
-    z2_min: int
-    max_delay1: tuple[int, ...]  # largest usable code delay per hop-1 link
-    max_delay2: tuple[int, ...]
-    usable1: tuple[bool, ...]
-    usable2: tuple[bool, ...]
-
-
-def effective_config(config: NetworkConfig) -> EffectiveConfig:
-    """Fold propagation delays into effective budgets Z = N + dT.
-
-    A link is usable when its point-to-point rate at the code delay left
-    over by the other hop's fastest link is positive; below that deadline
-    the link is discarded. Note the denominators keep N, not Z: a slot of
-    pure delay costs strictly less rate than an extra erasure would.
-    """
-    z1, z2 = config.Z1, config.Z2
-    z1_min, z2_min = min(z1), min(z2)
-    md1 = tuple(config.T - z2_min - dt for dt in config.dT1)
-    md2 = tuple(config.T - z1_min - dt for dt in config.dT2)
-    return EffectiveConfig(
-        config=config,
-        z1=z1,
-        z2=z2,
-        z1_min=z1_min,
-        z2_min=z2_min,
-        max_delay1=md1,
-        max_delay2=md2,
-        usable1=tuple(md >= n for md, n in zip(md1, config.N1)),
-        usable2=tuple(md >= n for md, n in zip(md2, config.N2)),
-    )
-
-
 def point_rate(tau: int, N: int) -> Fraction:
     """Single-link streaming capacity (tau+1-N)/(tau+1) at code delay tau."""
     if tau + 1 <= 0:
@@ -134,23 +94,57 @@ def t_min(config: NetworkConfig) -> int:
     return max(max(z1) + min(z2), max(z2) + min(z1))
 
 
+@dataclass(frozen=True)
+class _Hop:
+    """One hop's links as the rate bounds and the symbol-wise planner see them.
+
+    Z = N + dT folds propagation delay into the budget. A link's code may
+    use delays up to what the other hop's fastest link leaves of the
+    deadline; it is usable when its point rate there (its cap) is
+    positive, and is discarded otherwise. Note the rate denominators keep
+    N, not Z: a slot of pure delay costs strictly less rate than an extra
+    erasure would. The allocator visits links in decreasing Z order.
+    """
+
+    name: str
+    N: tuple[int, ...]
+    dT: tuple[int, ...]
+    z: tuple[int, ...]
+    max_delay: tuple[int, ...]
+    usable: tuple[bool, ...]
+    caps: tuple[Fraction, ...]
+    rate: Fraction
+    order: tuple[int, ...]
+
+
+def _hops(config: NetworkConfig) -> tuple[_Hop, _Hop]:
+    def hop(name, N, dT, z, other_z) -> _Hop:
+        max_delay = tuple(config.T - min(other_z) - dt for dt in dT)
+        caps = tuple(point_rate(md, n) for md, n in zip(max_delay, N))
+        return _Hop(
+            name=name,
+            N=N,
+            dT=dT,
+            z=z,
+            max_delay=max_delay,
+            usable=tuple(md >= n for md, n in zip(max_delay, N)),
+            caps=caps,
+            rate=sum(caps, start=Fraction(0)),
+            order=tuple(sorted(range(len(N)), key=lambda i: (-z[i], -N[i], i))),
+        )
+
+    z1, z2 = config.Z1, config.Z2
+    return hop("hop1", config.N1, config.dT1, z1, z2), hop("hop2", config.N2, config.dT2, z2, z1)
+
+
 def hop_rates(config: NetworkConfig) -> tuple[Fraction, Fraction]:
-    eff = effective_config(config)
-    r1 = sum(
-        (point_rate(md, n) for md, n in zip(eff.max_delay1, config.N1)),
-        start=Fraction(0),
-    )
-    r2 = sum(
-        (point_rate(md, n) for md, n in zip(eff.max_delay2, config.N2)),
-        start=Fraction(0),
-    )
-    return r1, r2
+    h1, h2 = _hops(config)
+    return h1.rate, h2.rate
 
 
 def upper_bound(config: NetworkConfig) -> Fraction:
     """Capacity upper bound: the smaller of the two hop rate sums."""
-    r1, r2 = hop_rates(config)
-    return min(r1, r2)
+    return min(hop_rates(config))
 
 
 def mwdf_rate(config: NetworkConfig) -> tuple[Fraction, int, int]:
@@ -208,17 +202,15 @@ class Allocation:
     bottleneck: str = "hop1"
     relabel_delay: Optional[int] = None
     capped: bool = False  # bisection stopped by the packet-size guard
-    # Per-link design budgets the codes are built against. None means the
+    # Per-link design budgets the codes are built against, by default the
     # network budgets; matched-rate baselines shrink these below config.N so
     # the grouping stays decomposable at the borrowed block length.
-    budgets1: Optional[tuple[int, ...]] = None
-    budgets2: Optional[tuple[int, ...]] = None
+    budgets1: tuple[int, ...] = ()
+    budgets2: tuple[int, ...] = ()
 
-    def build_budgets1(self) -> tuple[int, ...]:
-        return self.budgets1 if self.budgets1 is not None else self.config.N1
-
-    def build_budgets2(self) -> tuple[int, ...]:
-        return self.budgets2 if self.budgets2 is not None else self.config.N2
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "budgets1", tuple(self.budgets1) or self.config.N1)
+        object.__setattr__(self, "budgets2", tuple(self.budgets2) or self.config.N2)
 
     @property
     def k1_total(self) -> int:
@@ -312,31 +304,6 @@ def cswdf_plan(config: NetworkConfig) -> tuple[Fraction, Allocation]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _HopLinks:
-    """One hop's links in allocator processing order (decreasing Z)."""
-
-    hop: int
-    order: list[int]
-    N: Sequence[int]
-    dT: Sequence[int]
-    max_delay: Sequence[int]
-    usable: Sequence[bool]
-
-
-def _hop_views(eff: EffectiveConfig) -> tuple[_HopLinks, _HopLinks]:
-    c = eff.config
-
-    def view(hop, N, dT, z, max_delay, usable) -> _HopLinks:
-        order = sorted(range(len(N)), key=lambda i: (-z[i], -N[i], i))
-        return _HopLinks(hop, order, N, dT, max_delay, usable)
-
-    return (
-        view(1, c.N1, c.dT1, eff.z1, eff.max_delay1, eff.usable1),
-        view(2, c.N2, c.dT2, eff.z2, eff.max_delay2, eff.usable2),
-    )
-
-
 def _link_grouping(n: int, k: int, N: int, max_delay: int) -> DelayGrouping:
     """Extremal grouping for one link at the converse-bound worst delay."""
     if k == 0:
@@ -363,7 +330,7 @@ def _pairing_constraint(T: int, groupings: Sequence[DelayGrouping], dT: Sequence
 
 def _fill_under_constraint(
     n: int,
-    links: _HopLinks,
+    links: _Hop,
     constraint: SpectrumConstraint,
     first_counts: list[int],
     first_groupings: list[DelayGrouping],
@@ -413,49 +380,47 @@ def _fill_under_constraint(
 
 
 def _plan_bottleneck_first(
-    eff: EffectiveConfig, n: int, bot_rates: list[Fraction], bottleneck: str
+    config: NetworkConfig, bot: _Hop, other: _Hop, n: int, bot_rates: Sequence[Fraction]
 ) -> Allocation:
     """Allocate the bottleneck hop at the given per-link rates, then fill
     the other hop under the induced pairing constraint."""
-    c = eff.config
-    h1, h2 = _hop_views(eff)
-    bot, other = (h1, h2) if bottleneck == "hop1" else (h2, h1)
-
     bot_counts = []
-    for i, r in enumerate(bot_rates):
+    for r in bot_rates:
         k_i = r * n
         if k_i.denominator != 1:
             raise ValueError("bottleneck counts must be integral; rescale n")
         bot_counts.append(int(k_i))
     bot_groupings = [
-        _link_grouping(n, k_i, bot.N[i], bot.max_delay[i])
-        for i, k_i in enumerate(bot_counts)
+        _link_grouping(n, k_i, N, maxd)
+        for k_i, N, maxd in zip(bot_counts, bot.N, bot.max_delay)
     ]
-    constraint = _pairing_constraint(c.T, bot_groupings, bot.dT)
+    constraint = _pairing_constraint(config.T, bot_groupings, bot.dT)
     n, other_counts, other_groupings = _fill_under_constraint(
         n, other, constraint, bot_counts, bot_groupings
     )
-    if bottleneck == "hop1":
+    if bot.name == "hop1":
         k1, g1, k2, g2 = bot_counts, bot_groupings, other_counts, other_groupings
     else:
         k1, g1, k2, g2 = other_counts, other_groupings, bot_counts, bot_groupings
     return Allocation(
         scheme="oswdf",
-        config=c,
-        n1=(n,) * len(c.N1),
-        n2=(n,) * len(c.N2),
+        config=config,
+        n1=(n,) * len(config.N1),
+        n2=(n,) * len(config.N2),
         k1=tuple(k1),
         k2=tuple(k2),
         groupings1=tuple(g1),
         groupings2=tuple(g2),
-        bottleneck=bottleneck,
+        bottleneck=bot.name,
     )
 
 
-def _initial_scale(n0: int, taus: Sequence[int]) -> int:
-    # every bottleneck link needs (tau_i + 1) | n for integral counts
-    need = lcm(*[t + 1 for t in taus]) if taus else 1
-    return n0 * (need // gcd(need, n0))
+def _ranked_hops(config: NetworkConfig) -> tuple[_Hop, _Hop]:
+    """The two hops as (bottleneck, other)."""
+    h1, h2 = _hops(config)
+    if h1.rate < h2.rate or (h1.rate == h2.rate and sum(h1.N) >= sum(h2.N)):
+        return h1, h2
+    return h2, h1
 
 
 def oswdf_initial(config: NetworkConfig) -> Allocation:
@@ -468,45 +433,28 @@ def oswdf_initial(config: NetworkConfig) -> Allocation:
     """
     if config.T < t_min(config):
         raise ValueError(f"deadline {config.T} below the usable minimum {t_min(config)}")
-    eff = effective_config(config)
-    r1, r2 = hop_rates(config)
-    if r1 <= 0 or r2 <= 0:
+    bot, other = _ranked_hops(config)
+    if bot.rate <= 0:
         raise ValueError("a hop has no usable links at this deadline")
-    if r1 < r2:
-        bottleneck = "hop1"
-    elif r2 < r1:
-        bottleneck = "hop2"
-    else:
-        bottleneck = "hop1" if sum(config.N1) >= sum(config.N2) else "hop2"
-
-    n0 = (config.T + 1 - eff.z2_min) * (config.T + 1 - eff.z1_min)
-    if bottleneck == "hop1":
-        maxd, budgets = eff.max_delay1, config.N1
-    else:
-        maxd, budgets = eff.max_delay2, config.N2
-    n = _initial_scale(n0, [d for d in maxd])
-    rates = [point_rate(d, N) for d, N in zip(maxd, budgets)]
-    return _plan_bottleneck_first(eff, n, rates, bottleneck)
+    # every bottleneck link needs (tau_i + 1) | n for integral counts
+    n0 = (config.T + 1 - min(bot.z)) * (config.T + 1 - min(other.z))
+    need = lcm(*[d + 1 for d in bot.max_delay])
+    n = n0 * (need // gcd(need, n0))
+    return _plan_bottleneck_first(config, bot, other, n, bot.caps)
 
 
-def _redistribute(
-    eff: EffectiveConfig, bot: _HopLinks, target: Fraction
-) -> Optional[list[Fraction]]:
+def _redistribute(T: int, bot: _Hop, other: _Hop, target: Fraction) -> Optional[list[Fraction]]:
     """Per-link bottleneck rates summing to target.
 
     Starts from the per-link rates of the concatenated scheme and pours the
     remainder into links in decreasing budget order, saturating each at its
     point-to-point capacity.
     """
-    c = eff.config
-    z_own = eff.z1 if bot.hop == 1 else eff.z2
-    z_other = eff.z2 if bot.hop == 1 else eff.z1
-    caps = [point_rate(bot.max_delay[i], bot.N[i]) for i in range(len(bot.N))]
+    den = sum(T + 1 - z for z in other.z)
     base = []
-    for i in range(len(bot.N)):
-        num = sum(max(0, c.T + 1 - z_own[i] - z) for z in z_other)
-        den = sum(c.T + 1 - z for z in z_other)
-        base.append(min(caps[i], Fraction(num, den)) if den > 0 else Fraction(0))
+    for z_i, cap in zip(bot.z, bot.caps):
+        num = sum(max(0, T + 1 - z_i - z) for z in other.z)
+        base.append(min(cap, Fraction(num, den)) if den > 0 else Fraction(0))
     deficit = target - sum(base, start=Fraction(0))
     if deficit < 0:
         # target below the concatenated point: scale the base down uniformly
@@ -514,7 +462,7 @@ def _redistribute(
         return [r * target / total for r in base] if total > 0 else None
     rates = base[:]
     for i in bot.order:
-        room = caps[i] - rates[i]
+        room = bot.caps[i] - rates[i]
         take = min(room, deficit)
         rates[i] += take
         deficit -= take
@@ -525,17 +473,15 @@ def _redistribute(
     return rates
 
 
-def _evaluate_rate(eff: EffectiveConfig, bottleneck: str, target: Fraction) -> Optional[Allocation]:
+def _evaluate_rate(config: NetworkConfig, bot: _Hop, other: _Hop, target: Fraction) -> Optional[Allocation]:
     """Try to realize a bottleneck-hop rate; None if the packet size guard trips."""
-    h1, h2 = _hop_views(eff)
-    bot = h1 if bottleneck == "hop1" else h2
-    rates = _redistribute(eff, bot, target)
+    rates = _redistribute(config.T, bot, other, target)
     if rates is None:
         return None
     n = lcm(*[max(1, N) * r.denominator for N, r in zip(bot.N, rates)])
     if n > N_MAX:
         return None
-    return _plan_bottleneck_first(eff, n, rates, bottleneck)
+    return _plan_bottleneck_first(config, bot, other, n, rates)
 
 
 def oswdf_optimize(config: NetworkConfig) -> Allocation:
@@ -551,12 +497,11 @@ def oswdf_optimize(config: NetworkConfig) -> Allocation:
     if init.k1_total == init.k2_total:
         return init
 
+    bot, other = _ranked_hops(config)
     csw_rate, csw_alloc = cswdf_plan(config)
     best = max([init, csw_alloc], key=lambda a: a.rate)
     lb = best.rate
-    ub = min(upper_bound(config), Fraction(max(init.k1_total, init.k2_total), init.n))
-    bottleneck = init.bottleneck
-    eff = effective_config(config)
+    ub = min(bot.rate, Fraction(max(init.k1_total, init.k2_total), init.n))
     capped = False
 
     n_work = init.n
@@ -575,7 +520,7 @@ def oswdf_optimize(config: NetworkConfig) -> Allocation:
                 capped = True
                 break
             continue
-        cand = _evaluate_rate(eff, bottleneck, probe)
+        cand = _evaluate_rate(config, bot, other, probe)
         if cand is None:
             capped = True
             break
@@ -659,6 +604,6 @@ def mwdf_plan(config: NetworkConfig, match: Optional[Allocation] = None) -> Allo
         groupings2=tuple(g2),
         bottleneck="hop1",
         relabel_delay=t1,
-        budgets1=tuple(b1) if match is not None else None,
-        budgets2=tuple(b2) if match is not None else None,
+        budgets1=tuple(b1),
+        budgets2=tuple(b2),
     )

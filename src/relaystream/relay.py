@@ -66,6 +66,11 @@ class NetworkCode:
     def deadline(self) -> int:
         return self.allocation.config.T
 
+    @property
+    def span(self) -> int:
+        """Longest memory of any link's code, zero-dimension padding included."""
+        return max(c.span for c in self.hop1 + self.hop2)
+
 
 def _slot_entries(
     codes: Sequence[StreamingCodeSpec],
@@ -112,11 +117,11 @@ def assemble(alloc: Allocation) -> NetworkCode:
     config = alloc.config
     hop1 = tuple(
         build_grouped_code(n, N, g)
-        for n, N, g in zip(alloc.n1, alloc.build_budgets1(), alloc.groupings1)
+        for n, N, g in zip(alloc.n1, alloc.budgets1, alloc.groupings1)
     )
     hop2 = tuple(
         build_grouped_code(n, N, g)
-        for n, N, g in zip(alloc.n2, alloc.build_budgets2(), alloc.groupings2)
+        for n, N, g in zip(alloc.n2, alloc.budgets2, alloc.groupings2)
     )
     k = alloc.k
     pairs = _pair(
@@ -323,8 +328,7 @@ def run_network(
     """
     state = NetworkState(code)
     config = code.allocation.config
-    span = max(c.span for c in code.hop1 + code.hop2)
-    total = len(packets) + (flush if flush is not None else config.T + span + max(config.dT1 + config.dT2) + 1)
+    total = len(packets) + (flush if flush is not None else config.T + code.span + max(config.dT1 + config.dT2) + 1)
 
     def lost(table, links: int) -> list[AbstractSet[int]]:
         rows = [r if isinstance(r, AbstractSet) else {t for t, e in enumerate(r) if e} for r in table]

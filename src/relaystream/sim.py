@@ -132,7 +132,7 @@ def replay_witness(code: NetworkCode, witness: FailureWitness) -> Optional[int]:
     """Re-run the witness; return the achieved delay of the offending
     symbol (None if it never arrives correctly)."""
     config = code.allocation.config
-    span = max(c.span for c in code.hop1 + code.hop2)
+    span = code.span
     horizon = witness.src_time + config.T + 2 * span + max(config.dT1 + config.dT2) + 4
     rng = random.Random(20240 + witness.src_time)
     packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(witness.src_time + span + 1)]
@@ -154,8 +154,7 @@ def replay_witness(code: NetworkCode, witness: FailureWitness) -> Optional[int]:
 def _route_witness(code: NetworkCode, route, required: int) -> FailureWitness:
     """Build the witness that drives one route to its full declared delay."""
     config = code.allocation.config
-    span = max(c.span for c in code.hop1 + code.hop2)
-    src_time = span + config.T + 2  # comfortably past stream start
+    src_time = code.span + config.T + 2  # comfortably past stream start
 
     def slot_pattern(spec: StreamingCodeSpec, slot: int, at_time: int) -> tuple[int, list[int]]:
         # locate the slot's component and its diagonal through at_time
@@ -216,7 +215,7 @@ def verify_adversarial(
     checked = 0
     exhaustive = True
     rng = random.Random(seed)
-    anchor = max(c.span for c in code.hop1 + code.hop2) + config.T + 2
+    anchor = code.span + config.T + 2
 
     hops = (
         (code.hop1, config.N1, code.hop1_fill, 1),
@@ -354,8 +353,8 @@ def _cross_product_check(
     run delivers from then on, so it stops and takes those deliveries.
     """
     spec1, spec2 = code.hop1[0], code.hop2[0]
-    w1 = spec1.span + max(d for d in spec1.slot_delays)
-    w2 = spec2.span + max((d for d in spec2.slot_delays), default=0)
+    w1 = spec1.span + max(spec1.slot_delays, default=0)
+    w2 = spec2.span + max(spec2.slot_delays, default=0)
     if window is not None:
         w1, w2 = min(w1, window), min(w2, window)
     span = max(spec1.span, spec2.span)
@@ -591,8 +590,7 @@ def run_monte_carlo(
         per_link = list(channel)
         if len(per_link) != links:
             raise ValueError(f"need {links} per-link channel specs, got {len(per_link)}")
-    span = max(c.span for c in code.hop1 + code.hop2)
-    horizon = num_packets + span + config.T + 2
+    horizon = num_packets + code.span + config.T + 2
     children = np.random.SeedSequence(seed).spawn(links)
     bits1 = [
         per_link[i].sample(horizon, children[i]) for i in range(len(code.hop1))

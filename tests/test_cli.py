@@ -138,7 +138,8 @@ def test_allocation_document_round_trip(tmp_path):
     assert back.k1 == alloc.k1 and back.k2 == alloc.k2
     assert back.groupings1 == alloc.groupings1
     assert back.config == alloc.config
-    assert back.budgets1 is None and back.budgets2 is None
+    assert not any("budget" in e for e in doc["hop1"] + doc["hop2"])
+    assert back.budgets1 == alloc.config.N1 and back.budgets2 == alloc.config.N2
 
 
 def test_matched_baseline_document_round_trip(tmp_path, capsys):
@@ -147,8 +148,8 @@ def test_matched_baseline_document_round_trip(tmp_path, capsys):
     doc = allocation_to_doc(alloc)
     assert any("budget" in e for e in doc["hop1"] + doc["hop2"])
     back = allocation_from_doc(json.loads(json.dumps(doc)), "mem")
-    assert back.build_budgets1() == alloc.build_budgets1()
-    assert back.build_budgets2() == alloc.build_budgets2()
+    assert back.budgets1 == alloc.budgets1
+    assert back.budgets2 == alloc.budgets2
     # a rate-1 baseline assembles but cannot survive the network budgets,
     # so verification reports a witness rather than a parse error
     path = write(tmp_path, "matched.json", doc)
@@ -314,6 +315,25 @@ def test_verify_loose_deadline_is_cheap(tmp_path, capsys):
     assert out.startswith("PASS") and "73 patterns checked" in out
 
 
+@pytest.mark.parametrize("hop2", [
+    {"n": 3, "k": 2, "grouping": [[2, 1], [1, 1]]},
+    {"n": 3, "k": 0, "grouping": []},
+], ids=["hop2-carries", "hop2-silent"])
+def test_verify_one_by_one_with_silent_hop1_link(tmp_path, capsys, hop2):
+    # the joint replay sizes its window from each hop's slot delays, and a
+    # link that carries no symbols has none
+    doc = {
+        "scheme": "oswdf",
+        "config": {"T": 4, "N1": [1], "N2": [1]},
+        "hop1": [{"n": 3, "k": 0, "grouping": []}],
+        "hop2": [hop2],
+    }
+    code, out, err = run(capsys, ["verify", write(tmp_path, "silent.json", doc)])
+    assert code == 0
+    assert out.startswith("PASS: rate 0 ")
+    assert err == ""
+
+
 @pytest.mark.parametrize("deadline", ["0", "-2"])
 def test_verify_nonpositive_deadline_is_a_usage_error(planned_a, capsys, deadline):
     code, out, err = run(capsys, ["verify", planned_a, "--deadline", deadline])
@@ -386,6 +406,14 @@ def test_simulate_zero_packets(planned_b_mwdf, capsys):
     code, out, _ = run(capsys, ["simulate", planned_b_mwdf, "--packets", "0"])
     assert code == 0
     assert out.strip().splitlines() == ["scheme,rate,channel,eps,alpha,beta,packets,lost,loss_rate,seed"]
+
+
+@pytest.mark.parametrize("eps", ["1.5", "-0.1", "nan", "0.1,2"])
+def test_simulate_eps_outside_unit_interval_is_a_usage_error(planned_b_mwdf, capsys, eps):
+    code, out, err = run(capsys, ["simulate", planned_b_mwdf, "--eps", eps, "--packets", "10"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad --eps value: {eps!r}\n"
 
 
 def test_simulate_ge_channel(planned_b_mwdf, capsys):

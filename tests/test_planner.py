@@ -11,6 +11,7 @@ values derived by hand from the converse bound and the pairing budget):
   leaves a gap (8 vs 7 symbols) and the bisection converges to 13/20.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from relaystream.planner import (
     RATE_TOLERANCE,
     cswdf_closed_form,
     cswdf_plan,
-    effective_config,
     hop_rates,
     mwdf_plan,
     mwdf_rate,
@@ -32,7 +32,10 @@ from relaystream.planner import (
     point_rate,
     t_min,
     upper_bound,
+    _hops,
 )
+
+from relaystream.sim import sample_config
 
 from oracles import cswdf_groupings_by_concat, mwdf_rate_bruteforce
 
@@ -104,9 +107,9 @@ def test_upper_bound_reference_networks():
 
 def test_effective_config_folds_propagation_delay():
     cfg = NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,))
-    eff = effective_config(cfg)
-    assert eff.z1 == (3,) and eff.z2 == (2,)
-    assert eff.max_delay1 == (3,) and eff.max_delay2 == (3,)
+    h1, h2 = _hops(cfg)
+    assert h1.z == (3,) and h2.z == (2,)
+    assert h1.max_delay == (3,) and h2.max_delay == (3,)
     assert upper_bound(cfg) == Fraction(1, 2)
 
 
@@ -264,13 +267,12 @@ def test_mwdf_plan_matched_to_symbolwise():
         assert g.worst_delay() <= 2
     check_allocation(alloc)
     # rate 1 forces shrunken per-link design budgets; the plain plan keeps
-    # the network budgets and carries no overrides
-    assert alloc.budgets1 is not None and alloc.budgets2 is not None
-    for built, net in zip(alloc.build_budgets1() + alloc.build_budgets2(),
-                          NET_A.N1 + NET_A.N2):
+    # the network budgets
+    for built, net in zip(alloc.budgets1 + alloc.budgets2, NET_A.N1 + NET_A.N2):
         assert 0 <= built <= net
-    assert max(alloc.build_budgets1()) < max(NET_A.N1)
-    assert mwdf_plan(NET_A).budgets1 is None
+    assert max(alloc.budgets1) < max(NET_A.N1)
+    plain = mwdf_plan(NET_A)
+    assert plain.budgets1 == NET_A.N1 and plain.budgets2 == NET_A.N2
 
 
 def test_passthrough_relay_when_budgets_zero():
@@ -321,3 +323,43 @@ def test_scheme_ordering_on_reference_networks():
         csw = cswdf_plan(cfg)[0]
         osw = oswdf_optimize(cfg).rate
         assert mw <= csw <= osw <= upper_bound(cfg)
+
+
+def _plan_record(plan) -> tuple:
+    """Every field of an Allocation a planner change could move."""
+    try:
+        a = plan()
+    except ValueError as exc:
+        return ("ValueError", str(exc)), None
+    # a None budget stands for the network budget, so that the same digest
+    # also holds for allocations that leave their default budgets unset
+    budgets1 = a.budgets1 if a.budgets1 is not None else a.config.N1
+    budgets2 = a.budgets2 if a.budgets2 is not None else a.config.N2
+    record = (
+        a.scheme, a.n1, a.n2, a.k1, a.k2,
+        tuple(g.entries for g in a.groupings1),
+        tuple(g.entries for g in a.groupings2),
+        a.bottleneck, a.relabel_delay, a.capped, budgets1, budgets2,
+    )
+    return record, a
+
+
+# sha256 of the records below as the planners produced them before the
+# per-hop link view (`_Hop`) existed: an oracle for oswdf_optimize, whose
+# output no closed form pins beyond rate inequalities
+PLANNER_DIGEST = "d4fe7b2d093a18d5893ae1c64b0d2e455a56610c1219fb35f6c224e0b4c6c453"
+
+
+def test_planner_outputs_are_pinned():
+    # random_network draws delays, zero budgets and deadlines below t_min,
+    # which oswdf refuses; sample_config draws the ensemble's networks
+    rng = random.Random(9)
+    configs = [random_network(rng) for _ in range(300)]
+    configs += [sample_config(rng) for _ in range(100)]
+    digest = hashlib.sha256()
+    for cfg in configs:
+        osw_record, osw = _plan_record(lambda: oswdf_optimize(cfg))
+        mw_record, _ = _plan_record(lambda: mwdf_plan(cfg))
+        matched = _plan_record(lambda: mwdf_plan(cfg, match=osw))[0] if osw else None
+        digest.update(repr((cfg, hop_rates(cfg), osw_record, mw_record, matched)).encode())
+    assert digest.hexdigest() == PLANNER_DIGEST

@@ -232,7 +232,7 @@ def test_matched_mwdf_builds_at_shrunken_budgets():
     code = assemble(alloc)
     assert code.k == 40
     for spec, budget in zip(code.hop1 + code.hop2,
-                            alloc.build_budgets1() + alloc.build_budgets2()):
+                            alloc.budgets1 + alloc.budgets2):
         assert spec.N == budget
     assert all(r.relay_delay + r.dest_delay <= NET_A.T for r in code.routes)
     packets = lcg_packets(10, code.k)
