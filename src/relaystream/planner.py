@@ -35,9 +35,10 @@ from typing import Optional, Sequence
 
 from .spectrum import (
     DelayGrouping,
-    SpectrumConstraint,
+    Spectrum,
     delay_lower_bound,
     max_symbols_under_constraint,
+    optimal_counts,
     optimal_grouping,
     subtract_constraint,
 )
@@ -100,10 +101,11 @@ class _Hop:
 
     Z = N + dT folds propagation delay into the budget. A link's code may
     use delays up to what the other hop's fastest link leaves of the
-    deadline; it is usable when its point rate there (its cap) is
-    positive, and is discarded otherwise. Note the rate denominators keep
-    N, not Z: a slot of pure delay costs strictly less rate than an extra
-    erasure would. The allocator visits links in decreasing Z order.
+    deadline, and its cap is its point rate there. At T >= t_min, the only
+    deadlines the symbol-wise planner accepts, every link's max delay is
+    at least its N, so every cap is positive. Note the rate denominators
+    keep N, not Z: a slot of pure delay costs strictly less rate than an
+    extra erasure would. The allocator visits links in decreasing Z order.
     """
 
     name: str
@@ -111,7 +113,6 @@ class _Hop:
     dT: tuple[int, ...]
     z: tuple[int, ...]
     max_delay: tuple[int, ...]
-    usable: tuple[bool, ...]
     caps: tuple[Fraction, ...]
     rate: Fraction
     order: tuple[int, ...]
@@ -127,7 +128,6 @@ def _hops(config: NetworkConfig) -> tuple[_Hop, _Hop]:
             dT=dT,
             z=z,
             max_delay=max_delay,
-            usable=tuple(md >= n for md, n in zip(max_delay, N)),
             caps=caps,
             rate=sum(caps, start=Fraction(0)),
             order=tuple(sorted(range(len(N)), key=lambda i: (-z[i], -N[i], i))),
@@ -304,79 +304,76 @@ def cswdf_plan(config: NetworkConfig) -> tuple[Fraction, Allocation]:
 # ---------------------------------------------------------------------------
 
 
-def _link_grouping(n: int, k: int, N: int, max_delay: int) -> DelayGrouping:
-    """Extremal grouping for one link at the converse-bound worst delay."""
+def _link_grouping(n: int, k: int, N: int, max_delay: int) -> Spectrum:
+    """Extremal grouping for one link at the converse-bound worst delay,
+    in list form."""
     if k == 0:
-        return DelayGrouping(())
+        return 0, []
     if N == 0:
-        return DelayGrouping.from_pairs([(0, k)])
+        return 0, [k]
     worst = delay_lower_bound(n, k, N)
     assert worst <= max_delay, "allocated above the link's capacity"
-    return optimal_grouping(n, k, N, worst)
+    return worst, optimal_counts(n, k, N, worst)
 
 
-def _pairing_constraint(T: int, groupings: Sequence[DelayGrouping], dT: Sequence[int]) -> SpectrumConstraint:
-    """Flip the allocated hop's effective delays through the deadline."""
-    pairs = []
-    max_eff = 0
-    for g, dt in zip(groupings, dT):
-        for d, c in g.nonzero():
-            pairs.append((T - (d + dt), c))
-            max_eff = max(max_eff, d + dt)
-    if not pairs:
+def _pairing_constraint(T: int, groupings: Sequence[Spectrum], dT: Sequence[int]) -> Spectrum:
+    """Flip the allocated hop's effective delays through the deadline.
+
+    Effective delay e lands at constraint delay T - e; the terminal sits
+    one below the flip of the largest effective delay.
+    """
+    live = [(top + dt, counts) for (top, counts), dt in zip(groupings, dT) if counts]
+    if not live:
         raise ValueError("allocated hop carries no symbols")
-    return SpectrumConstraint.from_pairs(pairs, min_allowed_delay=T - max_eff)
+    hi = max(e for e, _ in live)
+    lo = min(e - len(counts) + 1 for e, counts in live)
+    budget = [0] * (hi - lo + 2)
+    for e, counts in live:
+        for i, c in enumerate(counts):
+            budget[e - lo - i] += c
+    return T - lo, budget
 
 
 def _fill_under_constraint(
-    n: int,
-    links: _Hop,
-    constraint: SpectrumConstraint,
-    first_counts: list[int],
-    first_groupings: list[DelayGrouping],
-) -> tuple[int, list[int], list[DelayGrouping]]:
+    n: int, links: _Hop, constraint: Spectrum, first: list[Spectrum]
+) -> tuple[int, list[Spectrum]]:
     """Fill the unallocated hop link by link under the pairing budget.
 
     Links are visited in decreasing effective-budget order. Whenever a
     link's message count breaks the (n - k) divisibility by its budget,
-    the whole allocation so far (n, both hops' counts, the remaining
-    constraint) is scaled by that budget, which restores divisibility
+    the whole allocation so far (n, both hops' groupings, the remaining
+    budget) is scaled by that budget, which restores divisibility
     without re-flooring. Returns the possibly rescaled n and the new hop's
-    counts and groupings; first_counts/groupings are rescaled in place.
+    groupings; the allocated hop's groupings ``first`` are rescaled in
+    place.
     """
-    counts = [0] * len(links.N)
-    groupings: list[DelayGrouping] = [DelayGrouping(())] * len(links.N)
+    top, budget = constraint
+    filled: list[Spectrum] = [(0, [])] * len(links.N)
 
     def rescale(m: int) -> None:
-        nonlocal n, constraint
+        nonlocal n, budget
         n *= m
-        constraint = constraint.scaled(m)
-        for idx in range(len(first_counts)):
-            first_counts[idx] *= m
-            first_groupings[idx] = first_groupings[idx].scaled(m)
-        for idx in range(len(counts)):
-            counts[idx] *= m
-            groupings[idx] = groupings[idx].scaled(m)
+        budget = [c * m for c in budget]
+        for groupings in (first, filled):
+            for idx, (g_top, counts) in enumerate(groupings):
+                groupings[idx] = g_top, [c * m for c in counts]
 
     for i in links.order:
-        if not links.usable[i]:
-            continue
         N, dt, maxd = links.N[i], links.dT[i], links.max_delay[i]
         if N == 0:
-            k_i = min(n, constraint.allowed_above(dt - 1))
+            # symbols at effective delay dt take the budget at delays >= dt
+            k_i = min(n, sum(budget[: max(0, top - dt + 1)]))
         else:
-            delays = list(range(maxd, N - 2, -1))
-            k_i = max_symbols_under_constraint(n, N, delays, constraint, delay_shift=dt)
+            delays = range(maxd, N - 2, -1)
+            k_i = max_symbols_under_constraint(n, N, delays, (top, budget), delay_shift=dt)
             if k_i and (n - k_i) % N != 0:
                 rescale(N)
                 k_i *= N
-        counts[i] = k_i
         if k_i == 0:
             continue
-        g = _link_grouping(n, k_i, N, maxd)
-        groupings[i] = g
-        constraint = subtract_constraint(constraint, g.shifted(dt))
-    return n, counts, groupings
+        g_top, counts = filled[i] = _link_grouping(n, k_i, N, maxd)
+        top, budget = subtract_constraint((top, budget), (g_top + dt, counts))
+    return n, filled
 
 
 def _plan_bottleneck_first(
@@ -384,43 +381,47 @@ def _plan_bottleneck_first(
 ) -> Allocation:
     """Allocate the bottleneck hop at the given per-link rates, then fill
     the other hop under the induced pairing constraint."""
-    bot_counts = []
-    for r in bot_rates:
+    bot_groupings = []
+    for r, N, maxd in zip(bot_rates, bot.N, bot.max_delay):
         k_i = r * n
         if k_i.denominator != 1:
             raise ValueError("bottleneck counts must be integral; rescale n")
-        bot_counts.append(int(k_i))
-    bot_groupings = [
-        _link_grouping(n, k_i, N, maxd)
-        for k_i, N, maxd in zip(bot_counts, bot.N, bot.max_delay)
-    ]
+        bot_groupings.append(_link_grouping(n, int(k_i), N, maxd))
     constraint = _pairing_constraint(config.T, bot_groupings, bot.dT)
-    n, other_counts, other_groupings = _fill_under_constraint(
-        n, other, constraint, bot_counts, bot_groupings
-    )
+    n, other_groupings = _fill_under_constraint(n, other, constraint, bot_groupings)
     if bot.name == "hop1":
-        k1, g1, k2, g2 = bot_counts, bot_groupings, other_counts, other_groupings
+        g1, g2 = bot_groupings, other_groupings
     else:
-        k1, g1, k2, g2 = other_counts, other_groupings, bot_counts, bot_groupings
+        g1, g2 = other_groupings, bot_groupings
     return Allocation(
         scheme="oswdf",
         config=config,
         n1=(n,) * len(config.N1),
         n2=(n,) * len(config.N2),
-        k1=tuple(k1),
-        k2=tuple(k2),
-        groupings1=tuple(g1),
-        groupings2=tuple(g2),
+        k1=tuple(sum(counts) for _, counts in g1),
+        k2=tuple(sum(counts) for _, counts in g2),
+        groupings1=tuple(map(DelayGrouping.from_counts, g1)),
+        groupings2=tuple(map(DelayGrouping.from_counts, g2)),
         bottleneck=bot.name,
     )
 
 
 def _ranked_hops(config: NetworkConfig) -> tuple[_Hop, _Hop]:
-    """The two hops as (bottleneck, other)."""
+    """The two hops as (bottleneck, other); refuses a deadline below t_min."""
+    if config.T < t_min(config):
+        raise ValueError(f"deadline {config.T} below the usable minimum {t_min(config)}")
     h1, h2 = _hops(config)
     if h1.rate < h2.rate or (h1.rate == h2.rate and sum(h1.N) >= sum(h2.N)):
         return h1, h2
     return h2, h1
+
+
+def _initial_plan(config: NetworkConfig, bot: _Hop, other: _Hop) -> Allocation:
+    # every bottleneck link needs (tau_i + 1) | n for integral counts
+    n0 = (config.T + 1 - min(bot.z)) * (config.T + 1 - min(other.z))
+    need = lcm(*[d + 1 for d in bot.max_delay])
+    n = n0 * (need // gcd(need, n0))
+    return _plan_bottleneck_first(config, bot, other, n, bot.caps)
 
 
 def oswdf_initial(config: NetworkConfig) -> Allocation:
@@ -431,16 +432,7 @@ def oswdf_initial(config: NetworkConfig) -> Allocation:
     share, the other hop is then filled under the pairing constraint. The
     result is optimal whenever the two hops end up carrying equal mass.
     """
-    if config.T < t_min(config):
-        raise ValueError(f"deadline {config.T} below the usable minimum {t_min(config)}")
-    bot, other = _ranked_hops(config)
-    if bot.rate <= 0:
-        raise ValueError("a hop has no usable links at this deadline")
-    # every bottleneck link needs (tau_i + 1) | n for integral counts
-    n0 = (config.T + 1 - min(bot.z)) * (config.T + 1 - min(other.z))
-    need = lcm(*[d + 1 for d in bot.max_delay])
-    n = n0 * (need // gcd(need, n0))
-    return _plan_bottleneck_first(config, bot, other, n, bot.caps)
+    return _initial_plan(config, *_ranked_hops(config))
 
 
 def _redistribute(T: int, bot: _Hop, other: _Hop, target: Fraction) -> Optional[list[Fraction]]:
@@ -454,7 +446,7 @@ def _redistribute(T: int, bot: _Hop, other: _Hop, target: Fraction) -> Optional[
     base = []
     for z_i, cap in zip(bot.z, bot.caps):
         num = sum(max(0, T + 1 - z_i - z) for z in other.z)
-        base.append(min(cap, Fraction(num, den)) if den > 0 else Fraction(0))
+        base.append(min(cap, Fraction(num, den)))
     deficit = target - sum(base, start=Fraction(0))
     if deficit < 0:
         # target below the concatenated point: scale the base down uniformly
@@ -493,11 +485,11 @@ def oswdf_optimize(config: NetworkConfig) -> Allocation:
     that doubles n when it runs out of resolution, and stops once the
     bracket is tighter than the rate tolerance or n would exceed the guard.
     """
-    init = oswdf_initial(config)
+    bot, other = _ranked_hops(config)
+    init = _initial_plan(config, bot, other)
     if init.k1_total == init.k2_total:
         return init
 
-    bot, other = _ranked_hops(config)
     csw_rate, csw_alloc = cswdf_plan(config)
     best = max([init, csw_alloc], key=lambda a: a.rate)
     lb = best.rate

@@ -5,10 +5,16 @@ grouping: a list of (delay, count) pairs sorted by strictly decreasing
 delay. This module provides the grouping container, the converse lower
 bound on group delays, the extremal grouping that meets the bound, the
 constrained maximization used by the allocator when a hop must fit under
-the pairing budget left by the other hop, and the constraint subtraction
-the allocator iterates.
+the pairing budget left by the other hop, and the budget subtraction the
+allocator iterates.
 
-A count is a number of symbols, so it is an int: both containers reject
+The allocator's loop works on the list form of a spectrum, a pair
+(top, counts) with counts[i] symbols at delay top - i, and builds the
+validated DelayGrouping only when it assembles a plan. A pairing budget
+in list form ends with a zero terminal entry one below its smallest
+allowed delay: delays below the terminal add no budget.
+
+A count is a number of symbols, so it is an int: DelayGrouping rejects
 any other type, the converse bound is an integer ceiling and the
 constrained maximization an integer floor.
 """
@@ -18,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
+
+Spectrum = tuple[int, list[int]]  # list form: (top delay, dense counts)
 
 
 @dataclass(frozen=True)
@@ -51,14 +59,15 @@ class DelayGrouping:
             entries=tuple((d, acc.get(d, 0)) for d in range(hi, lo - 1, -1))
         )
 
+    @staticmethod
+    def from_counts(spectrum: Spectrum) -> "DelayGrouping":
+        """The grouping of a spectrum in list form. Its end counts must be
+        nonzero, as the planner's always are: only from_pairs trims."""
+        top, counts = spectrum
+        return DelayGrouping(entries=tuple(zip(range(top, top - len(counts), -1), counts)))
+
     def total(self) -> int:
         return sum(c for _, c in self.entries)
-
-    def count_at(self, delay: int) -> int:
-        for d, c in self.entries:
-            if d == delay:
-                return c
-        return 0
 
     def worst_delay(self) -> int:
         if not self.entries:
@@ -67,12 +76,6 @@ class DelayGrouping:
 
     def nonzero(self) -> tuple[tuple[int, int], ...]:
         return tuple((d, c) for d, c in self.entries if c != 0)
-
-    def scaled(self, m: int) -> "DelayGrouping":
-        return DelayGrouping(entries=tuple((d, c * m) for d, c in self.entries))
-
-    def shifted(self, dt: int) -> "DelayGrouping":
-        return DelayGrouping(entries=tuple((d + dt, c) for d, c in self.entries))
 
 
 def delay_lower_bound(n: int, k: int, N: int) -> int:
@@ -87,8 +90,9 @@ def delay_lower_bound(n: int, k: int, N: int) -> int:
     return -(-N * n // (n - k)) - 1
 
 
-def optimal_grouping(n: int, k: int, N: int, worst_delay: int) -> DelayGrouping:
-    """Extremal grouping meeting the converse bound at every group.
+def optimal_counts(n: int, k: int, N: int, worst_delay: int) -> list[int]:
+    """Extremal grouping meeting the converse bound at every group, as the
+    counts of its list form from worst_delay down.
 
     Puts n - worst_delay*((n-k)/N) symbols at worst_delay and (n-k)/N at
     every delay below it down to N. Requires N | (n-k), so every count is
@@ -105,90 +109,54 @@ def optimal_grouping(n: int, k: int, N: int, worst_delay: int) -> DelayGrouping:
     head = n - worst_delay * step
     if head < 0:
         raise ValueError("worst_delay too large: head group would be negative")
-    pairs = [(worst_delay, head)]
-    pairs += [(d, step) for d in range(worst_delay - 1, N - 1, -1)]
-    g = DelayGrouping.from_pairs(pairs)
+    return [head] + [step] * (worst_delay - N)
+
+
+def optimal_grouping(n: int, k: int, N: int, worst_delay: int) -> DelayGrouping:
+    """The grouping of optimal_counts(n, k, N, worst_delay)."""
+    counts = optimal_counts(n, k, N, worst_delay)
+    g = DelayGrouping.from_pairs((worst_delay - i, c) for i, c in enumerate(counts))
     assert g.total() == k
     return g
 
 
-@dataclass(frozen=True)
-class SpectrumConstraint:
-    """Budget of symbols the other hop can hand over, per delay.
+def subtract_constraint(constraint: Spectrum, used: Spectrum) -> Spectrum:
+    """Consume ``used`` symbols from a pairing budget, delay by delay.
 
-    entries are (delay, count) dense and strictly decreasing like a
-    grouping, but the semantics are cumulative: a code placed under this
-    constraint may put at most sum(count at delays > d) of its symbols at
-    delays strictly above d. The last entry is the terminal
-    (smallest allowed delay - 1, 0): delays below it add no budget.
+    Both are in list form; ``used`` is a grouping's, so its top delay
+    carries symbols. A deficit at some delay is legal (the symbols pair
+    with budget from a larger delay, arriving early and being buffered):
+    it is zeroed and charged to the next larger delay. Symbols used below
+    the terminal are all deficit, as delays there hold no budget. A
+    deficit that escapes past the top delay means the budget was
+    oversubscribed, which the allocator never does. O(D) in the delays
+    spanned.
     """
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        delays = [d for d, _ in self.entries]
-        if not self.entries:
-            raise ValueError("constraint needs at least the terminal entry")
-        if any(a != b + 1 for a, b in zip(delays, delays[1:])):
-            raise ValueError("constraint entries must be dense, decreasing")
-        if any(type(c) is not int or c < 0 for _, c in self.entries):
-            raise ValueError("counts must be nonnegative integers")
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[int, int]], min_allowed_delay: int) -> "SpectrumConstraint":
-        acc: dict[int, int] = {}
-        for d, c in pairs:
-            acc[d] = acc.get(d, 0) + c
-        hi = max(list(acc) + [min_allowed_delay - 1])
-        lo = min_allowed_delay - 1
-        if any(d < lo for d, c in acc.items() if c != 0):
-            raise ValueError("constraint mass below the terminal delay")
-        return SpectrumConstraint(
-            entries=tuple((d, acc.get(d, 0)) for d in range(hi, lo - 1, -1))
-        )
-
-    def allowed_above(self, delay: int) -> int:
-        return sum(c for d, c in self.entries if d > delay)
-
-    def scaled(self, m: int) -> "SpectrumConstraint":
-        return SpectrumConstraint(entries=tuple((d, c * m) for d, c in self.entries))
-
-
-def subtract_constraint(constraint: SpectrumConstraint, used: DelayGrouping) -> SpectrumConstraint:
-    """Consume ``used`` symbols from the constraint, delay by delay.
-
-    A deficit at some delay is legal (the symbols pair with budget from a
-    larger delay, arriving early and being buffered): the negative entry is
-    zeroed and its magnitude charged to the next larger delay. A deficit
-    that escapes past the largest delay means the constraint was
-    oversubscribed, which the allocator never does.
-    """
-    if not used.entries:
+    top, budget = constraint
+    used_top, counts = used
+    if not counts:
         return constraint
-    top = constraint.entries[0][0]
-    bottom = constraint.entries[-1][0]
-    if used.worst_delay() > top:
+    if used_top > top:
         raise ValueError("used symbols above the constraint's delay range")
-    counts = {d: c for d, c in constraint.entries}
-    lo = min(bottom, used.entries[-1][0])
-    remaining = {d: counts.get(d, 0) - used.count_at(d) for d in range(lo, top + 1)}
-    for d in range(lo, top + 1):
-        if remaining[d] < 0:
-            if d == top:
-                raise ValueError("constraint oversubscribed")
-            remaining[d + 1] += remaining[d]
-            remaining[d] = 0
-    # delays below the terminal never gain budget, so drop them back off
-    return SpectrumConstraint(
-        entries=tuple((d, remaining[d]) for d in range(top, bottom - 1, -1))
-    )
+    off = top - used_top
+    remaining = budget + [0] * (off + len(counts) - len(budget))
+    for i, c in enumerate(counts, off):
+        remaining[i] -= c
+    carry = 0
+    for i in range(len(remaining) - 1, -1, -1):
+        r = remaining[i] + carry
+        carry = min(r, 0)
+        remaining[i] = r - carry
+    if carry:
+        raise ValueError("constraint oversubscribed")
+    return top, remaining[: len(budget)]
 
 
 def max_symbols_under_constraint(
     n: int,
     N: int,
     delays: Sequence[int],
-    constraint: SpectrumConstraint,
+    constraint: Spectrum,
     delay_shift: int = 0,
 ) -> int:
     """Largest message size a rate-adjusted code can carry under the budget.
@@ -206,12 +174,13 @@ def max_symbols_under_constraint(
     """
     if not delays:
         raise ValueError("no candidate delays")
-    # above[i]: budget at delays strictly above entries[i]'s delay, one pass
-    above = list(accumulate((c for _, c in constraint.entries), initial=0))
-    top = constraint.entries[0][0]
+    top, budget = constraint
+    # above[i]: budget at delays strictly above top - i, one prefix sum
+    above = list(accumulate(budget, initial=0))
+    last = len(budget)
 
     def floor_kprime(d: int) -> int:
-        allowed = above[min(max(top - d - delay_shift, 0), len(above) - 1)]
+        allowed = above[min(max(top - d - delay_shift, 0), last)]
         return (n * (d + 1) - N * (n - allowed)) // (d + 1)
 
     return max(0, min(map(floor_kprime, delays)))

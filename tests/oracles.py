@@ -1,13 +1,15 @@
 """Independent oracles shared by the tests: field multiplication without
 the library's tables, block encoding by plain matrix products, rank and
 determination by plain elimination, the converse bound and the
-constrained maximization in exact fractions, the planners'
+constrained maximization in exact fractions, the pairing budget as a
+validated dataclass with dict-based subtraction, the planners'
 straightforward constructions (every mwdf split tried, cswdf groupings
 concatenated pair by pair), the joint replay rerun from time 0 for every
 pattern pair, the per-slot recovery-delay table of the k-th-arrival
 rule, and the code builders, spectrum measurement and channel statistics
 that only the tests need."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -180,6 +182,82 @@ def max_symbols_kprime(n, N, delays, constraint, delay_shift=0):
     return max(0, floor(min(kprime))), kprime
 
 
+@dataclass(frozen=True)
+class SpectrumConstraint:
+    # budget of symbols the other hop can hand over, per delay: entries are
+    # (delay, count) dense and strictly decreasing like a grouping, but
+    # cumulative: a code placed under it may put at most sum(count at
+    # delays > d) of its symbols at delays strictly above d. The last entry
+    # is the terminal (smallest allowed delay - 1, 0)
+    entries: tuple
+
+    def __post_init__(self):
+        delays = [d for d, _ in self.entries]
+        if not self.entries:
+            raise ValueError("constraint needs at least the terminal entry")
+        if any(a != b + 1 for a, b in zip(delays, delays[1:])):
+            raise ValueError("constraint entries must be dense, decreasing")
+        if any(type(c) is not int or c < 0 for _, c in self.entries):
+            raise ValueError("counts must be nonnegative integers")
+
+    @staticmethod
+    def from_pairs(pairs, min_allowed_delay):
+        acc = {}
+        for d, c in pairs:
+            acc[d] = acc.get(d, 0) + c
+        hi = max(list(acc) + [min_allowed_delay - 1])
+        lo = min_allowed_delay - 1
+        if any(d < lo for d, c in acc.items() if c != 0):
+            raise ValueError("constraint mass below the terminal delay")
+        return SpectrumConstraint(tuple((d, acc.get(d, 0)) for d in range(hi, lo - 1, -1)))
+
+    def allowed_above(self, delay):
+        return sum(c for d, c in self.entries if d > delay)
+
+
+def subtract_constraint_by_dict(constraint, used):
+    # per-delay remaining budget in a dict over every delay either side
+    # spans, deficits carried one delay up at a time
+    if not used.entries:
+        return constraint
+    top = constraint.entries[0][0]
+    bottom = constraint.entries[-1][0]
+    if used.worst_delay() > top:
+        raise ValueError("used symbols above the constraint's delay range")
+    counts, used_at = dict(constraint.entries), dict(used.entries)
+    lo = min(bottom, used.entries[-1][0])
+    remaining = {d: counts.get(d, 0) - used_at.get(d, 0) for d in range(lo, top + 1)}
+    for d in range(lo, top + 1):
+        if remaining[d] < 0:
+            if d == top:
+                raise ValueError("constraint oversubscribed")
+            remaining[d + 1] += remaining[d]
+            remaining[d] = 0
+    # delays below the terminal never gain budget, so drop them back off
+    return SpectrumConstraint(tuple((d, remaining[d]) for d in range(top, bottom - 1, -1)))
+
+
+def pairing_constraint_by_pairs(T, groupings, dT):
+    # the allocated hop's (effective delay, count) pairs flipped through
+    # the deadline, with the terminal below the largest effective delay
+    pairs = []
+    max_eff = 0
+    for g, dt in zip(groupings, dT):
+        for d, c in g.nonzero():
+            pairs.append((T - (d + dt), c))
+            max_eff = max(max_eff, d + dt)
+    if not pairs:
+        raise ValueError("allocated hop carries no symbols")
+    return SpectrumConstraint.from_pairs(pairs, min_allowed_delay=T - max_eff)
+
+
+def list_form(spectrum):
+    # (top delay, dense counts) of a grouping or constraint; (0, []) if empty
+    if not spectrum.entries:
+        return 0, []
+    return spectrum.entries[0][0], [c for _, c in spectrum.entries]
+
+
 def cross_product_from_zero(code, config, rng, cap=400, window=None):
     # the joint replay without forks: every pattern pair reruns the whole
     # stream from time 0 through run_network, erasures given as
@@ -240,10 +318,6 @@ def concat_groupings(a, b):
 
 def count_at_least(grouping, delay):
     return sum(c for d, c in grouping.entries if d >= delay)
-
-
-def constraint_total(constraint):
-    return sum(c for _, c in constraint.entries)
 
 
 def component_grouping(N, m):

@@ -8,6 +8,7 @@ NET_B (T=4, budgets 1 and 3,2) where it closes most of the gap between
 the message-wise rate and the upper bound.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -134,13 +135,21 @@ def test_criterion_5_reference_network_verifies_end_to_end():
         c["detail"] = f"{report.checked_patterns} patterns, exhaustive, zero failures"
 
 
+# sha256 of every row's config and exact rates, as the planners produced
+# them before their allocate-and-fill loop moved onto count lists
+ENSEMBLE_DIGEST = "7ae7fd4017538fa524075bfb547e122b0746ea3824bcb14e233d0009ca8b8547"
+
+
 def test_criterion_6_ensemble_dominance():
     with criterion(6, 600.0) as c:
         rows = run_ensemble(seed=20260813, trials=1000)
         assert len(rows) == 1000
+        digest = hashlib.sha256()
         for r in rows:
             assert r.oswdf >= max(r.mwdf, r.cswdf), r.config
             assert r.oswdf <= r.upper, r.config
+            digest.update(repr((r.config, r.upper, r.mwdf, r.cswdf, r.oswdf)).encode())
+        assert digest.hexdigest() == ENSEMBLE_DIGEST
         hits = sum(1 for r in rows if r.hits_upper)
         c["detail"] = f"dominance 1000/1000, upper bound hit {hits / 1000:.1%} (informational)"
 

@@ -331,15 +331,11 @@ def _plan_record(plan) -> tuple:
         a = plan()
     except ValueError as exc:
         return ("ValueError", str(exc)), None
-    # a None budget stands for the network budget, so that the same digest
-    # also holds for allocations that leave their default budgets unset
-    budgets1 = a.budgets1 if a.budgets1 is not None else a.config.N1
-    budgets2 = a.budgets2 if a.budgets2 is not None else a.config.N2
     record = (
         a.scheme, a.n1, a.n2, a.k1, a.k2,
         tuple(g.entries for g in a.groupings1),
         tuple(g.entries for g in a.groupings2),
-        a.bottleneck, a.relabel_delay, a.capped, budgets1, budgets2,
+        a.bottleneck, a.relabel_delay, a.capped, a.budgets1, a.budgets2,
     )
     return record, a
 

@@ -1,14 +1,15 @@
 """Grouping algebra: frozen worked values plus structural properties."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaystream.planner import _pairing_constraint
 from relaystream.spectrum import (
     DelayGrouping,
-    SpectrumConstraint,
     delay_lower_bound,
     max_symbols_under_constraint,
     optimal_grouping,
@@ -16,11 +17,14 @@ from relaystream.spectrum import (
 )
 
 from oracles import (
+    SpectrumConstraint,
     concat_groupings,
-    constraint_total,
     count_at_least,
     delay_lower_bound_fraction,
+    list_form,
     max_symbols_kprime,
+    pairing_constraint_by_pairs,
+    subtract_constraint_by_dict,
 )
 
 
@@ -114,54 +118,117 @@ def test_grouping_dense_with_internal_zeros():
 def constraint_fig4():
     # hop-1 grouping [(2,4),(1,4)] flipped through deadline T=4,
     # terminal at (smallest allowed hop-2 delay) - 1 = 1
-    return SpectrumConstraint.from_pairs([(4 - 2, 4), (4 - 1, 4)], min_allowed_delay=2)
+    return _pairing_constraint(4, [(2, [4, 4])], (0,))
 
 
 def test_constraint_shape():
     con = constraint_fig4()
-    assert con.entries == ((3, 4), (2, 4), (1, 0))
-    assert con.allowed_above(2) == 4
-    assert con.allowed_above(0) == 8
+    assert con == (3, [4, 4, 0])
+    oracle = pairing_constraint_by_pairs(4, [G((2, 4), (1, 4))], (0,))
+    assert list_form(oracle) == con
+    assert oracle.allowed_above(2) == 4
+    assert oracle.allowed_above(0) == 8
 
 
 def test_max_symbols_first_link():
     con = constraint_fig4()
-    k, kprime = max_symbols_kprime(12, 3, [3, 2], con)
+    k, kprime = max_symbols_kprime(12, 3, [3, 2], SpectrumConstraint(((3, 4), (2, 4), (1, 0))))
     assert kprime == [3, 4]
     assert k == 3
     assert max_symbols_under_constraint(12, 3, [3, 2], con) == k
 
 
 def test_max_symbols_second_link_after_subtraction():
-    con = subtract_constraint(constraint_fig4(), G((3, 3)))
-    assert con.entries == ((3, 1), (2, 4), (1, 0))
-    k, kprime = max_symbols_kprime(12, 2, [3, 2, 1], con)
+    con = subtract_constraint(constraint_fig4(), (3, [3]))
+    assert con == (3, [1, 4, 0])
+    k, kprime = max_symbols_kprime(12, 2, [3, 2, 1], SpectrumConstraint(((3, 1), (2, 4), (1, 0))))
     assert kprime == [6, Fraction(14, 3), 5]
     assert k == 4
     assert max_symbols_under_constraint(12, 2, [3, 2, 1], con) == k
 
 
 def test_subtract_constraint_worked_sequence():
-    con = SpectrumConstraint.from_pairs([(3, 8), (2, 16), (1, 16)], min_allowed_delay=1)
-    assert [c for _, c in con.entries] == [8, 16, 16, 0]
-    con = subtract_constraint(con, G((3, 7), (2, 11)))
-    assert [c for _, c in con.entries] == [1, 5, 16, 0]
-    con = subtract_constraint(con, G((2, 4), (1, 18)))
-    assert [c for _, c in con.entries] == [0, 0, 0, 0]
+    con = (3, [8, 16, 16, 0])
+    con = subtract_constraint(con, (3, [7, 11]))
+    assert con == (3, [1, 5, 16, 0])
+    con = subtract_constraint(con, (2, [4, 18]))
+    assert con == (3, [0, 0, 0, 0])
 
 
 def test_subtract_constraint_identity_and_oversubscription():
     con = constraint_fig4()
-    assert subtract_constraint(con, DelayGrouping(())) == con
-    with pytest.raises(ValueError):
-        subtract_constraint(con, G((3, 9)))
+    assert subtract_constraint(con, (0, [])) == con
+    with pytest.raises(ValueError, match="oversubscribed"):
+        subtract_constraint(con, (3, [9]))
+    with pytest.raises(ValueError, match="above the constraint's delay range"):
+        subtract_constraint(con, (4, [1]))
 
 
 def test_subtract_conserves_total():
     con = constraint_fig4()
-    used = G((2, 5), (1, 2))
-    after = subtract_constraint(con, used)
-    assert constraint_total(after) == constraint_total(con) - used.total()
+    after = subtract_constraint(con, (2, [5, 2]))
+    assert sum(after[1]) == sum(con[1]) - 7
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_list_algebra_matches_dataclass_oracle():
+    # subtraction, the constrained maximization and the pairing flip in
+    # list form against the validated dataclass form with dict algebra
+    rng = random.Random(77)
+    carried = below_terminal = refused = zero_budget = zero_links = 0
+    for _ in range(3000):
+        top = rng.randint(0, 10)
+        bottom = top - rng.randint(0, 6)
+        zero = rng.random() < 0.1
+        pairs = [(d, 0 if zero else rng.randint(0, 6)) for d in range(bottom + 1, top + 1)]
+        con = SpectrumConstraint.from_pairs(pairs, min_allowed_delay=bottom + 1)
+        zero_budget += zero
+        lo = max(0, bottom - 3)
+        used = DelayGrouping.from_pairs(
+            (rng.randint(lo, top + 1), rng.randint(0, 4)) for _ in range(rng.randint(0, 4))
+        )
+        expect = _outcome(lambda: list_form(subtract_constraint_by_dict(con, used)))
+        got = _outcome(subtract_constraint, list_form(con), list_form(used))
+        assert got == expect, (con, used)
+        if expect[0] == "ValueError":
+            refused += 1
+        else:
+            below_terminal += any(c and d < bottom for d, c in used.entries)
+            carried += any(c > dict(con.entries).get(d, 0) for d, c in used.entries)
+
+        for shift in range(4):
+            N = rng.randint(1, 4)
+            n = rng.randint(1, 40)
+            delays = range(max(N - 1, rng.randint(0, top + 2)), N - 2, -1)
+            k, _ = max_symbols_kprime(n, N, delays, con, delay_shift=shift)
+            assert max_symbols_under_constraint(n, N, delays, list_form(con), shift) == k
+
+        hop, dts = [], []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(3)
+            if kind == 0:  # a link that carries nothing
+                g = DelayGrouping(())
+            elif kind == 1:  # a zero-budget link: every symbol at delay 0
+                g = DelayGrouping.from_pairs([(0, rng.randint(1, 5))])
+            else:
+                g = DelayGrouping.from_pairs(
+                    (rng.randint(1, 8), rng.randint(0, 5)) for _ in range(rng.randint(1, 4))
+                )
+            zero_links += kind < 2
+            hop.append(g)
+            dts.append(rng.randint(0, 3))
+        T = max((g.worst_delay() + dt for g, dt in zip(hop, dts) if g.entries), default=0)
+        T += rng.randint(0, 4)
+        expect = _outcome(lambda: list_form(pairing_constraint_by_pairs(T, hop, dts)))
+        got = _outcome(_pairing_constraint, T, [list_form(g) for g in hop], dts)
+        assert got == expect, (T, hop, dts)
+    assert min(carried, below_terminal, refused, zero_budget, zero_links) >= 100
 
 
 @st.composite
@@ -195,7 +262,7 @@ def test_optimal_grouping_meets_bound_with_equality(code):
         assert exact == d
         seen += c
     # head and tail counts per the extremal characterization
-    assert g.count_at(T1) == n - Fraction(T1 * (n - k), N)
+    assert dict(g.entries).get(T1, 0) == n - Fraction(T1 * (n - k), N)
     if g.entries[1:]:
         assert g.entries[-1] == (N, (n - k) // N)
 
@@ -219,7 +286,7 @@ def constraint_and_link(draw):
 def test_constrained_max_respects_cumulative_budget(args):
     con, N, n, top = args
     delays = list(range(top, N - 2, -1))
-    k = max_symbols_under_constraint(n, N, delays, con)
+    k = max_symbols_under_constraint(n, N, delays, list_form(con))
     if k <= 0 or (n - k) % N != 0:
         return
     T1 = delay_lower_bound(n, k, N)
@@ -237,4 +304,4 @@ def test_max_symbols_matches_fraction_oracle(args, shift):
     con, N, n, top = args
     delays = list(range(top, N - 2, -1))
     k, _ = max_symbols_kprime(n, N, delays, con, delay_shift=shift)
-    assert max_symbols_under_constraint(n, N, delays, con, delay_shift=shift) == k
+    assert max_symbols_under_constraint(n, N, delays, list_form(con), delay_shift=shift) == k
