@@ -10,7 +10,10 @@ Configs and allocation documents are JSON. Exact rates appear as "p/q"
 strings next to a float so logs stay greppable and lossless at once.
 Exit codes: 0 success or pass, 1 verification failure, 2 bad usage or
 unparseable input. Exit-1 messages start with ``FAIL:``, exit-2 messages
-with ``error:``.
+with ``error:``. ``main`` builds only the parser of the subcommand its
+first argument names; any other command line, and one with arguments that
+parser leaves over, goes through the full ``build_parser()`` tree, so help
+and error texts are those of the full tree.
 """
 
 from __future__ import annotations
@@ -264,9 +267,10 @@ def cmd_plan(args) -> int:
             alloc = cswdf_plan(config)[1]
         else:
             alloc = oswdf_optimize(config)
+        doc = allocation_to_doc(alloc)
     except ValueError as e:
         raise CliError(f"cannot plan {args.scheme} for this config: {e}")
-    emit(json.dumps(allocation_to_doc(alloc), indent=2) + "\n", args.out)
+    emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 
@@ -391,55 +395,88 @@ def cmd_ensemble(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _bounds_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help="network config JSON")
+    p.add_argument("--out", help="write the document here instead of stdout")
+    p.set_defaults(func=cmd_bounds)
+
+
+def _plan_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help="network config JSON")
+    p.add_argument("--scheme", choices=["mwdf", "cswdf", "oswdf"], default="oswdf")
+    p.add_argument("--out", help="write the document here instead of stdout")
+    p.set_defaults(func=cmd_plan)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("allocation", help="allocation document JSON")
+    p.add_argument(
+        "--deadline", type=int, default=None,
+        help="audit against this deadline instead of the document's T",
+    )
+    p.set_defaults(func=cmd_verify)
+
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("allocation", help="allocation document JSON")
+    p.add_argument("--channel", choices=["iid", "ge"], default="iid")
+    p.add_argument("--eps", default="0.01", help="loss probability; comma list sweeps a grid (iid)")
+    p.add_argument("--alpha", type=float, default=0.0, help="good-to-bad transition (ge)")
+    p.add_argument("--beta", type=float, default=0.0, help="bad-to-good transition (ge)")
+    p.add_argument("--packets", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="write the CSV here instead of stdout")
+    p.set_defaults(func=cmd_simulate)
+
+
+def _ensemble_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="write the CSV here instead of stdout")
+    p.set_defaults(func=cmd_ensemble)
+
+
+# name -> (help line in the top-level listing, function adding its arguments)
+COMMANDS = {
+    "bounds": ("closed-form rates for a network config", _bounds_args),
+    "plan": ("emit a full allocation document", _plan_args),
+    "verify": ("re-check an allocation document", _verify_args),
+    "simulate": ("Monte Carlo loss of an assembled allocation", _simulate_args),
+    "ensemble": ("compare planners over random networks", _ensemble_args),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="relaystream",
         description="plan, verify and simulate streaming codes for a relayed link",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("bounds", help="closed-form rates for a network config")
-    b.add_argument("--config", required=True, help="network config JSON")
-    b.add_argument("--out", help="write the document here instead of stdout")
-    b.set_defaults(func=cmd_bounds)
-
-    pl = sub.add_parser("plan", help="emit a full allocation document")
-    pl.add_argument("--config", required=True, help="network config JSON")
-    pl.add_argument("--scheme", choices=["mwdf", "cswdf", "oswdf"], default="oswdf")
-    pl.add_argument("--out", help="write the document here instead of stdout")
-    pl.set_defaults(func=cmd_plan)
-
-    v = sub.add_parser("verify", help="re-check an allocation document")
-    v.add_argument("allocation", help="allocation document JSON")
-    v.add_argument(
-        "--deadline", type=int, default=None,
-        help="audit against this deadline instead of the document's T",
-    )
-    v.set_defaults(func=cmd_verify)
-
-    s = sub.add_parser("simulate", help="Monte Carlo loss of an assembled allocation")
-    s.add_argument("allocation", help="allocation document JSON")
-    s.add_argument("--channel", choices=["iid", "ge"], default="iid")
-    s.add_argument("--eps", default="0.01", help="loss probability; comma list sweeps a grid (iid)")
-    s.add_argument("--alpha", type=float, default=0.0, help="good-to-bad transition (ge)")
-    s.add_argument("--beta", type=float, default=0.0, help="bad-to-good transition (ge)")
-    s.add_argument("--packets", type=int, default=10000)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out", help="write the CSV here instead of stdout")
-    s.set_defaults(func=cmd_simulate)
-
-    e = sub.add_parser("ensemble", help="compare planners over random networks")
-    e.add_argument("--trials", type=int, default=1000)
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--out", help="write the CSV here instead of stdout")
-    e.set_defaults(func=cmd_ensemble)
+    for name, (help_text, add_args) in COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_text))
     return p
 
 
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """One subcommand's parser on its own. Its help and error texts are
+    those of the same subparser inside build_parser()."""
+    p = argparse.ArgumentParser(prog=f"relaystream {name}")
+    COMMANDS[name][1](p)
+    return p
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in COMMANDS:
+        args, extras = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    # the full tree reports unrecognized arguments under its own usage line
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

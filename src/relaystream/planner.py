@@ -278,9 +278,12 @@ def cswdf_plan(config: NetworkConfig) -> tuple[Fraction, Allocation]:
             tops2[j].append(t - z1[i] - config.dT2[j])
 
     def stacked(budget: int, tops: list[int]) -> DelayGrouping:
+        if not tops:
+            return DelayGrouping(())
+        # every top is at least the budget, so both end counts are nonzero
         tops.sort()
-        return DelayGrouping.from_pairs(
-            (d, len(tops) - bisect_left(tops, d)) for d in range(budget, tops[-1] + 1 if tops else 0)
+        return DelayGrouping.from_counts(
+            (tops[-1], [len(tops) - bisect_left(tops, d) for d in range(tops[-1], budget - 1, -1)])
         )
 
     g1 = [stacked(N, tops) for N, tops in zip(config.N1, tops1)]

@@ -1,12 +1,21 @@
 """End-to-end command line checks: goldens for the reference networks,
 document round-trips, witness reporting, CSV determinism, exit codes."""
 
+import argparse
 import json
+import sys
 import time
 
 import pytest
 
-from relaystream.cli import allocation_from_doc, allocation_to_doc, main
+from relaystream.cli import (
+    COMMANDS,
+    allocation_from_doc,
+    allocation_to_doc,
+    build_parser,
+    command_parser,
+    main,
+)
 from relaystream.planner import NetworkConfig, mwdf_plan, oswdf_initial, oswdf_optimize
 
 NET_A = {"T": 5, "N1": [2, 3], "N2": [1, 2]}
@@ -128,6 +137,19 @@ def test_plan_infeasible_deadline(tmp_path, capsys):
     code, _, err = run(capsys, ["plan", "--config", cfg, "--scheme", "oswdf"])
     assert code == 2
     assert "cannot plan" in err
+
+
+def test_plan_that_does_not_assemble_is_a_usage_error(tmp_path, capsys):
+    # oswdf plans this network, but one link's code block is longer than
+    # GF(2^8) allows, so assembling the document's pairing fails
+    cfg = write(tmp_path, "long.json", {"T": 5, "N1": [3, 1], "N2": [2, 3], "dT2": [0, 1]})
+    out_path = tmp_path / "alloc.json"
+    code, out, err = run(capsys, ["plan", "--config", cfg, "--scheme", "oswdf", "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot plan oswdf for this config:")
+    assert "exceeds field order 256" in err
+    assert not out_path.exists()
 
 
 def test_allocation_document_round_trip(tmp_path):
@@ -449,3 +471,172 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["simulate", "/nonexistent.json", "--packets", "1"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+# Help and usage-error texts with COLUMNS=80 under Python 3.11's argparse,
+# captured from main as it was when every call parsed through the full
+# build_parser() tree. main now builds only the invoked subcommand's parser
+# where it can, and none of these texts may move.
+TOP_HELP = (
+    'usage: relaystream [-h] {bounds,plan,verify,simulate,ensemble} ...\n'
+    '\n'
+    'plan, verify and simulate streaming codes for a relayed link\n'
+    '\n'
+    'positional arguments:\n'
+    '  {bounds,plan,verify,simulate,ensemble}\n'
+    '    bounds              closed-form rates for a network config\n'
+    '    plan                emit a full allocation document\n'
+    '    verify              re-check an allocation document\n'
+    '    simulate            Monte Carlo loss of an assembled allocation\n'
+    '    ensemble            compare planners over random networks\n'
+    '\n'
+    'options:\n'
+    '  -h, --help            show this help message and exit\n'
+)
+BOUNDS_HELP = (
+    'usage: relaystream bounds [-h] --config CONFIG [--out OUT]\n'
+    '\n'
+    'options:\n'
+    '  -h, --help       show this help message and exit\n'
+    '  --config CONFIG  network config JSON\n'
+    '  --out OUT        write the document here instead of stdout\n'
+)
+PLAN_HELP = (
+    'usage: relaystream plan [-h] --config CONFIG [--scheme {mwdf,cswdf,oswdf}]\n'
+    '                        [--out OUT]\n'
+    '\n'
+    'options:\n'
+    '  -h, --help            show this help message and exit\n'
+    '  --config CONFIG       network config JSON\n'
+    '  --scheme {mwdf,cswdf,oswdf}\n'
+    '  --out OUT             write the document here instead of stdout\n'
+)
+VERIFY_HELP = (
+    'usage: relaystream verify [-h] [--deadline DEADLINE] allocation\n'
+    '\n'
+    'positional arguments:\n'
+    '  allocation           allocation document JSON\n'
+    '\n'
+    'options:\n'
+    '  -h, --help           show this help message and exit\n'
+    "  --deadline DEADLINE  audit against this deadline instead of the document's T\n"
+)
+SIMULATE_HELP = (
+    'usage: relaystream simulate [-h] [--channel {iid,ge}] [--eps EPS]\n'
+    '                            [--alpha ALPHA] [--beta BETA] [--packets PACKETS]\n'
+    '                            [--seed SEED] [--out OUT]\n'
+    '                            allocation\n'
+    '\n'
+    'positional arguments:\n'
+    '  allocation          allocation document JSON\n'
+    '\n'
+    'options:\n'
+    '  -h, --help          show this help message and exit\n'
+    '  --channel {iid,ge}\n'
+    '  --eps EPS           loss probability; comma list sweeps a grid (iid)\n'
+    '  --alpha ALPHA       good-to-bad transition (ge)\n'
+    '  --beta BETA         bad-to-good transition (ge)\n'
+    '  --packets PACKETS\n'
+    '  --seed SEED\n'
+    '  --out OUT           write the CSV here instead of stdout\n'
+)
+ENSEMBLE_HELP = (
+    'usage: relaystream ensemble [-h] [--trials TRIALS] [--seed SEED] [--out OUT]\n'
+    '\n'
+    'options:\n'
+    '  -h, --help       show this help message and exit\n'
+    '  --trials TRIALS\n'
+    '  --seed SEED\n'
+    '  --out OUT        write the CSV here instead of stdout\n'
+)
+
+
+def usage(help_text):
+    return help_text.split("\n\n")[0] + "\n"
+
+
+CLI_TEXT = [
+    ([], 2, "", usage(TOP_HELP)
+     + "relaystream: error: the following arguments are required: command\n"),
+    (["-h"], 0, TOP_HELP, ""),
+    (["--help"], 0, TOP_HELP, ""),
+    (["-h", "verify"], 0, TOP_HELP, ""),
+    (["bounds", "-h"], 0, BOUNDS_HELP, ""),
+    (["plan", "-h"], 0, PLAN_HELP, ""),
+    (["verify", "-h"], 0, VERIFY_HELP, ""),
+    (["simulate", "-h"], 0, SIMULATE_HELP, ""),
+    (["ensemble", "-h"], 0, ENSEMBLE_HELP, ""),
+    (["simulate", "--help", "x"], 0, SIMULATE_HELP, ""),
+    (["frob"], 2, "", usage(TOP_HELP)
+     + "relaystream: error: argument command: invalid choice: 'frob' "
+       "(choose from 'bounds', 'plan', 'verify', 'simulate', 'ensemble')\n"),
+    # the top level sets the unknown option aside and runs verify on nothing
+    (["--bogus", "verify"], 2, "", usage(VERIFY_HELP)
+     + "relaystream verify: error: the following arguments are required: allocation\n"),
+    (["plan", "--config", "c.json", "--scheme", "bogus"], 2, "", usage(PLAN_HELP)
+     + "relaystream plan: error: argument --scheme: invalid choice: 'bogus' "
+       "(choose from 'mwdf', 'cswdf', 'oswdf')\n"),
+    (["simulate", "a.json", "--channel", "bursty"], 2, "", usage(SIMULATE_HELP)
+     + "relaystream simulate: error: argument --channel: invalid choice: 'bursty' "
+       "(choose from 'iid', 'ge')\n"),
+    (["verify", "a.json", "--deadline", "soon"], 2, "", usage(VERIFY_HELP)
+     + "relaystream verify: error: argument --deadline: invalid int value: 'soon'\n"),
+    (["ensemble", "--trials", "many"], 2, "", usage(ENSEMBLE_HELP)
+     + "relaystream ensemble: error: argument --trials: invalid int value: 'many'\n"),
+    (["simulate", "a.json", "--alpha", "x"], 2, "", usage(SIMULATE_HELP)
+     + "relaystream simulate: error: argument --alpha: invalid float value: 'x'\n"),
+    (["bounds"], 2, "", usage(BOUNDS_HELP)
+     + "relaystream bounds: error: the following arguments are required: --config\n"),
+    (["verify"], 2, "", usage(VERIFY_HELP)
+     + "relaystream verify: error: the following arguments are required: allocation\n"),
+    # the full tree reports leftover arguments from its top level
+    (["verify", "a", "b"], 2, "", usage(TOP_HELP)
+     + "relaystream: error: unrecognized arguments: b\n"),
+    # an abbreviated option parses; the missing file is the command's error
+    (["verify", "missing.json", "--dead", "3"], 2, "", "error: missing.json: no such file\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", CLI_TEXT, ids=[" ".join(argv) or "no-args" for argv, *_ in CLI_TEXT]
+)
+def test_help_and_usage_error_texts(argv, code, out, err, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, argv) == (code, out, err)
+
+
+def test_command_parsers_match_the_full_tree(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(COMMANDS)
+    for name, parser in sub.choices.items():
+        assert command_parser(name).format_help() == parser.format_help(), name
+
+
+def test_main_builds_only_the_invoked_parser(planned_a, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, ["verify", planned_a])[0] == 0
+    assert built == ["relaystream verify"]
+    assert run(capsys, ["simulate", planned_a, "--packets", "10"])[0] == 0
+    assert built == ["relaystream verify", "relaystream simulate"]
+    code, _, err = run(capsys, ["verify", "a", "b"])
+    assert code == 2
+    assert err.splitlines()[0] == "usage: relaystream [-h] {bounds,plan,verify,simulate,ensemble} ..."
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["relaystream", "verify", "-h"])
+    assert run(capsys, None) == (0, VERIFY_HELP, "")
