@@ -8,14 +8,18 @@ of the current packet is the current source symbol (the code is systematic
 with respect to its own stream) and parity rows protect diagonals begun up
 to N+m-1 slots ago. Under any N packet erasures, message row j of a
 component is recoverable within N + m - j slots, which is where the
-(delay, count) groupings of the spectrum module come from.
+(delay, count) groupings of the spectrum module come from. Conversely, a
+grouping fixes its code: its staircase decomposition gives a count of
+(d+1, d-N+1) components at each top delay d. A spec stores these runs,
+(shape, count) pairs, largest delay first; slots the grouping leaves over
+form one dead zero-dimension component at the end.
 
 Packets are erased whole: one lost slot removes all n symbols of that time
 across every component. Diagonals that reach back before the start of the
 stream treat the missing source symbols as known zeros.
 
-Each spec compiles a plan: its components that carry symbols, grouped
-by shape (n, k). Encoding copies a component's systematic rows with one
+Each spec compiles a plan: for each run that carries symbols, where its
+components sit. Encoding copies a component's systematic rows with one
 slice and forms each parity symbol as k lookups in 256-entry product rows
 cached on the shape's MdsSpec. Decoding needs no elimination per arrival:
 any k positions of an MDS diagonal determine its whole message, fewer
@@ -38,44 +42,37 @@ from .spectrum import DelayGrouping
 
 @dataclass(frozen=True)
 class StreamingCodeSpec:
-    """A concatenation of diagonal MDS components with its declared grouping."""
+    """Runs of diagonal MDS components with their declared grouping.
 
-    components: tuple[MdsSpec, ...]
+    ``runs`` holds (component, count) pairs laid end to end: one run of
+    (d+1, d-N+1) components per top delay d of the grouping's staircase,
+    largest first, then one zero-dimension component over the slots left
+    dead, if any.
+    """
+
+    runs: tuple[tuple[MdsSpec, int], ...]
     n: int
-    k: int
     N: int
     grouping: DelayGrouping
 
-    def __post_init__(self) -> None:
-        if self.n != sum(c.n for c in self.components):
-            raise ValueError("component lengths do not fill the packet")
-        if self.k != sum(c.k for c in self.components):
-            raise ValueError("component dimensions do not sum to k")
-        if DelayGrouping.from_pairs((d, 1) for d in self.slot_delays) != self.grouping:
-            raise ValueError("declared grouping does not match the components")
+    @cached_property
+    def k(self) -> int:
+        return self.grouping.total()
 
     @cached_property
     def span(self) -> int:
-        return max((c.n for c in self.components), default=0)
-
-    @cached_property
-    def message_offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for c in self.components:
-            out.append(acc)
-            acc += c.k
-        return tuple(out)
+        return max((c.n for c, _ in self.runs), default=0)
 
     @cached_property
     def plan(self) -> tuple[tuple[MdsSpec, tuple[tuple[int, int], ...]], ...]:
-        """Components with k >= 1 by shape: (MdsSpec, ((channel offset, message offset), ...))."""
-        groups: dict[MdsSpec, list[tuple[int, int]]] = {}
-        coff = 0
-        for c, moff in zip(self.components, self.message_offsets):
+        """Runs with k >= 1: (MdsSpec, ((channel offset, message offset), ...))."""
+        out, coff, moff = [], 0, 0
+        for c, count in self.runs:
             if c.k:
-                groups.setdefault(c, []).append((coff, moff))
-            coff += c.n
-        return tuple((c, tuple(places)) for c, places in groups.items())
+                out.append((c, tuple((coff + i * c.n, moff + i * c.k) for i in range(count))))
+            coff += count * c.n
+            moff += count * c.k
+        return tuple(out)
 
     @cached_property
     def systematic(self) -> tuple[tuple[int, int], ...]:
@@ -91,8 +88,8 @@ class StreamingCodeSpec:
     def slot_delays(self) -> tuple[int, ...]:
         """Declared recovery delay of every source-packet slot."""
         out = []
-        for c in self.components:
-            out.extend(self.N + c.k - j for j in range(1, c.k + 1))
+        for c, count in self.runs:
+            out += list(range(self.N + c.k - 1, self.N - 1, -1)) * count
         return tuple(out)
 
 
@@ -109,7 +106,7 @@ def build_grouped_code(n: int, N: int, grouping: DelayGrouping) -> StreamingCode
         if c and d < N:
             raise ValueError(f"delay {d} below the erasure budget N={N}")
         counts[d] = c
-    comps: list[MdsSpec] = []
+    runs: list[tuple[MdsSpec, int]] = []
     top = max(counts, default=N - 1)
     above = 0
     for d in range(top, N - 1, -1):
@@ -118,19 +115,17 @@ def build_grouped_code(n: int, N: int, grouping: DelayGrouping) -> StreamingCode
         if tops < 0:
             raise ValueError("grouping is not staircase-decomposable: counts must "
                              "not decrease toward smaller delays")
-        m = d - N + 1
         if d + 1 > FIELD_ORDER:
             raise ValueError("component too long for the field")
-        comps.extend(make_mds(d + 1, m) for _ in range(tops))
+        if tops:
+            runs.append((make_mds(d + 1, d - N + 1), tops))
         above = here
-    used = sum(c.n for c in comps)
+    used = sum(c.n * count for c, count in runs)
     if used > n:
         raise ValueError(f"grouping needs {used} slots, only {n} available")
     if used < n:
-        comps.append(make_mds(n - used, 0))
-    return StreamingCodeSpec(
-        components=tuple(comps), n=n, k=grouping.total(), N=N, grouping=grouping
-    )
+        runs.append((make_mds(n - used, 0), 1))
+    return StreamingCodeSpec(runs=tuple(runs), n=n, N=N, grouping=grouping)
 
 
 class CodecState:
@@ -187,7 +182,7 @@ def encode_step(state: CodecState, source_packet: Sequence[int]) -> tuple[int, .
 
 
 def decode_step(
-    state: CodecState, received: Optional[Sequence[int]], t: Optional[int] = None
+    state: CodecState, received: Optional[Sequence[int]], t: int
 ) -> list[tuple[int, int, int]]:
     """Feed one received packet (or None for an erasure) and return new
     recoveries as (source time, source slot, value), ordered by component
@@ -197,8 +192,6 @@ def decode_step(
     if a row other than the arriving one is still unknown.
     """
     spec = state.spec
-    if t is None:
-        t = state.dec_time
     if t != state.dec_time:
         raise ValueError("packets must be fed in time order")
     if received is not None and len(received) != spec.n:

@@ -452,9 +452,9 @@ def _redistribute(T: int, bot: _Hop, other: _Hop, target: Fraction) -> Optional[
         base.append(min(cap, Fraction(num, den)))
     deficit = target - sum(base, start=Fraction(0))
     if deficit < 0:
-        # target below the concatenated point: scale the base down uniformly
-        total = sum(base, start=Fraction(0))
-        return [r * target / total for r in base] if total > 0 else None
+        # target below the concatenated point: scale the base, whose sum
+        # is positive at T >= t_min, down uniformly
+        return [r * target / (target - deficit) for r in base]
     rates = base[:]
     for i in bot.order:
         room = bot.caps[i] - rates[i]

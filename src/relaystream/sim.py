@@ -51,6 +51,8 @@ from .relay import NetworkCode, NetworkState, run_network
 
 INF_DELAY = 1 << 20  # sentinel for "never recovered"
 ENUMERATION_GUARD = 30  # longer components are sampled: C(n, N) patterns explode
+SAMPLED_PATTERNS = 2000  # random patterns per sampled component
+JOINT_PAIRS = 400  # most joint hop-pattern pairs replayed on a 1x1 network
 
 
 # ---------------------------------------------------------------------------
@@ -66,21 +68,11 @@ def _pattern_delays(n_c: int, k_c: int, erased: frozenset[int]) -> list[int]:
     help, which is the worst case.
     """
     received = [p not in erased for p in range(n_c)]
-    pstar = INF_DELAY
-    seen = 0
-    for p, r in enumerate(received):
-        seen += r
-        if seen == k_c:
-            pstar = p
-            break
-    out = []
-    for j in range(1, k_c + 1):
-        own = j - 1
-        if received[own]:
-            out.append(0)
-        else:
-            out.append(pstar - own if pstar != INF_DELAY else INF_DELAY)
-    return out
+    arrivals = [p for p, r in enumerate(received) if r]
+    if len(arrivals) < k_c:
+        return [0 if received[j] else INF_DELAY for j in range(k_c)]
+    # the k-th arrival determines every symbol not received itself
+    return [0 if received[j] else arrivals[k_c - 1] - j for j in range(k_c)]
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +108,7 @@ class FailureWitness:
     src_time: int
     sym: int
     required_delay: int
-    actual_delay: Optional[int]  # None: never correctly recovered in replay
+    actual_delay: Optional[int] = None  # None: never correctly recovered in replay
 
 
 @dataclass
@@ -151,48 +143,48 @@ def replay_witness(code: NetworkCode, witness: FailureWitness) -> Optional[int]:
     return None
 
 
-def _route_witness(code: NetworkCode, route, required: int) -> FailureWitness:
-    """Build the witness that drives one route to its full declared delay."""
-    config = code.allocation.config
-    src_time = code.span + config.T + 2  # comfortably past stream start
-
-    def slot_pattern(spec: StreamingCodeSpec, slot: int, at_time: int) -> tuple[int, list[int]]:
-        # locate the slot's component and its diagonal through at_time
-        for ci, comp in enumerate(spec.components):
-            moff = spec.message_offsets[ci]
-            if moff <= slot < moff + comp.k:
-                j = slot - moff + 1
-                _, arg = component_worst_delays(comp.n, comp.k, spec.N)
-                pattern = arg[j - 1]
-                d = at_time - (j - 1)
-                return j, [d + p for p in pattern]
-        raise AssertionError("slot outside every component")
-
-    e1: list[tuple[int, ...]] = [() for _ in code.hop1]
-    e2: list[tuple[int, ...]] = [() for _ in code.hop2]
-    _, times1 = slot_pattern(code.hop1[route.link1], route.slot1, src_time)
-    e1[route.link1] = tuple(times1)
-    relay_time = src_time + route.relay_delay
-    _, times2 = slot_pattern(code.hop2[route.link2], route.slot2, relay_time)
-    e2[route.link2] = tuple(times2)
+def _witness(
+    code: NetworkCode,
+    erased: dict[tuple[int, int], tuple[int, ...]],
+    src_time: int,
+    sym: int,
+    required: int,
+) -> FailureWitness:
+    """The witness erasing ``erased[hop, link]`` on each link it names,
+    replayed unless it has no symbol (sym -1, a slot pinned to zero)."""
     witness = FailureWitness(
-        erasures1=tuple(e1),
-        erasures2=tuple(e2),
+        erasures1=tuple(erased.get((1, link), ()) for link in range(len(code.hop1))),
+        erasures2=tuple(erased.get((2, link), ()) for link in range(len(code.hop2))),
         src_time=src_time,
-        sym=route.sym,
+        sym=sym,
         required_delay=required,
-        actual_delay=None,
     )
-    witness.actual_delay = replay_witness(code, witness)
+    if sym >= 0:
+        witness.actual_delay = replay_witness(code, witness)
     return witness
 
 
+def _route_witness(code: NetworkCode, route, required: int) -> FailureWitness:
+    """Build the witness that drives one route to its full declared delay."""
+    src_time = code.span + code.allocation.config.T + 2  # comfortably past stream start
+
+    def slot_pattern(spec: StreamingCodeSpec, slot: int, at_time: int) -> tuple[int, ...]:
+        # the slot's worst pattern, on its diagonal through at_time
+        n_c, k_c, j = _slot_shapes(spec)[slot].tolist()
+        pattern = component_worst_delays(n_c, k_c, spec.N)[1][j - 1]
+        return tuple(at_time - (j - 1) + p for p in pattern)
+
+    erased = {
+        (1, route.link1): slot_pattern(code.hop1[route.link1], route.slot1, src_time),
+        (2, route.link2): slot_pattern(
+            code.hop2[route.link2], route.slot2, src_time + route.relay_delay
+        ),
+    }
+    return _witness(code, erased, src_time, route.sym, required)
+
+
 def verify_adversarial(
-    code: NetworkCode,
-    config: Optional[NetworkConfig] = None,
-    window: Optional[int] = None,
-    sample_patterns: int = 2000,
-    seed: int = 0,
+    code: NetworkCode, config: Optional[NetworkConfig] = None
 ) -> VerificationReport:
     """Check the deadline guarantee link by link, then that every route
     leaves the relay no sooner than its hop-1 slot may be recovered, then
@@ -205,8 +197,7 @@ def verify_adversarial(
     Components longer than the enumeration guard fall back to sampled
     patterns and the report drops its ``exhaustive`` flag. ``config``
     overrides the deadline to check against, so a code can be audited
-    against a tighter T than it was built for. ``window``, when given,
-    only sizes the joint spot check below.
+    against a tighter T than it was built for.
 
     For single-link networks a joint cross product of hop patterns is
     replayed through the real pipeline as a decomposition spot check.
@@ -214,8 +205,17 @@ def verify_adversarial(
     config = config or code.allocation.config
     checked = 0
     exhaustive = True
-    rng = random.Random(seed)
+    rng = random.Random(0)
     anchor = code.span + config.T + 2
+
+    def fail(detail: str, witness: FailureWitness) -> VerificationReport:
+        return VerificationReport(
+            ok=False,
+            exhaustive=exhaustive,
+            checked_patterns=checked,
+            detail=detail,
+            failure=witness,
+        )
 
     hops = (
         (code.hop1, config.N1, code.hop1_fill, 1),
@@ -223,104 +223,68 @@ def verify_adversarial(
     )
     for specs, budgets, fills, hop in hops:
         for link, spec in enumerate(specs):
-            for ci, comp in enumerate(spec.components):
-                if comp.k == 0:
-                    continue
-                moff = spec.message_offsets[ci]
-                if comp.n <= ENUMERATION_GUARD:
-                    worst, args = component_worst_delays(comp.n, comp.k, budgets[link])
-                    checked += math.comb(comp.n, min(budgets[link], comp.n))
-                else:
-                    exhaustive = False
-                    worst = [0] * comp.k
-                    args = [()] * comp.k
-                    for _ in range(sample_patterns):
-                        erased = frozenset(rng.sample(range(comp.n), min(budgets[link], comp.n)))
-                        for j, d in enumerate(_pattern_delays(comp.n, comp.k, erased)):
-                            if d > worst[j]:
-                                worst[j], args[j] = d, tuple(sorted(erased))
-                        checked += 1
-                for j in range(1, comp.k + 1):
-                    declared = spec.slot_delays[moff + j - 1]
-                    if worst[j - 1] > declared:
+            budget = budgets[link]
+            for comp, places in spec.plan:
+                for _, moff in places:
+                    if comp.n <= ENUMERATION_GUARD:
+                        worst, args = component_worst_delays(comp.n, comp.k, budget)
+                        checked += math.comb(comp.n, min(budget, comp.n))
+                    else:
+                        exhaustive = False
+                        worst = [0] * comp.k
+                        args = [()] * comp.k
+                        for _ in range(SAMPLED_PATTERNS):
+                            erased = frozenset(rng.sample(range(comp.n), min(budget, comp.n)))
+                            for j, d in enumerate(_pattern_delays(comp.n, comp.k, erased)):
+                                if d > worst[j]:
+                                    worst[j], args[j] = d, tuple(sorted(erased))
+                            checked += 1
+                    for j in range(comp.k):
+                        slot = moff + j
+                        declared = spec.slot_delays[slot]
+                        if worst[j] <= declared:
+                            continue
                         # place the pattern on the diagonal through a
                         # steady-state link time so the witness replays
-                        diag = anchor - (j - 1)
-                        times = tuple(diag + p for p in args[j - 1])
-                        sym = fills[link][moff + j - 1]
+                        times = tuple(anchor - j + p for p in args[j])
+                        sym = fills[link][slot]
                         src = anchor
                         if hop == 2 and sym is not None:
                             src = anchor - code.routes[sym].relay_delay
-                        detail = (
-                            f"hop-{hop} link {link} slot {moff + j - 1} recovers in "
-                            f"{worst[j - 1]} slots, declared {declared}"
+                        recovers = (
+                            "never recovers" if worst[j] >= INF_DELAY
+                            else f"recovers in {worst[j]} slots"
                         )
-                        witness = FailureWitness(
-                            erasures1=tuple(
-                                times if (hop == 1 and li == link) else ()
-                                for li in range(len(code.hop1))
-                            ),
-                            erasures2=tuple(
-                                times if (hop == 2 and li == link) else ()
-                                for li in range(len(code.hop2))
-                            ),
-                            src_time=src,
-                            sym=sym if sym is not None else -1,
-                            required_delay=declared,
-                            actual_delay=None,
-                        )
-                        if sym is not None:
-                            witness.actual_delay = replay_witness(code, witness)
-                        return VerificationReport(
-                            ok=False,
-                            exhaustive=exhaustive,
-                            checked_patterns=checked,
-                            detail=detail,
-                            failure=witness,
+                        return fail(
+                            f"hop-{hop} link {link} slot {slot} {recovers}, declared {declared}",
+                            _witness(code, {(hop, link): times}, src,
+                                     -1 if sym is None else sym, declared),
                         )
 
     for route in code.routes:
         # the relay must hold the symbol before it forwards it
         ready = code.hop1[route.link1].slot_delays[route.slot1] + config.dT1[route.link1]
         if route.relay_delay < ready:
-            return VerificationReport(
-                ok=False,
-                exhaustive=exhaustive,
-                checked_patterns=checked,
-                detail=(
-                    f"symbol {route.sym} leaves the relay after {route.relay_delay} "
-                    f"slots, but hop-1 link {route.link1} slot {route.slot1} may "
-                    f"take {ready} (declared delay plus propagation)"
-                ),
-                failure=_route_witness(code, route, config.T),
+            return fail(
+                f"symbol {route.sym} leaves the relay after {route.relay_delay} "
+                f"slots, but hop-1 link {route.link1} slot {route.slot1} may "
+                f"take {ready} (declared delay plus propagation)",
+                _route_witness(code, route, config.T),
             )
 
     for route in code.routes:
-        total = route.relay_delay + route.dest_delay
-        if total > config.T:
-            witness = _route_witness(code, route, config.T)
-            return VerificationReport(
-                ok=False,
-                exhaustive=exhaustive,
-                checked_patterns=checked,
-                detail=(
-                    f"symbol {route.sym} pairs delays {route.relay_delay}+"
-                    f"{route.dest_delay} > T={config.T}"
-                ),
-                failure=witness,
+        if route.relay_delay + route.dest_delay > config.T:
+            return fail(
+                f"symbol {route.sym} pairs delays {route.relay_delay}+"
+                f"{route.dest_delay} > T={config.T}",
+                _route_witness(code, route, config.T),
             )
 
     if len(code.hop1) == 1 and len(code.hop2) == 1:
-        report = _cross_product_check(code, config, rng, window=window)
-        checked += report[1]
-        if report[0] is not None:
-            return VerificationReport(
-                ok=False,
-                exhaustive=exhaustive,
-                checked_patterns=checked,
-                detail="joint-pattern replay missed a deadline",
-                failure=report[0],
-            )
+        witness, pairs = _cross_product_check(code, config, rng)
+        checked += pairs
+        if witness is not None:
+            return fail("joint-pattern replay missed a deadline", witness)
 
     return VerificationReport(
         ok=True,
@@ -330,9 +294,7 @@ def verify_adversarial(
     )
 
 
-def _cross_product_check(
-    code: NetworkCode, config: NetworkConfig, rng, cap: int = 400, window: Optional[int] = None
-):
+def _cross_product_check(code: NetworkCode, config: NetworkConfig, rng):
     """Replay joint hop-pattern pairs through the real pipeline, each hop
     pattern once where that is exact.
 
@@ -355,15 +317,13 @@ def _cross_product_check(
     spec1, spec2 = code.hop1[0], code.hop2[0]
     w1 = spec1.span + max(spec1.slot_delays, default=0)
     w2 = spec2.span + max(spec2.slot_delays, default=0)
-    if window is not None:
-        w1, w2 = min(w1, window), min(w2, window)
     span = max(spec1.span, spec2.span)
     start = span + 1
     pats1 = list(itertools.combinations(range(start, start + w1), min(config.N1[0], w1)))
     pats2 = list(itertools.combinations(range(start, start + w2), min(config.N2[0], w2)))
     pairs = [(a, b) for a in pats1 for b in pats2]
-    if len(pairs) > cap:
-        pairs = rng.sample(pairs, cap)
+    if len(pairs) > JOINT_PAIRS:
+        pairs = rng.sample(pairs, JOINT_PAIRS)
     horizon = start + w1 + w2 + config.T + 2
     packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(start + w1 + 2)]
     dt1, dt2 = code.allocation.config.dT1[0], code.allocation.config.dT2[0]
@@ -490,10 +450,12 @@ def _kth_arrival(erased: np.ndarray, n: int, k: int, num_diag: int) -> np.ndarra
 def _slot_shapes(spec: StreamingCodeSpec) -> np.ndarray:
     """Rows (n_c, k_c, j), one per message slot: the shape of the slot's
     component and the slot's 1-based position on the component diagonal."""
-    n = np.array([c.n for c in spec.components], dtype=np.int64)
-    k = np.array([c.k for c in spec.components], dtype=np.int64)
-    j = np.arange(spec.k) - np.repeat(spec.message_offsets, k) + 1
-    return np.column_stack([np.repeat(n, k), np.repeat(k, k), j])
+    runs = np.array([(c.n, c.k, count) for c, count in spec.runs], dtype=np.int64)
+    n, k, count = runs.reshape(-1, 3).T
+    slots = k * count
+    k_slot = np.repeat(k, slots)
+    j = (np.arange(spec.k) - np.repeat(np.cumsum(slots) - slots, slots)) % k_slot + 1
+    return np.column_stack([np.repeat(n, slots), k_slot, j])
 
 
 def _route_classes(code: NetworkCode) -> tuple[list[tuple[int, ...]], ...]:

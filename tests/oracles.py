@@ -6,7 +6,8 @@ validated dataclass with dict-based subtraction, the planners'
 straightforward constructions (every mwdf split tried, cswdf groupings
 concatenated pair by pair), the joint replay rerun from time 0 for every
 pattern pair, the per-slot recovery-delay table of the k-th-arrival
-rule, and the code builders, spectrum measurement and channel statistics
+rule, a code's runs expanded back into its flat component list, and the
+code builders, spectrum measurement and channel statistics
 that only the tests need."""
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from relaystream.planner import Allocation, point_rate
 from relaystream.relay import run_network
 from relaystream.sim import (
     INF_DELAY,
+    JOINT_PAIRS,
     FailureWitness,
     _kth_arrival,
     _slot_shapes,
@@ -258,21 +260,19 @@ def list_form(spectrum):
     return spectrum.entries[0][0], [c for _, c in spectrum.entries]
 
 
-def cross_product_from_zero(code, config, rng, cap=400, window=None):
+def cross_product_from_zero(code, config, rng):
     # the joint replay without forks: every pattern pair reruns the whole
     # stream from time 0 through run_network, erasures given as
     # horizon-long boolean tables; same pairs, packets and rng draws
     spec1, spec2 = code.hop1[0], code.hop2[0]
     w1 = spec1.span + max(spec1.slot_delays)
     w2 = spec2.span + max(spec2.slot_delays, default=0)
-    if window is not None:
-        w1, w2 = min(w1, window), min(w2, window)
     start = max(spec1.span, spec2.span) + 1
     pats1 = list(combinations(range(start, start + w1), min(config.N1[0], w1)))
     pats2 = list(combinations(range(start, start + w2), min(config.N2[0], w2)))
     pairs = [(a, b) for a in pats1 for b in pats2]
-    if len(pairs) > cap:
-        pairs = rng.sample(pairs, cap)
+    if len(pairs) > JOINT_PAIRS:
+        pairs = rng.sample(pairs, JOINT_PAIRS)
     horizon = start + w1 + w2 + config.T + 2
     packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(start + w1 + 2)]
     count = 0
@@ -332,8 +332,13 @@ def build_diagonal_mds(N, k):
     if N + k > FIELD_ORDER:
         raise ValueError("component too long for the field")
     return StreamingCodeSpec(
-        components=(make_mds(N + k, k),), n=N + k, k=k, N=N, grouping=component_grouping(N, k)
+        runs=((make_mds(N + k, k), 1),), n=N + k, N=N, grouping=component_grouping(N, k)
     )
+
+
+def components(spec):
+    # the flat component list the runs stand for, in channel order
+    return [comp for comp, count in spec.runs for _ in range(count)]
 
 
 def build_spectrum_code(n, k, N, worst_delay):
@@ -346,7 +351,7 @@ def measure_spectrum(spec, budget=None):
     # empirical delay spectrum under exhaustive per-component erasures
     budget = spec.N if budget is None else budget
     pairs = []
-    for comp in spec.components:
+    for comp in components(spec):
         if comp.k == 0:
             continue
         worst, _ = component_worst_delays(comp.n, comp.k, budget)

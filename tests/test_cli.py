@@ -323,6 +323,27 @@ def test_verify_deadline_audit_produces_witness(planned_a, capsys):
     assert "achieved 5" in err
 
 
+def test_verify_names_a_slot_that_never_recovers(tmp_path, capsys):
+    # a hop-1 code built for one erasure, checked against two: slot 0 of
+    # its (2, 1) component is never recovered, and the report says so
+    # rather than printing the "never" sentinel as a delay
+    cfg = write(tmp_path, "one.json", {"T": 4, "N1": [1], "N2": [1]})
+    code, out, _ = run(capsys, ["plan", "--config", cfg, "--scheme", "mwdf"])
+    assert code == 0
+    doc = json.loads(out)
+    doc["config"]["N1"] = [2]
+    doc["hop1"][0]["budget"] = 1
+    code, out, err = run(capsys, ["verify", write(tmp_path, "raised.json", doc)])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "FAIL: hop-1 link 0 slot 0 never recovers, declared 2 (exhaustive)",
+        "  witness: source packet 9, symbol 0; required delay 2, achieved never",
+        "  hop-1 erasures: [[9, 10]]",
+        "  hop-2 erasures: [[]]",
+    ]
+
+
 def test_verify_loose_deadline_is_cheap(tmp_path, capsys):
     # the joint replay of a 1x1 network runs to a horizon past the audited
     # deadline, but each settled replay stops a span past its last erasure

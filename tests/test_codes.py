@@ -8,8 +8,10 @@ from itertools import accumulate
 import pytest
 
 from relaystream.codes import CodecState, build_grouped_code, decode_step, encode_step
+from relaystream.gf import make_mds
 from relaystream.planner import NetworkConfig, oswdf_optimize
 from relaystream.relay import assemble
+from relaystream.sim import _slot_shapes
 from relaystream.spectrum import DelayGrouping
 
 from oracles import (
@@ -17,6 +19,7 @@ from oracles import (
     build_diagonal_mds,
     build_spectrum_code,
     component_grouping,
+    components,
     concat_groupings,
     oracle_determined,
 )
@@ -60,7 +63,7 @@ def test_diagonal_mds_shapes_and_grouping():
 
 def test_encoder_emits_block_codewords_along_diagonals():
     code = build_diagonal_mds(2, 3)
-    comp = code.components[0]
+    comp = components(code)[0]
     source = stream_source(3, 25)
     enc = CodecState(code)
     sent = [encode_step(enc, p) for p in source]
@@ -76,10 +79,12 @@ def stream_encode_oracle(code, source):
     # begun at t - r + 1, with pre-stream message symbols zero (rows not
     # yet sent feed only their own systematic columns, so zero them too)
     sent = []
+    comps = components(code)
     for t in range(len(source)):
         out = [0] * code.n
-        coffs = accumulate((c.n for c in code.components), initial=0)
-        for comp, coff, moff in zip(code.components, coffs, code.message_offsets):
+        coffs = accumulate((c.n for c in comps), initial=0)
+        moffs = accumulate((c.k for c in comps), initial=0)
+        for comp, coff, moff in zip(comps, coffs, moffs):
             for r in range(comp.n):
                 d = t - r
                 msg = [source[d + j][moff + j] if 0 <= d + j <= t else 0 for j in range(comp.k)]
@@ -188,11 +193,11 @@ def oracle_recovery_steps(code, erased, horizon):
     pre-stream rows, span the symbol's unit vector."""
     memo = _DETERMINED
     out = {}
-    for ci, comp in enumerate(code.components):
+    comps = components(code)
+    for comp, moff in zip(comps, accumulate((c.k for c in comps), initial=0)):
         k = comp.k
         if k == 0:
             continue
-        moff = code.message_offsets[ci]
         for d in range(1 - k, horizon):
             pre = [j for j in range(1, k + 1) if d + j - 1 < 0]
             received = []
@@ -247,25 +252,83 @@ def test_decoder_matches_rank_oracle(code):
 
 def test_spectrum_code_component_multisets():
     code = build_spectrum_code(12, 9, 1, 3)
-    assert sorted((c.n, c.k) for c in code.components) == [(4, 3)] * 3
+    assert sorted((c.n, c.k) for c in components(code)) == [(4, 3)] * 3
     assert code.grouping.entries == ((3, 3), (2, 3), (1, 3))
     code = build_spectrum_code(12, 8, 1, 2)
-    assert sorted((c.n, c.k) for c in code.components) == [(3, 2)] * 4
+    assert sorted((c.n, c.k) for c in components(code)) == [(3, 2)] * 4
     assert code.grouping.entries == ((2, 4), (1, 4))
 
 
 def test_grouped_code_mixed_components():
     g = DelayGrouping.from_pairs([(2, 2), (1, 9)])
     code = build_grouped_code(20, 1, g)
-    multiset = sorted((c.n, c.k) for c in code.components)
+    multiset = sorted((c.n, c.k) for c in components(code))
     assert multiset == [(2, 1)] * 7 + [(3, 2)] * 2
     assert code.n == 20 and code.k == 11
+
+
+def per_component_layout(code):
+    # plan, systematic, slot delays and slot shapes worked out component
+    # by component over the flat list, shapes grouped in first-seen order
+    comps = components(code)
+    groups, delays, shapes = {}, [], []
+    coffs = accumulate((c.n for c in comps), initial=0)
+    moffs = accumulate((c.k for c in comps), initial=0)
+    for comp, coff, moff in zip(comps, coffs, moffs):
+        if comp.k:
+            groups.setdefault(comp, []).append((coff, moff))
+        for j in range(1, comp.k + 1):
+            delays.append(code.N + comp.k - j)
+            shapes.append([comp.n, comp.k, j])
+    plan = tuple((comp, tuple(places)) for comp, places in groups.items())
+    systematic = tuple(
+        (moff + r, coff + r) for comp, places in plan for r in range(comp.k) for coff, moff in places
+    )
+    return plan, systematic, tuple(delays), shapes
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_runs_match_per_component_layout(seed):
+    # random staircases: some top delays start no component (a zero step
+    # between runs), and spare slots become one dead component
+    rng = random.Random(seed)
+    N = rng.randint(0, 3)
+    pairs, count, used = [], 0, 0
+    for d in range(N + rng.randint(0, 5), N - 1, -1):
+        tops = rng.choice((0, 0, 1, 2, 3))
+        count += tops
+        used += tops * (d + 1)
+        pairs.append((d, count))
+    grouping = DelayGrouping.from_pairs(pairs)
+    code = build_grouped_code(used + rng.randint(0, 3), N, grouping)
+    comps = components(code)
+    # the invariants the runs hold by construction
+    assert sum(c.n for c in comps) == code.n
+    assert sum(c.k for c in comps) == code.k == grouping.total()
+    assert DelayGrouping.from_pairs((d, 1) for d in code.slot_delays) == grouping
+    assert all(count >= 1 for _, count in code.runs)
+    assert len({comp for comp, _ in code.runs}) == len(code.runs)
+    assert code.span == max((c.n for c in comps), default=0)
+    plan, systematic, delays, shapes = per_component_layout(code)
+    assert code.plan == plan
+    assert code.systematic == systematic
+    assert code.slot_delays == delays
+    assert _slot_shapes(code).tolist() == shapes
+
+
+def test_large_grouping_is_one_run():
+    code = build_grouped_code(80_000, 3, DelayGrouping.from_pairs([(3, 20_000)]))
+    assert code.runs == ((make_mds(4, 1), 20_000),)
+    assert code.k == 20_000 and code.span == 4
+    assert code.plan == ((make_mds(4, 1), tuple((4 * i, i) for i in range(20_000))),)
+    assert code.slot_delays == (3,) * 20_000
+    assert (_slot_shapes(code) == [4, 1, 1]).all()
 
 
 def test_grouped_code_dead_slots_and_rejections():
     g = DelayGrouping.from_pairs([(1, 2)])
     code = build_grouped_code(5, 1, g)
-    assert sorted((c.n, c.k) for c in code.components) == [(1, 0), (2, 1), (2, 1)]
+    assert sorted((c.n, c.k) for c in components(code)) == [(1, 0), (2, 1), (2, 1)]
     with pytest.raises(ValueError):
         build_grouped_code(3, 1, g)  # needs 4 slots
     with pytest.raises(ValueError):

@@ -7,13 +7,16 @@ destination pipeline on random erasures. Everything else leans on those.
 """
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
 from relaystream.channels import GeParams
+from relaystream.cli import main
 from relaystream.codes import CodecState, build_grouped_code, decode_step, encode_step
 from relaystream.planner import (
     Allocation,
@@ -22,6 +25,7 @@ from relaystream.planner import (
     mwdf_plan,
     oswdf_initial,
     oswdf_optimize,
+    t_min,
 )
 from relaystream.relay import assemble, run_network
 from relaystream.sim import (
@@ -137,7 +141,7 @@ def test_verify_fails_at_tighter_deadline():
 def test_verify_single_link_cross_product():
     cfg = NetworkConfig(T=5, N1=(2,), N2=(1,))
     code = assemble(oswdf_initial(cfg))
-    report = verify_adversarial(code, window=7)
+    report = verify_adversarial(code)
     assert report.ok and report.exhaustive
 
 
@@ -231,9 +235,71 @@ def test_verify_sampled_fallback_on_long_components():
         ),
     )
     code = assemble(alloc)
-    report = verify_adversarial(code, sample_patterns=300)
+    report = verify_adversarial(code)
     assert report.ok
     assert not report.exhaustive
+
+
+def golden_configs():
+    # 1-2 links per hop, budgets 1-3, delays 0-1, T = t_min or t_min + 1
+    rng = random.Random(3)
+    for _ in range(4):
+        l1, l2 = rng.randint(1, 2), rng.randint(1, 2)
+        N1 = [rng.randint(1, 3) for _ in range(l1)]
+        N2 = [rng.randint(1, 3) for _ in range(l2)]
+        dT1 = [rng.randint(0, 1) for _ in range(l1)]
+        dT2 = [rng.randint(0, 1) for _ in range(l2)]
+        tmin = t_min(NetworkConfig(T=1, N1=tuple(N1), N2=tuple(N2), dT1=tuple(dT1), dT2=tuple(dT2)))
+        yield {"T": tmin + rng.randint(0, 1), "N1": N1, "N2": N2, "dT1": dT1, "dT2": dT2}
+    # raised to N1 = [2], its mwdf plan's hop-1 slot 0 never recovers
+    yield {"T": 4, "N1": [1], "N2": [1]}
+    # components longer than the enumeration guard: sampled per-link check
+    yield {"T": 33, "N1": [1, 1], "N2": [1]}
+
+
+VERIFY_DIGEST = "b8cd84804c5a4eef6bbec2e5d6ec133040dca29b4bae536fcae141ad60fe18f2"
+
+
+def test_verify_outputs_are_pinned(tmp_path, capsys):
+    # exit code, stdout and stderr of plan, then verify at T and T-1, for
+    # every scheme: PASS lines (exhaustive, sampled, with the 1x1 joint
+    # replay) and route witnesses. With each hop-1 budget raised by one
+    # over the code's, verify gives per-link witnesses, pinned from their
+    # second line. Last, the joint replay's own witness on a 1x1 code
+    # whose relay forwards too early.
+    digest = hashlib.sha256()
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    for i, config in enumerate(golden_configs()):
+        config_path = tmp_path / f"c{i}.json"
+        config_path.write_text(json.dumps(config))
+        for scheme in ("mwdf", "cswdf", "oswdf"):
+            planned = run(["plan", "--config", str(config_path), "--scheme", scheme])
+            digest.update(repr(planned).encode())
+            if planned[0]:
+                continue
+            doc_path = tmp_path / f"{i}-{scheme}.json"
+            doc_path.write_text(planned[1])
+            for T in (config["T"], config["T"] - 1):
+                digest.update(repr(run(["verify", str(doc_path), "--deadline", str(T)])).encode())
+            doc = json.loads(planned[1])
+            doc["config"]["N1"] = [N + 1 for N in config["N1"]]
+            for entry, N in zip(doc["hop1"], config["N1"]):
+                entry["budget"] = N
+            doc_path.write_text(json.dumps(doc))
+            code, out, err = run(["verify", str(doc_path)])
+            assert code == 1 and err.startswith("FAIL: hop-1 link ")
+            digest.update(repr((out, err.splitlines()[1:])).encode())
+
+    config = NetworkConfig(T=5, N1=(2,), N2=(2,))
+    alloc = mwdf_plan(config)
+    code = assemble(dataclasses.replace(alloc, relabel_delay=alloc.relabel_delay - 1))
+    digest.update(repr(_cross_product_check(code, config, random.Random(5))).encode())
+    assert digest.hexdigest() == VERIFY_DIGEST
 
 
 # ---------------------------------------------------------------------------
