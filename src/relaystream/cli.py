@@ -24,6 +24,7 @@ import io
 import json
 import re
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
@@ -136,10 +137,7 @@ def allocation_to_doc(alloc: Allocation) -> dict:
         "relabel_delay": alloc.relabel_delay,
         "capped": alloc.capped,
     }
-    code = assemble(alloc)
-    pairing: dict[tuple[int, int], int] = {}
-    for r in code.routes:
-        pairing[(r.relay_delay, r.dest_delay)] = pairing.get((r.relay_delay, r.dest_delay), 0) + 1
+    pairing = Counter((r.relay_delay, r.dest_delay) for r in assemble(alloc).routes)
     doc["pairing"] = [
         {"relay_delay": d1, "dest_delay": d2, "count": c}
         for (d1, d2), c in sorted(pairing.items(), reverse=True)

@@ -42,7 +42,7 @@ from .spectrum import DelayGrouping
 
 @dataclass(frozen=True)
 class StreamingCodeSpec:
-    """Runs of diagonal MDS components with their declared grouping.
+    """Runs of diagonal MDS components realizing a delay grouping.
 
     ``runs`` holds (component, count) pairs laid end to end: one run of
     (d+1, d-N+1) components per top delay d of the grouping's staircase,
@@ -53,11 +53,10 @@ class StreamingCodeSpec:
     runs: tuple[tuple[MdsSpec, int], ...]
     n: int
     N: int
-    grouping: DelayGrouping
 
     @cached_property
     def k(self) -> int:
-        return self.grouping.total()
+        return sum(c.k * count for c, count in self.runs)
 
     @cached_property
     def span(self) -> int:
@@ -125,7 +124,7 @@ def build_grouped_code(n: int, N: int, grouping: DelayGrouping) -> StreamingCode
         raise ValueError(f"grouping needs {used} slots, only {n} available")
     if used < n:
         runs.append((make_mds(n - used, 0), 1))
-    return StreamingCodeSpec(runs=tuple(runs), n=n, N=N, grouping=grouping)
+    return StreamingCodeSpec(runs=tuple(runs), n=n, N=N)
 
 
 class CodecState:

@@ -116,7 +116,8 @@ def make_mds(n: int, k: int) -> MdsSpec:
 
 
 def _row_reduce_to_systematic(rows: list[list[int]], k: int) -> None:
-    # Gauss-Jordan on the first k columns; they are Vandermonde, hence invertible.
+    # Gauss-Jordan on the first k columns of k rows. They are invertible:
+    # Vandermonde in make_mds, any k columns of an MDS generator in _inverse.
     for col in range(k):
         pivot = next(r for r in range(col, k) if rows[r][col] != 0)
         rows[col], rows[pivot] = rows[pivot], rows[col]
@@ -158,17 +159,9 @@ def solve_erasures(spec: MdsSpec, received: Sequence[Optional[int]]) -> tuple[in
 @lru_cache(maxsize=4096)
 def _inverse(spec: MdsSpec, cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Inverse of G[:, cols], shared by every word that lost the same positions."""
-    # Solve m . G[:, cols] = y by Gauss-Jordan on the k x k system.
+    # Solve m . G[:, cols] = y: reducing [G[:, cols] | I] leaves the inverse on the right.
     a = [[spec.generator[i][c] for c in cols] + [0] * spec.k for i in range(spec.k)]
     for i in range(spec.k):
         a[i][spec.k + i] = 1
-    for col in range(spec.k):
-        pivot = next(r for r in range(col, spec.k) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = gf_inv(a[col][col])
-        a[col] = [gf_mul(inv, v) for v in a[col]]
-        for r in range(spec.k):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v ^ gf_mul(f, w) for v, w in zip(a[r], a[col])]
+    _row_reduce_to_systematic(a, spec.k)
     return tuple(tuple(row[spec.k :]) for row in a)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, lcm
 from typing import Optional, Sequence
 
 from .spectrum import (
@@ -103,7 +103,8 @@ class _Hop:
     use delays up to what the other hop's fastest link leaves of the
     deadline, and its cap is its point rate there. At T >= t_min, the only
     deadlines the symbol-wise planner accepts, every link's max delay is
-    at least its N, so every cap is positive. Note the rate denominators
+    at least its N, so every cap is positive, and so is every per-link
+    rate the planner gives a bottleneck link. Note the rate denominators
     keep N, not Z: a slot of pure delay costs strictly less rate than an
     extra erasure would. The allocator visits links in decreasing Z order.
     """
@@ -310,8 +311,6 @@ def cswdf_plan(config: NetworkConfig) -> tuple[Fraction, Allocation]:
 def _link_grouping(n: int, k: int, N: int, max_delay: int) -> Spectrum:
     """Extremal grouping for one link at the converse-bound worst delay,
     in list form."""
-    if k == 0:
-        return 0, []
     if N == 0:
         return 0, [k]
     worst = delay_lower_bound(n, k, N)
@@ -383,13 +382,12 @@ def _plan_bottleneck_first(
     config: NetworkConfig, bot: _Hop, other: _Hop, n: int, bot_rates: Sequence[Fraction]
 ) -> Allocation:
     """Allocate the bottleneck hop at the given per-link rates, then fill
-    the other hop under the induced pairing constraint."""
-    bot_groupings = []
-    for r, N, maxd in zip(bot_rates, bot.N, bot.max_delay):
-        k_i = r * n
-        if k_i.denominator != 1:
-            raise ValueError("bottleneck counts must be integral; rescale n")
-        bot_groupings.append(_link_grouping(n, int(k_i), N, maxd))
+    the other hop under the induced pairing constraint. n must make every
+    r * n integral."""
+    bot_groupings = [
+        _link_grouping(n, int(r * n), N, maxd)
+        for r, N, maxd in zip(bot_rates, bot.N, bot.max_delay)
+    ]
     constraint = _pairing_constraint(config.T, bot_groupings, bot.dT)
     n, other_groupings = _fill_under_constraint(n, other, constraint, bot_groupings)
     if bot.name == "hop1":
@@ -422,8 +420,7 @@ def _ranked_hops(config: NetworkConfig) -> tuple[_Hop, _Hop]:
 def _initial_plan(config: NetworkConfig, bot: _Hop, other: _Hop) -> Allocation:
     # every bottleneck link needs (tau_i + 1) | n for integral counts
     n0 = (config.T + 1 - min(bot.z)) * (config.T + 1 - min(other.z))
-    need = lcm(*[d + 1 for d in bot.max_delay])
-    n = n0 * (need // gcd(need, n0))
+    n = lcm(n0, *[d + 1 for d in bot.max_delay])
     return _plan_bottleneck_first(config, bot, other, n, bot.caps)
 
 
@@ -438,12 +435,12 @@ def oswdf_initial(config: NetworkConfig) -> Allocation:
     return _initial_plan(config, *_ranked_hops(config))
 
 
-def _redistribute(T: int, bot: _Hop, other: _Hop, target: Fraction) -> Optional[list[Fraction]]:
-    """Per-link bottleneck rates summing to target.
+def _redistribute(T: int, bot: _Hop, other: _Hop, target: Fraction) -> list[Fraction]:
+    """Per-link bottleneck rates summing to target, for 0 < target < bot.rate.
 
     Starts from the per-link rates of the concatenated scheme and pours the
     remainder into links in decreasing budget order, saturating each at its
-    point-to-point capacity.
+    point-to-point capacity; the caps sum to bot.rate, so the pour drains.
     """
     den = sum(T + 1 - z for z in other.z)
     base = []
@@ -463,20 +460,7 @@ def _redistribute(T: int, bot: _Hop, other: _Hop, target: Fraction) -> Optional[
         deficit -= take
         if deficit == 0:
             break
-    if deficit > 0:
-        return None  # target above the hop capacity
     return rates
-
-
-def _evaluate_rate(config: NetworkConfig, bot: _Hop, other: _Hop, target: Fraction) -> Optional[Allocation]:
-    """Try to realize a bottleneck-hop rate; None if the packet size guard trips."""
-    rates = _redistribute(config.T, bot, other, target)
-    if rates is None:
-        return None
-    n = lcm(*[max(1, N) * r.denominator for N, r in zip(bot.N, rates)])
-    if n > N_MAX:
-        return None
-    return _plan_bottleneck_first(config, bot, other, n, rates)
 
 
 def oswdf_optimize(config: NetworkConfig) -> Allocation:
@@ -485,8 +469,10 @@ def oswdf_optimize(config: NetworkConfig) -> Allocation:
     The initial pass's bottleneck mass is an upper bound on what the other
     hop can mirror; the mass it actually mirrored, and the concatenated
     scheme, are achieved lower bounds. Bisection probes rates on a k/n grid
-    that doubles n when it runs out of resolution, and stops once the
-    bracket is tighter than the rate tolerance or n would exceed the guard.
+    that doubles n when it runs out of resolution. It stops in one of two
+    ways: the bracket is tighter than RATE_TOLERANCE, or the packet size
+    passes N_MAX, either the grid's n_work or the n a probe's per-link
+    rates need; the second marks the result capped.
     """
     bot, other = _ranked_hops(config)
     init = _initial_plan(config, bot, other)
@@ -502,6 +488,7 @@ def oswdf_optimize(config: NetworkConfig) -> Allocation:
     n_work = init.n
     while ub - lb >= RATE_TOLERANCE:
         lo_k, hi_k = floor(lb * n_work), ceil(ub * n_work)
+        # two or more grid steps apart, the midpoint lies strictly in (lb, ub)
         if hi_k - lo_k <= 1:
             n_work *= 2
             if n_work > N_MAX:
@@ -509,24 +496,18 @@ def oswdf_optimize(config: NetworkConfig) -> Allocation:
                 break
             continue
         probe = Fraction(lo_k + (hi_k - lo_k) // 2, n_work)
-        if not lb < probe < ub:
-            n_work *= 2
-            if n_work > N_MAX:
-                capped = True
-                break
-            continue
-        cand = _evaluate_rate(config, bot, other, probe)
-        if cand is None:
+        rates = _redistribute(config.T, bot, other, probe)
+        n = lcm(*[max(1, N) * r.denominator for N, r in zip(bot.N, rates)])
+        if n > N_MAX:
             capped = True
             break
+        cand = _plan_bottleneck_first(config, bot, other, n, rates)
+        if cand.rate > best.rate:
+            best = cand
         if cand.k1_total == cand.k2_total:
             lb = probe
-            if cand.rate > best.rate:
-                best = cand
         else:
             ub = probe
-            if cand.rate > best.rate:
-                best = cand
             lb = max(lb, cand.rate)
     if capped and best.scheme == "oswdf":
         best = replace(best, capped=True)

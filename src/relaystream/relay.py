@@ -63,10 +63,6 @@ class NetworkCode:
         return len(self.routes)
 
     @property
-    def deadline(self) -> int:
-        return self.allocation.config.T
-
-    @property
     def span(self) -> int:
         """Longest memory of any link's code, zero-dimension padding included."""
         return max(c.span for c in self.hop1 + self.hop2)
@@ -209,7 +205,7 @@ class NetworkState:
             for fill in code.hop2_fill
         ]
         self._back2 = [{slot: (sym, delay) for slot, sym, delay, _ in feed} for feed in self._feed2]
-        self._keep = 4 * (code.deadline + 1) + max(c.span for c in code.hop1)
+        self._keep = 4 * (code.allocation.config.T + 1) + max(c.span for c in code.hop1)
         self.violations: list[Violation] = []
         self.deliveries: list[Delivery] = []
 

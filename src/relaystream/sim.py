@@ -554,14 +554,8 @@ def run_monte_carlo(
             raise ValueError(f"need {links} per-link channel specs, got {len(per_link)}")
     horizon = num_packets + code.span + config.T + 2
     children = np.random.SeedSequence(seed).spawn(links)
-    bits1 = [
-        per_link[i].sample(horizon, children[i]) for i in range(len(code.hop1))
-    ]
-    bits2 = [
-        per_link[len(code.hop1) + j].sample(horizon, children[len(code.hop1) + j])
-        for j in range(len(code.hop2))
-    ]
-    lost = loss_mask(code, bits1, bits2, num_packets)
+    bits = [spec.sample(horizon, child) for spec, child in zip(per_link, children)]
+    lost = loss_mask(code, bits[: len(code.hop1)], bits[len(code.hop1) :], num_packets)
     described = per_link[0].describe()
     if any(spec != per_link[0] for spec in per_link):
         described = {"channel": "per-link", "eps": "", "alpha": "", "beta": "",

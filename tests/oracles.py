@@ -331,9 +331,7 @@ def build_diagonal_mds(N, k):
         raise ValueError("need N >= 1 and k >= 1")
     if N + k > FIELD_ORDER:
         raise ValueError("component too long for the field")
-    return StreamingCodeSpec(
-        runs=((make_mds(N + k, k), 1),), n=N + k, N=N, grouping=component_grouping(N, k)
-    )
+    return StreamingCodeSpec(runs=((make_mds(N + k, k), 1),), n=N + k, N=N)
 
 
 def components(spec):

@@ -92,6 +92,22 @@ def test_round_trip_exhaustive_small():
                     assert gf.solve_erasures(spec, rx) == msg
 
 
+def test_inverse_exhaustive_small():
+    # every (n, k) with n <= 8 and every k-subset of columns: G[:, cols] times
+    # its cached inverse is the identity, multiplied without tables
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            spec = gf.make_mds(n, k)
+            for cols in itertools.combinations(range(n), k):
+                inv = gf._inverse(spec, cols)
+                for i in range(k):
+                    for j in range(k):
+                        acc = 0
+                        for r in range(k):
+                            acc ^= slow_mul(spec.generator[i][cols[r]], inv[r][j])
+                        assert acc == (i == j), (n, k, cols)
+
+
 def test_too_many_erasures_raises():
     spec = gf.make_mds(5, 3)
     word = block_encode(spec, (1, 2, 3))

@@ -13,13 +13,16 @@ values derived by hand from the converse bound and the pairing budget):
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from relaystream.planner import (
     Allocation,
+    N_MAX,
     NetworkConfig,
     RATE_TOLERANCE,
     cswdf_closed_form,
@@ -33,6 +36,10 @@ from relaystream.planner import (
     t_min,
     upper_bound,
     _hops,
+    _initial_plan,
+    _plan_bottleneck_first,
+    _ranked_hops,
+    _redistribute,
 )
 
 from relaystream.sim import sample_config
@@ -359,3 +366,46 @@ def test_planner_outputs_are_pinned():
         matched = _plan_record(lambda: mwdf_plan(cfg, match=osw))[0] if osw else None
         digest.update(repr((cfg, hop_rates(cfg), osw_record, mw_record, matched)).encode())
     assert digest.hexdigest() == PLANNER_DIGEST
+
+
+def test_bisection_invariants_behind_the_removed_refusals():
+    # oswdf's bisection has no refusal for a rate it cannot redistribute, a
+    # non-integral bottleneck count or an empty bottleneck link: at T >= t_min
+    # the pour always drains, every per-link rate is positive, and both ways
+    # of choosing n make every count integral
+    rng = random.Random(13)
+    configs = [sample_config(rng) for _ in range(30)]
+    for _ in range(120):
+        l1, l2 = rng.randint(1, 3), rng.randint(1, 3)
+        n1 = tuple(rng.randint(0, 3) for _ in range(l1))
+        n2 = tuple(rng.randint(0, 3) for _ in range(l2))
+        dt1 = tuple(rng.randint(0, 2) for _ in range(l1))
+        dt2 = tuple(rng.randint(0, 2) for _ in range(l2))
+        base = NetworkConfig(T=20, N1=n1, N2=n2, dT1=dt1, dT2=dt2)
+        configs.append(replace(base, T=t_min(base) + rng.randint(0, 4)))
+    branches = {"scale-down": 0, "pour": 0}
+    for cfg in configs:
+        bot, other = _ranked_hops(cfg)
+        init = _initial_plan(cfg, bot, other)
+        init_k = init.k1 if bot.name == "hop1" else init.k2
+        assert [Fraction(k, init.n) for k in init_k] == list(bot.caps)
+        # the concatenated scheme's per-link rates, where the pour starts
+        den = sum(cfg.T + 1 - z for z in other.z)
+        concat = sum(
+            (min(cap, Fraction(sum(max(0, cfg.T + 1 - z_i - z) for z in other.z), den))
+             for z_i, cap in zip(bot.z, bot.caps)),
+            start=Fraction(0),
+        )
+        for j in range(1, 8):
+            probe = bot.rate * Fraction(j, 8)
+            rates = _redistribute(cfg.T, bot, other, probe)
+            assert sum(rates) == probe
+            assert all(0 < r <= cap for r, cap in zip(rates, bot.caps))
+            branches["scale-down" if probe < concat else "pour"] += 1
+            n = lcm(*[max(1, N) * r.denominator for N, r in zip(bot.N, rates)])
+            if n > N_MAX:
+                continue
+            cand = _plan_bottleneck_first(cfg, bot, other, n, rates)
+            cand_k = cand.k1 if bot.name == "hop1" else cand.k2
+            assert [Fraction(k, cand.n) for k in cand_k] == rates
+    assert branches["scale-down"] and branches["pour"], branches
