@@ -68,12 +68,17 @@ def fraction_doc(fr: Fraction) -> dict:
 
 def load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise CliError(f"{path}: no such file")
+    except OSError as e:
+        raise CliError(f"{path}: cannot read: {e.strerror}")
     except json.JSONDecodeError as e:
         raise CliError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}")
+    except (ValueError, RecursionError) as e:
+        # not UTF-8, nested too deep, or an integer past Python's digit limit
+        raise CliError(f"{path}: cannot parse: {e}")
 
 
 def read_int(value: object, what: str, path: str) -> int:
@@ -229,8 +234,11 @@ def load_code(path: str) -> tuple[Allocation, NetworkCode]:
 
 def emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise CliError(f"{out}: cannot write: {e.strerror}")
     else:
         sys.stdout.write(text)
 

@@ -3,10 +3,12 @@
 Everything here leans on one fact about diagonally interleaved MDS
 components: a message symbol is determined exactly when its own position
 arrives, or when the component's k-th position (counting known pre-stream
-slots) arrives, whichever is earlier. That rule makes exhaustive per-link
-checking cheap (patterns never interact across components, so only
-positions inside one component span matter) and lets the Monte Carlo path
-skip the symbolic decoder. Packets are erased whole, so every component
+slots) arrives, whichever is earlier. That rule makes the per-link check
+exact for any component length: patterns never interact across
+components, and inside one span b erasures delay the k-th arrival to at
+most position k - 1 + b (never, once b > n - k), so each component's
+worst case is a closed form. The same rule lets the Monte Carlo path skip
+the symbolic decoder. Packets are erased whole, so every component
 of one (n, k) shape on a link sees the same stream: one prefix count per
 shape gives each diagonal's k-th arrival in O(horizon), and each route
 class (link, shape, diagonal position, relay offset) is tested for
@@ -50,8 +52,6 @@ from .planner import (
 from .relay import NetworkCode, NetworkState, run_network
 
 INF_DELAY = 1 << 20  # sentinel for "never recovered"
-ENUMERATION_GUARD = 30  # longer components are sampled: C(n, N) patterns explode
-SAMPLED_PATTERNS = 2000  # random patterns per sampled component
 JOINT_PAIRS = 400  # most joint hop-pattern pairs replayed on a 1x1 network
 
 
@@ -60,37 +60,25 @@ JOINT_PAIRS = 400  # most joint hop-pattern pairs replayed on a 1x1 network
 # ---------------------------------------------------------------------------
 
 
-def _pattern_delays(n_c: int, k_c: int, erased: frozenset[int]) -> list[int]:
-    """Recovery delay of each message symbol under one erasure pattern.
-
-    Positions are the component's own n_c consecutive slots; pattern
-    positions are 0-based indices into them. Steady state: no pre-stream
-    help, which is the worst case.
-    """
-    received = [p not in erased for p in range(n_c)]
-    arrivals = [p for p, r in enumerate(received) if r]
-    if len(arrivals) < k_c:
-        return [0 if received[j] else INF_DELAY for j in range(k_c)]
-    # the k-th arrival determines every symbol not received itself
-    return [0 if received[j] else arrivals[k_c - 1] - j for j in range(k_c)]
-
-
-@lru_cache(maxsize=None)
 def component_worst_delays(
     n_c: int, k_c: int, budget: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Worst recovery delay per message symbol over all budget-sized
-    erasure patterns inside the component span, with an achieving pattern
-    for each symbol (as erased position indices)."""
-    worst = [0] * k_c
-    argmax: list[tuple[int, ...]] = [()] * k_c
-    for erased in itertools.combinations(range(n_c), min(budget, n_c)):
-        delays = _pattern_delays(n_c, k_c, frozenset(erased))
-        for j, d in enumerate(delays):
-            if d > worst[j]:
-                worst[j] = d
-                argmax[j] = erased
-    return tuple(worst), tuple(argmax)
+    erasure patterns inside the component span, with the first achieving
+    pattern (erased position indices, in combinations order) for each.
+
+    In steady state, the worst case, an erased symbol j waits for the
+    k-th arrival: b erasures ahead of it push that to position k - 1 + b,
+    and past the span once b > n - k."""
+    b = min(budget, n_c)
+    if b == 0:
+        return (0,) * k_c, ((),) * k_c
+    never = b > n_c - k_c
+    worst = tuple(INF_DELAY if never else k_c - 1 + b - j for j in range(k_c))
+    patterns = tuple(
+        tuple(range(b - 1)) + (j,) if j >= b - 1 else tuple(range(b)) for j in range(k_c)
+    )
+    return worst, patterns
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +102,10 @@ class FailureWitness:
 @dataclass
 class VerificationReport:
     ok: bool
-    exhaustive: bool
     checked_patterns: int
     detail: str = ""
     failure: Optional[FailureWitness] = None
+    exhaustive: bool = True  # the per-link checks are exact for any component
 
 
 def replay_witness(code: NetworkCode, witness: FailureWitness) -> Optional[int]:
@@ -190,28 +178,25 @@ def verify_adversarial(
     leaves the relay no sooner than its hop-1 slot may be recovered, then
     the pairing sums.
 
-    Per-link checks enumerate every budget-sized pattern inside each
-    component's span. That covers every placement in the wider sliding
-    window too: positions outside a component cannot influence it, so a
-    window pattern projects onto one of the enumerated span patterns.
-    Components longer than the enumeration guard fall back to sampled
-    patterns and the report drops its ``exhaustive`` flag. ``config``
-    overrides the deadline to check against, so a code can be audited
-    against a tighter T than it was built for.
+    Per-link checks are exact for any component length: each component's
+    worst case over every budget-sized pattern in its span is a closed
+    form (``component_worst_delays``), and ``checked`` counts those
+    patterns. That covers every placement in the wider sliding window too:
+    positions outside a component cannot influence it, so a window
+    pattern projects onto one of the span patterns. ``config`` overrides
+    the deadline to check against, so a code can be audited against a
+    tighter T than it was built for.
 
     For single-link networks a joint cross product of hop patterns is
     replayed through the real pipeline as a decomposition spot check.
     """
     config = config or code.allocation.config
     checked = 0
-    exhaustive = True
-    rng = random.Random(0)
     anchor = code.span + config.T + 2
 
     def fail(detail: str, witness: FailureWitness) -> VerificationReport:
         return VerificationReport(
             ok=False,
-            exhaustive=exhaustive,
             checked_patterns=checked,
             detail=detail,
             failure=witness,
@@ -225,20 +210,9 @@ def verify_adversarial(
         for link, spec in enumerate(specs):
             budget = budgets[link]
             for comp, places in spec.plan:
+                worst, args = component_worst_delays(comp.n, comp.k, budget)
                 for _, moff in places:
-                    if comp.n <= ENUMERATION_GUARD:
-                        worst, args = component_worst_delays(comp.n, comp.k, budget)
-                        checked += math.comb(comp.n, min(budget, comp.n))
-                    else:
-                        exhaustive = False
-                        worst = [0] * comp.k
-                        args = [()] * comp.k
-                        for _ in range(SAMPLED_PATTERNS):
-                            erased = frozenset(rng.sample(range(comp.n), min(budget, comp.n)))
-                            for j, d in enumerate(_pattern_delays(comp.n, comp.k, erased)):
-                                if d > worst[j]:
-                                    worst[j], args[j] = d, tuple(sorted(erased))
-                            checked += 1
+                    checked += math.comb(comp.n, min(budget, comp.n))
                     for j in range(comp.k):
                         slot = moff + j
                         declared = spec.slot_delays[slot]
@@ -281,14 +255,13 @@ def verify_adversarial(
             )
 
     if len(code.hop1) == 1 and len(code.hop2) == 1:
-        witness, pairs = _cross_product_check(code, config, rng)
+        witness, pairs = _cross_product_check(code, config, random.Random(0))
         checked += pairs
         if witness is not None:
             return fail("joint-pattern replay missed a deadline", witness)
 
     return VerificationReport(
         ok=True,
-        exhaustive=exhaustive,
         checked_patterns=checked,
         detail="per-link spectra verified; pairing sums within deadline",
     )
@@ -518,8 +491,6 @@ def loss_mask(
         for link, n, k, j, offset, allowed in classes:
             if allowed < 0:
                 return np.ones(num_packets, dtype=bool)
-            if allowed >= INF_DELAY:
-                continue  # nothing is late: "never" is a delay of INF_DELAY
             if (link, n, k) not in index:
                 index[link, n, k] = _kth_arrival(bits[link], n, k, num_eval + k - 1)
             # symbol j at clock tau sits on diagonal tau - (j-1)

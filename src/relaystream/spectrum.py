@@ -69,14 +69,6 @@ class DelayGrouping:
     def total(self) -> int:
         return sum(c for _, c in self.entries)
 
-    def worst_delay(self) -> int:
-        if not self.entries:
-            raise ValueError("empty grouping has no worst delay")
-        return self.entries[0][0]
-
-    def nonzero(self) -> tuple[tuple[int, int], ...]:
-        return tuple((d, c) for d, c in self.entries if c != 0)
-
 
 def delay_lower_bound(n: int, k: int, N: int) -> int:
     """Smallest worst-case delay of a code of rate k/n surviving N erasures.

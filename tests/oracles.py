@@ -6,9 +6,10 @@ validated dataclass with dict-based subtraction, the planners'
 straightforward constructions (every mwdf split tried, cswdf groupings
 concatenated pair by pair), the joint replay rerun from time 0 for every
 pattern pair, the per-slot recovery-delay table of the k-th-arrival
-rule, a code's runs expanded back into its flat component list, and the
-code builders, spectrum measurement and channel statistics
-that only the tests need."""
+rule, each component's worst case by enumerating every erasure pattern,
+a code's runs expanded back into its flat component list, and the code
+builders, spectrum measurement and channel statistics that only the
+tests need."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,6 @@ from relaystream.sim import (
     FailureWitness,
     _kth_arrival,
     _slot_shapes,
-    component_worst_delays,
 )
 from relaystream.spectrum import DelayGrouping, optimal_grouping
 
@@ -224,7 +224,7 @@ def subtract_constraint_by_dict(constraint, used):
         return constraint
     top = constraint.entries[0][0]
     bottom = constraint.entries[-1][0]
-    if used.worst_delay() > top:
+    if used.entries[0][0] > top:
         raise ValueError("used symbols above the constraint's delay range")
     counts, used_at = dict(constraint.entries), dict(used.entries)
     lo = min(bottom, used.entries[-1][0])
@@ -245,12 +245,17 @@ def pairing_constraint_by_pairs(T, groupings, dT):
     pairs = []
     max_eff = 0
     for g, dt in zip(groupings, dT):
-        for d, c in g.nonzero():
+        for d, c in nonzero(g):
             pairs.append((T - (d + dt), c))
             max_eff = max(max_eff, d + dt)
     if not pairs:
         raise ValueError("allocated hop carries no symbols")
     return SpectrumConstraint.from_pairs(pairs, min_allowed_delay=T - max_eff)
+
+
+def nonzero(grouping):
+    # the grouping's (delay, count) entries with a nonzero count
+    return tuple((d, c) for d, c in grouping.entries if c != 0)
 
 
 def list_form(spectrum):
@@ -345,6 +350,30 @@ def build_spectrum_code(n, k, N, worst_delay):
     return build_grouped_code(n, N, optimal_grouping(n, k, N, worst_delay))
 
 
+def pattern_delays(n_c, k_c, erased):
+    # recovery delay of each message symbol under one erasure pattern of
+    # the component's own n_c slots, in steady state (no pre-stream help):
+    # the k-th arrival determines every symbol not received itself
+    received = [p not in erased for p in range(n_c)]
+    arrivals = [p for p, r in enumerate(received) if r]
+    if len(arrivals) < k_c:
+        return [0 if received[j] else INF_DELAY for j in range(k_c)]
+    return [0 if received[j] else arrivals[k_c - 1] - j for j in range(k_c)]
+
+
+def component_worst_delays_by_enumeration(n_c, k_c, budget):
+    # every budget-sized pattern in the span, keeping per symbol the worst
+    # delay and the first pattern reaching it
+    worst = [0] * k_c
+    argmax = [()] * k_c
+    for erased in combinations(range(n_c), min(budget, n_c)):
+        for j, d in enumerate(pattern_delays(n_c, k_c, frozenset(erased))):
+            if d > worst[j]:
+                worst[j] = d
+                argmax[j] = erased
+    return tuple(worst), tuple(argmax)
+
+
 def measure_spectrum(spec, budget=None):
     # empirical delay spectrum under exhaustive per-component erasures
     budget = spec.N if budget is None else budget
@@ -352,7 +381,7 @@ def measure_spectrum(spec, budget=None):
     for comp in components(spec):
         if comp.k == 0:
             continue
-        worst, _ = component_worst_delays(comp.n, comp.k, budget)
+        worst, _ = component_worst_delays_by_enumeration(comp.n, comp.k, budget)
         pairs.extend((d, 1) for d in worst)
     return DelayGrouping.from_pairs(pairs)
 

@@ -98,6 +98,32 @@ def test_bounds_missing_key(tmp_path, capsys):
     assert "N2" in err
 
 
+@pytest.mark.parametrize("case,message", [
+    ("out-into-missing-directory", "cannot write: No such file or directory"),
+    ("config-is-a-directory", "cannot read: Is a directory"),
+    ("not-utf-8", "cannot parse: 'utf-8' codec can't decode"),
+    ("deeply-nested", "cannot parse: maximum recursion depth exceeded"),
+    ("5000-digit-integer", "cannot parse: Exceeds the limit"),
+])
+def test_unreadable_files_are_usage_errors(tmp_path, capsys, case, message):
+    cfg = write(tmp_path, "c.json", NET_A)
+    argv = ["plan", "--config", cfg]
+    if case == "out-into-missing-directory":
+        argv += ["--out", str(tmp_path / "missing" / "plan.json")]
+    elif case == "config-is-a-directory":
+        argv[2] = str(tmp_path)
+    else:
+        text = {
+            "not-utf-8": b'\xff{"T": 5}',
+            "deeply-nested": b"[" * 200_000 + b"]" * 200_000,
+            "5000-digit-integer": b'{"T": ' + b"9" * 5000 + b', "N1": [1], "N2": [1]}',
+        }[case]
+        (tmp_path / "c.json").write_bytes(text)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 # ---------------------------------------------------------------------------
 # plan
 # ---------------------------------------------------------------------------

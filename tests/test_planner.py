@@ -44,7 +44,7 @@ from relaystream.planner import (
 
 from relaystream.sim import sample_config
 
-from oracles import cswdf_groupings_by_concat, mwdf_rate_bruteforce
+from oracles import cswdf_groupings_by_concat, mwdf_rate_bruteforce, nonzero
 
 NET_A = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
 NET_B = NetworkConfig(T=4, N1=(1,), N2=(3, 2))
@@ -57,7 +57,7 @@ def aggregate_mass(alloc: Allocation, hop: int) -> dict[int, int]:
     dts = config.dT1 if hop == 1 else config.dT2
     mass: dict[int, int] = {}
     for g, dt in zip(groupings, dts):
-        for d, c in g.nonzero():
+        for d, c in nonzero(g):
             if hop == 1 and alloc.relabel_delay is not None:
                 d = alloc.relabel_delay - dt  # forwarded only at the split
             mass[d + dt] = mass.get(d + dt, 0) + c
@@ -191,8 +191,8 @@ def test_cswdf_pair_groupings():
     _, alloc = cswdf_plan(NET_A)
     # hop-1 link 0 (budget 2) serves hop-2 links with Z=1 and Z=2:
     # delay runs 2..4 and 2..3, one symbol each
-    assert alloc.groupings1[0].nonzero() == ((4, 1), (3, 2), (2, 2))
-    assert alloc.groupings2[0].nonzero() == ((3, 1), (2, 2), (1, 2))
+    assert nonzero(alloc.groupings1[0]) == ((4, 1), (3, 2), (2, 2))
+    assert nonzero(alloc.groupings2[0]) == ((3, 1), (2, 2), (1, 2))
 
 
 def test_oswdf_initial_no_gap_network():
@@ -203,10 +203,10 @@ def test_oswdf_initial_no_gap_network():
     assert alloc.k2 == (22, 18)
     assert alloc.k1_total == alloc.k2_total == 40
     assert alloc.rate == 1
-    assert alloc.groupings1[0].nonzero() == ((4, 8), (3, 8), (2, 8))
-    assert alloc.groupings1[1].nonzero() == ((4, 8), (3, 8))
-    assert alloc.groupings2[0].nonzero() == ((2, 4), (1, 18))
-    assert alloc.groupings2[1].nonzero() == ((3, 7), (2, 11))
+    assert nonzero(alloc.groupings1[0]) == ((4, 8), (3, 8), (2, 8))
+    assert nonzero(alloc.groupings1[1]) == ((4, 8), (3, 8))
+    assert nonzero(alloc.groupings2[0]) == ((2, 4), (1, 18))
+    assert nonzero(alloc.groupings2[1]) == ((3, 7), (2, 11))
     check_allocation(alloc)
 
 
@@ -215,9 +215,9 @@ def test_oswdf_initial_gap_network():
     assert alloc.bottleneck == "hop1"
     assert alloc.n == 12
     assert alloc.k1 == (8,)
-    assert alloc.groupings1[0].nonzero() == ((2, 4), (1, 4))
+    assert nonzero(alloc.groupings1[0]) == ((2, 4), (1, 4))
     assert alloc.k2 == (3, 4)
-    assert alloc.groupings2[0].nonzero() == ((3, 3),)
+    assert nonzero(alloc.groupings2[0]) == ((3, 3),)
     assert alloc.rate == Fraction(7, 12)
     check_allocation(alloc)
 
@@ -255,10 +255,10 @@ def test_mwdf_plan_adversarial():
     assert alloc.n == 12
     assert alloc.k1 == (6, 3) and alloc.k2 == (8, 4)
     assert alloc.relabel_delay == 3
-    assert alloc.groupings1[0].nonzero() == ((3, 3), (2, 3))
-    assert alloc.groupings1[1].nonzero() == ((3, 3),)
-    assert alloc.groupings2[0].nonzero() == ((2, 4), (1, 4))
-    assert alloc.groupings2[1].nonzero() == ((2, 4),)
+    assert nonzero(alloc.groupings1[0]) == ((3, 3), (2, 3))
+    assert nonzero(alloc.groupings1[1]) == ((3, 3),)
+    assert nonzero(alloc.groupings2[0]) == ((2, 4), (1, 4))
+    assert nonzero(alloc.groupings2[1]) == ((2, 4),)
     check_allocation(alloc)
 
 
@@ -269,9 +269,9 @@ def test_mwdf_plan_matched_to_symbolwise():
     assert alloc.k1 == target.k1 and alloc.k2 == target.k2
     assert alloc.relabel_delay == 3
     for g in alloc.groupings1:
-        assert g.worst_delay() <= 3
+        assert g.entries[0][0] <= 3
     for g in alloc.groupings2:
-        assert g.worst_delay() <= 2
+        assert g.entries[0][0] <= 2
     check_allocation(alloc)
     # rate 1 forces shrunken per-link design budgets; the plain plan keeps
     # the network budgets

@@ -42,7 +42,12 @@ from relaystream.sim import (
 )
 from relaystream.spectrum import DelayGrouping
 
-from oracles import cross_product_from_zero, measure_spectrum, slot_delay_table
+from oracles import (
+    component_worst_delays_by_enumeration,
+    cross_product_from_zero,
+    measure_spectrum,
+    slot_delay_table,
+)
 
 NET_A = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
 NET_B = NetworkConfig(T=4, N1=(1,), N2=(3, 2))
@@ -59,6 +64,14 @@ def test_component_worst_delays_diagonal():
     # each achieving pattern erases the symbol's own position
     for j, pattern in enumerate(args, start=1):
         assert j - 1 in pattern
+
+
+def test_component_worst_delays_matches_enumeration():
+    # the closed form against every budget-sized pattern, worst delays and
+    # first achieving patterns both
+    shapes = [(n, k, b) for n in range(13) for k in range(n + 1) for b in range(n + 2)]
+    for shape in shapes + [(31, 30, 1), (40, 38, 2)]:
+        assert component_worst_delays(*shape) == component_worst_delays_by_enumeration(*shape), shape
 
 
 def test_measured_spectrum_matches_declared():
@@ -217,9 +230,9 @@ def test_verify_reports_per_link_violation(monkeypatch):
     assert report.failure is not None and report.failure.sym >= 0
 
 
-def test_verify_sampled_fallback_on_long_components():
-    # a 32-slot component exceeds the enumeration guard; split hop 2 over
-    # two links to keep the check per-link only
+def test_verify_exact_on_long_components():
+    # a 32-slot component is checked exactly, like short ones; hop 2 is
+    # split over two links to keep the check per-link only
     cfg = NetworkConfig(T=35, N1=(1,), N2=(1, 1))
     alloc = Allocation(
         scheme="oswdf",
@@ -237,7 +250,8 @@ def test_verify_sampled_fallback_on_long_components():
     code = assemble(alloc)
     report = verify_adversarial(code)
     assert report.ok
-    assert not report.exhaustive
+    assert report.exhaustive
+    assert report.checked_patterns == 94
 
 
 def golden_configs():
@@ -253,21 +267,37 @@ def golden_configs():
         yield {"T": tmin + rng.randint(0, 1), "N1": N1, "N2": N2, "dT1": dT1, "dT2": dT2}
     # raised to N1 = [2], its mwdf plan's hop-1 slot 0 never recovers
     yield {"T": 4, "N1": [1], "N2": [1]}
-    # components longer than the enumeration guard: sampled per-link check
+    # components longer than 30 slots
     yield {"T": 33, "N1": [1, 1], "N2": [1]}
 
 
-VERIFY_DIGEST = "b8cd84804c5a4eef6bbec2e5d6ec133040dca29b4bae536fcae141ad60fe18f2"
+# one sha256 per golden config, keyed by its document, plus one for the
+# joint replay's own witness
+VERIFY_DIGESTS = {
+    '{"T": 6, "N1": [2], "N2": [3], "dT1": [1], "dT2": [0]}':
+        "987178f1dcce15c46998c5de11a49c278805d9848f37207f74a9a3808a2a0023",
+    '{"T": 6, "N1": [3, 1], "N2": [1, 3], "dT1": [1, 1], "dT2": [1, 0]}':
+        "9e233f35976ee54e96139959e39dd20d6ef444ce032cc3659b942d9cf44b8826",
+    '{"T": 7, "N1": [3], "N2": [1, 3], "dT1": [0], "dT2": [0, 0]}':
+        "5c3b0adf37e3f9520ec694967c1b8cafb751bfdf0751490037eff97ba3aef23a",
+    '{"T": 8, "N1": [2], "N2": [3, 3], "dT1": [1], "dT2": [1, 1]}':
+        "c768d7a20661e6c76c279289405b126f88b8320bdf6188e8a299b2df7a03d626",
+    '{"T": 4, "N1": [1], "N2": [1]}':
+        "2e5fb0fd36674c515440dcdf40a1f7dc08448e6e1d0c10b6a7c828c735bf24c3",
+    '{"T": 33, "N1": [1, 1], "N2": [1]}':
+        "02e413e79a81f2f69b1f5c304fa0f8560bd2b07af5eb72d26473494594c16ac5",
+    "joint replay": "7aa540ef807c550da3918722e565f3a55fe1dac8b7df4a2da259c0bcb57baa68",
+}
 
 
 def test_verify_outputs_are_pinned(tmp_path, capsys):
     # exit code, stdout and stderr of plan, then verify at T and T-1, for
-    # every scheme: PASS lines (exhaustive, sampled, with the 1x1 joint
-    # replay) and route witnesses. With each hop-1 budget raised by one
-    # over the code's, verify gives per-link witnesses, pinned from their
-    # second line. Last, the joint replay's own witness on a 1x1 code
-    # whose relay forwards too early.
-    digest = hashlib.sha256()
+    # every scheme: PASS lines (with the 1x1 joint replay) and route
+    # witnesses. With each hop-1 budget raised by one over the code's,
+    # verify gives per-link witnesses, pinned from their second line.
+    # Last, the joint replay's own witness on a 1x1 code whose relay
+    # forwards too early.
+    digests = {}
 
     def run(argv):
         code = main(argv)
@@ -275,6 +305,7 @@ def test_verify_outputs_are_pinned(tmp_path, capsys):
         return code, captured.out, captured.err
 
     for i, config in enumerate(golden_configs()):
+        digest = hashlib.sha256()
         config_path = tmp_path / f"c{i}.json"
         config_path.write_text(json.dumps(config))
         for scheme in ("mwdf", "cswdf", "oswdf"):
@@ -294,12 +325,14 @@ def test_verify_outputs_are_pinned(tmp_path, capsys):
             code, out, err = run(["verify", str(doc_path)])
             assert code == 1 and err.startswith("FAIL: hop-1 link ")
             digest.update(repr((out, err.splitlines()[1:])).encode())
+        digests[json.dumps(config)] = digest.hexdigest()
 
     config = NetworkConfig(T=5, N1=(2,), N2=(2,))
     alloc = mwdf_plan(config)
     code = assemble(dataclasses.replace(alloc, relabel_delay=alloc.relabel_delay - 1))
-    digest.update(repr(_cross_product_check(code, config, random.Random(5))).encode())
-    assert digest.hexdigest() == VERIFY_DIGEST
+    witness = repr(_cross_product_check(code, config, random.Random(5)))
+    digests["joint replay"] = hashlib.sha256(witness.encode()).hexdigest()
+    assert digests == VERIFY_DIGESTS
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +466,19 @@ def test_loss_mask_matches_full_pipeline(cfg, num, eps):
             for sym in range(code.k)
         )
         assert intact == (not lost[t]), f"packet {t}"
+
+
+@pytest.mark.parametrize("T", (50, INF_DELAY + 10))
+def test_loss_mask_never_recovered_is_lost_at_any_deadline(T):
+    # a (2, 1) code per hop with budget 1: hop-2 erasures at 5-7 leave
+    # packets 4 and 5 unrecovered for good, however long the deadline
+    grouping = DelayGrouping.from_pairs([(1, 1)])
+    cfg = NetworkConfig(T=T, N1=(1,), N2=(1,))
+    code = assemble(Allocation("oswdf", cfg, (2,), (2,), (1,), (1,), (grouping,), (grouping,)))
+    bits1 = [np.zeros(30, dtype=bool)]
+    bits2 = [np.zeros(30, dtype=bool)]
+    bits2[0][5:8] = True
+    assert np.flatnonzero(loss_mask(code, bits1, bits2, 20)).tolist() == [4, 5]
 
 
 def test_zero_packets():

@@ -223,7 +223,7 @@ def test_list_algebra_matches_dataclass_oracle():
             zero_links += kind < 2
             hop.append(g)
             dts.append(rng.randint(0, 3))
-        T = max((g.worst_delay() + dt for g, dt in zip(hop, dts) if g.entries), default=0)
+        T = max((g.entries[0][0] + dt for g, dt in zip(hop, dts) if g.entries), default=0)
         T += rng.randint(0, 4)
         expect = _outcome(lambda: list_form(pairing_constraint_by_pairs(T, hop, dts)))
         got = _outcome(_pairing_constraint, T, [list_form(g) for g in hop], dts)
@@ -291,7 +291,7 @@ def test_constrained_max_respects_cumulative_budget(args):
         return
     T1 = delay_lower_bound(n, k, N)
     g = optimal_grouping(n, k, N, T1)
-    if g.entries and g.worst_delay() > top:
+    if g.entries and g.entries[0][0] > top:
         return
     for d, _ in g.entries:
         assert count_at_least(g, d) <= con.allowed_above(d - 1)
