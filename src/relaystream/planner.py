@@ -28,7 +28,7 @@ Schemes:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import Optional, Sequence
@@ -84,9 +84,9 @@ class NetworkConfig:
 
 def point_rate(tau: int, N: int) -> Fraction:
     """Single-link streaming capacity (tau+1-N)/(tau+1) at code delay tau."""
-    if tau + 1 <= 0:
+    if tau + 1 <= N:
         return Fraction(0)
-    return max(Fraction(0), Fraction(tau + 1 - N, tau + 1))
+    return Fraction(tau + 1 - N, tau + 1)
 
 
 def t_min(config: NetworkConfig) -> int:
@@ -251,17 +251,13 @@ def cswdf_closed_form(config: NetworkConfig) -> Fraction:
     return num / den
 
 
-def cswdf_plan(config: NetworkConfig) -> tuple[Fraction, Allocation]:
-    """Concatenate one single-path code per (hop-1 link, hop-2 link) pair.
+_PairCounts = tuple[list[int], list[int], list[list[int]]]  # per link: n, k, range tops
 
-    Pair (i, j) carries (T+1-Z1_i-Z2_j)+ symbols; pairs that carry nothing
-    are dropped and contribute no slots. Every surviving pair's delays run
-    from its hop budget boundary downward, so the two hops mirror each
-    other and every pairing sum is exactly T. Each link's grouping counts,
-    per delay, the surviving pairs whose range covers it; all of a link's
-    ranges start at its budget, so that is the number of range tops at or
-    above the delay.
-    """
+
+def _pair_counts(config: NetworkConfig) -> tuple[_PairCounts, _PairCounts]:
+    """Each hop's per-link counts under the concatenated scheme: pair
+    (i, j) carries (T+1-Z1_i-Z2_j)+ symbols; pairs that carry nothing are
+    dropped and contribute no slots."""
     t = config.T
     z1, z2 = config.Z1, config.Z2
     n1, k1, tops1 = [0] * len(z1), [0] * len(z1), [[] for _ in z1]
@@ -277,6 +273,27 @@ def cswdf_plan(config: NetworkConfig) -> tuple[Fraction, Allocation]:
             k2[j] += kij
             tops1[i].append(t - z2[j] - config.dT1[i])
             tops2[j].append(t - z1[i] - config.dT2[j])
+    return (n1, k1, tops1), (n2, k2, tops2)
+
+
+def _concat_rate(counts: tuple[_PairCounts, _PairCounts]) -> Fraction:
+    """cswdf's rate from its pair counts: both hops carry every surviving
+    pair's symbols, over the widest link's packet size."""
+    (n1, k1, _), (n2, _, _) = counts
+    n = max(n1 + n2)
+    return Fraction(sum(k1), n) if n else Fraction(0)
+
+
+def cswdf_plan(config: NetworkConfig) -> tuple[Fraction, Allocation]:
+    """Concatenate one single-path code per (hop-1 link, hop-2 link) pair.
+
+    Every surviving pair's delays run from its hop budget boundary
+    downward, so the two hops mirror each other and every pairing sum is
+    exactly T. Each link's grouping counts, per delay, the surviving pairs
+    whose range covers it; all of a link's ranges start at its budget, so
+    that is the number of range tops at or above the delay.
+    """
+    (n1, k1, tops1), (n2, k2, tops2) = _pair_counts(config)
 
     def stacked(budget: int, tops: list[int]) -> DelayGrouping:
         if not tops:
@@ -378,12 +395,16 @@ def _fill_under_constraint(
     return n, filled
 
 
+_Plan = tuple[int, list[Spectrum], list[Spectrum]]  # n, hop-1 and hop-2 groupings
+
+
 def _plan_bottleneck_first(
     config: NetworkConfig, bot: _Hop, other: _Hop, n: int, bot_rates: Sequence[Fraction]
-) -> Allocation:
+) -> _Plan:
     """Allocate the bottleneck hop at the given per-link rates, then fill
     the other hop under the induced pairing constraint. n must make every
-    r * n integral."""
+    r * n integral. Returns the possibly rescaled n and both hops'
+    groupings in list form."""
     bot_groupings = [
         _link_grouping(n, int(r * n), N, maxd)
         for r, N, maxd in zip(bot_rates, bot.N, bot.max_delay)
@@ -391,9 +412,17 @@ def _plan_bottleneck_first(
     constraint = _pairing_constraint(config.T, bot_groupings, bot.dT)
     n, other_groupings = _fill_under_constraint(n, other, constraint, bot_groupings)
     if bot.name == "hop1":
-        g1, g2 = bot_groupings, other_groupings
-    else:
-        g1, g2 = other_groupings, bot_groupings
+        return n, bot_groupings, other_groupings
+    return n, other_groupings, bot_groupings
+
+
+def _mass(groupings: Sequence[Spectrum]) -> int:
+    return sum(sum(counts) for _, counts in groupings)
+
+
+def _allocation(config: NetworkConfig, bot: _Hop, plan: _Plan, capped: bool = False) -> Allocation:
+    """The oswdf Allocation of a list-form plan, with validated groupings."""
+    n, g1, g2 = plan
     return Allocation(
         scheme="oswdf",
         config=config,
@@ -404,6 +433,7 @@ def _plan_bottleneck_first(
         groupings1=tuple(map(DelayGrouping.from_counts, g1)),
         groupings2=tuple(map(DelayGrouping.from_counts, g2)),
         bottleneck=bot.name,
+        capped=capped,
     )
 
 
@@ -417,7 +447,7 @@ def _ranked_hops(config: NetworkConfig) -> tuple[_Hop, _Hop]:
     return h2, h1
 
 
-def _initial_plan(config: NetworkConfig, bot: _Hop, other: _Hop) -> Allocation:
+def _initial_plan(config: NetworkConfig, bot: _Hop, other: _Hop) -> _Plan:
     # every bottleneck link needs (tau_i + 1) | n for integral counts
     n0 = (config.T + 1 - min(bot.z)) * (config.T + 1 - min(other.z))
     n = lcm(n0, *[d + 1 for d in bot.max_delay])
@@ -432,27 +462,26 @@ def oswdf_initial(config: NetworkConfig) -> Allocation:
     share, the other hop is then filled under the pairing constraint. The
     result is optimal whenever the two hops end up carrying equal mass.
     """
-    return _initial_plan(config, *_ranked_hops(config))
+    bot, other = _ranked_hops(config)
+    return _allocation(config, bot, _initial_plan(config, bot, other))
 
 
-def _redistribute(T: int, bot: _Hop, other: _Hop, target: Fraction) -> list[Fraction]:
+def _redistribute(bot: _Hop, base: Sequence[Fraction], target: Fraction) -> list[Fraction]:
     """Per-link bottleneck rates summing to target, for 0 < target < bot.rate.
 
-    Starts from the per-link rates of the concatenated scheme and pours the
-    remainder into links in decreasing budget order, saturating each at its
-    point-to-point capacity; the caps sum to bot.rate, so the pour drains.
+    Starts from the per-link rates ``base`` of the concatenated scheme and
+    pours the remainder into links in decreasing budget order, saturating
+    each at its point-to-point capacity; the caps sum to bot.rate, so the
+    pour drains.
     """
-    den = sum(T + 1 - z for z in other.z)
-    base = []
-    for z_i, cap in zip(bot.z, bot.caps):
-        num = sum(max(0, T + 1 - z_i - z) for z in other.z)
-        base.append(min(cap, Fraction(num, den)))
-    deficit = target - sum(base, start=Fraction(0))
-    if deficit < 0:
+    total = sum(base, start=Fraction(0))
+    if target < total:
         # target below the concatenated point: scale the base, whose sum
         # is positive at T >= t_min, down uniformly
-        return [r * target / (target - deficit) for r in base]
-    rates = base[:]
+        scale = target / total
+        return [r * scale for r in base]
+    deficit = target - total
+    rates = list(base)
     for i in bot.order:
         room = bot.caps[i] - rates[i]
         take = min(room, deficit)
@@ -468,24 +497,33 @@ def oswdf_optimize(config: NetworkConfig) -> Allocation:
 
     The initial pass's bottleneck mass is an upper bound on what the other
     hop can mirror; the mass it actually mirrored, and the concatenated
-    scheme, are achieved lower bounds. Bisection probes rates on a k/n grid
-    that doubles n when it runs out of resolution. It stops in one of two
-    ways: the bracket is tighter than RATE_TOLERANCE, or the packet size
-    passes N_MAX, either the grid's n_work or the n a probe's per-link
-    rates need; the second marks the result capped.
+    scheme's rate, taken from its pair counts, are achieved lower bounds.
+    Bisection probes rates on a k/n grid that doubles n when it runs out
+    of resolution. It stops in one of two ways: the bracket is tighter
+    than RATE_TOLERANCE, or the packet size passes N_MAX, either the
+    grid's n_work or the n a probe's per-link rates need; the second marks
+    the result capped. Candidates stay in list form and are compared by
+    their k totals; one Allocation is built, for the plan returned, and
+    the full cswdf_plan runs only when the concatenated scheme wins.
     """
     bot, other = _ranked_hops(config)
     init = _initial_plan(config, bot, other)
-    if init.k1_total == init.k2_total:
-        return init
+    n_work, g1, g2 = init
+    k1, k2 = _mass(g1), _mass(g2)
+    if k1 == k2:
+        return _allocation(config, bot, init)
 
-    csw_rate, csw_alloc = cswdf_plan(config)
-    best = max([init, csw_alloc], key=lambda a: a.rate)
-    lb = best.rate
-    ub = min(bot.rate, Fraction(max(init.k1_total, init.k2_total), init.n))
+    counts = _pair_counts(config)
+    init_rate, csw_rate = Fraction(min(k1, k2), n_work), _concat_rate(counts)
+    best: Optional[_Plan] = init if init_rate >= csw_rate else None  # None: the cswdf plan
+    lb = best_rate = max(init_rate, csw_rate)
+    ub = min(bot.rate, Fraction(max(k1, k2), n_work))
+    # the concatenated scheme's per-link rates, where _redistribute starts
+    bot_k = (counts[0] if bot.name == "hop1" else counts[1])[1]
+    den = sum(config.T + 1 - z for z in other.z)
+    base = [min(cap, Fraction(k, den)) for k, cap in zip(bot_k, bot.caps)]
     capped = False
 
-    n_work = init.n
     while ub - lb >= RATE_TOLERANCE:
         lo_k, hi_k = floor(lb * n_work), ceil(ub * n_work)
         # two or more grid steps apart, the midpoint lies strictly in (lb, ub)
@@ -496,22 +534,25 @@ def oswdf_optimize(config: NetworkConfig) -> Allocation:
                 break
             continue
         probe = Fraction(lo_k + (hi_k - lo_k) // 2, n_work)
-        rates = _redistribute(config.T, bot, other, probe)
+        rates = _redistribute(bot, base, probe)
         n = lcm(*[max(1, N) * r.denominator for N, r in zip(bot.N, rates)])
         if n > N_MAX:
             capped = True
             break
         cand = _plan_bottleneck_first(config, bot, other, n, rates)
-        if cand.rate > best.rate:
-            best = cand
-        if cand.k1_total == cand.k2_total:
+        n, g1, g2 = cand
+        k1, k2 = _mass(g1), _mass(g2)
+        rate = Fraction(min(k1, k2), n)
+        if rate > best_rate:
+            best, best_rate = cand, rate
+        if k1 == k2:
             lb = probe
         else:
             ub = probe
-            lb = max(lb, cand.rate)
-    if capped and best.scheme == "oswdf":
-        best = replace(best, capped=True)
-    return best
+            lb = max(lb, rate)
+    if best is None:
+        return cswdf_plan(config)[1]
+    return _allocation(config, bot, best, capped)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ class VerificationReport:
     checked_patterns: int
     detail: str = ""
     failure: Optional[FailureWitness] = None
-    exhaustive: bool = True  # the per-link checks are exact for any component
+    exhaustive: bool = True  # False when the 1x1 joint replay took a sample
 
 
 def replay_witness(code: NetworkCode, witness: FailureWitness) -> Optional[int]:
@@ -188,10 +188,12 @@ def verify_adversarial(
     tighter T than it was built for.
 
     For single-link networks a joint cross product of hop patterns is
-    replayed through the real pipeline as a decomposition spot check.
+    replayed through the real pipeline as a decomposition spot check; past
+    JOINT_PAIRS pairs it is sampled and the report is not exhaustive.
     """
     config = config or code.allocation.config
     checked = 0
+    exhaustive = True
     anchor = code.span + config.T + 2
 
     def fail(detail: str, witness: FailureWitness) -> VerificationReport:
@@ -200,6 +202,7 @@ def verify_adversarial(
             checked_patterns=checked,
             detail=detail,
             failure=witness,
+            exhaustive=exhaustive,
         )
 
     hops = (
@@ -255,7 +258,7 @@ def verify_adversarial(
             )
 
     if len(code.hop1) == 1 and len(code.hop2) == 1:
-        witness, pairs = _cross_product_check(code, config, random.Random(0))
+        witness, pairs, exhaustive = _cross_product_check(code, config, random.Random(0))
         checked += pairs
         if witness is not None:
             return fail("joint-pattern replay missed a deadline", witness)
@@ -264,6 +267,7 @@ def verify_adversarial(
         ok=True,
         checked_patterns=checked,
         detail="per-link spectra verified; pairing sums within deadline",
+        exhaustive=exhaustive,
     )
 
 
@@ -280,6 +284,9 @@ def _cross_product_check(code: NetworkCode, config: NetworkConfig, rng):
     say) is replayed jointly, keyed (p1, p2). Pair order, rng draws, the
     count and the witness are those of replaying every pair.
 
+    Returns the witness (or None), the pairs checked, and whether they
+    were the whole cross product rather than a JOINT_PAIRS sample.
+
     Every replay runs the same packets, so up to its first erasure
     arrival it matches the erasure-free run. That run is made once and
     forked where replays start and settle; each replay resumes from its
@@ -295,7 +302,8 @@ def _cross_product_check(code: NetworkCode, config: NetworkConfig, rng):
     pats1 = list(itertools.combinations(range(start, start + w1), min(config.N1[0], w1)))
     pats2 = list(itertools.combinations(range(start, start + w2), min(config.N2[0], w2)))
     pairs = [(a, b) for a in pats1 for b in pats2]
-    if len(pairs) > JOINT_PAIRS:
+    exhaustive = len(pairs) <= JOINT_PAIRS
+    if not exhaustive:
         pairs = rng.sample(pairs, JOINT_PAIRS)
     horizon = start + w1 + w2 + config.T + 2
     packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(start + w1 + 2)]
@@ -346,8 +354,8 @@ def _cross_product_check(code: NetworkCode, config: NetworkConfig, rng):
         miss = first_miss(() if forwards_clear(p1) else p1, p2)
         if miss is not None:
             t, sym, late = miss
-            return FailureWitness((p1,), (p2,), t, sym, config.T, late), count
-    return None, len(pairs)
+            return FailureWitness((p1,), (p2,), t, sym, config.T, late), count, exhaustive
+    return None, len(pairs), exhaustive
 
 
 # ---------------------------------------------------------------------------

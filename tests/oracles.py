@@ -276,7 +276,8 @@ def cross_product_from_zero(code, config, rng):
     pats1 = list(combinations(range(start, start + w1), min(config.N1[0], w1)))
     pats2 = list(combinations(range(start, start + w2), min(config.N2[0], w2)))
     pairs = [(a, b) for a in pats1 for b in pats2]
-    if len(pairs) > JOINT_PAIRS:
+    exhaustive = len(pairs) <= JOINT_PAIRS
+    if not exhaustive:
         pairs = rng.sample(pairs, JOINT_PAIRS)
     horizon = start + w1 + w2 + config.T + 2
     packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(start + w1 + 2)]
@@ -298,8 +299,9 @@ def cross_product_from_zero(code, config, rng):
                 val = got.get((t, sym))
                 if val is None or val[0] != pkt[sym] or val[1] > t + config.T:
                     late = None if val is None or val[0] != pkt[sym] else val[1] - t
-                    return FailureWitness((tuple(p1),), (tuple(p2),), t, sym, config.T, late), count
-    return None, count
+                    witness = FailureWitness((tuple(p1),), (tuple(p2),), t, sym, config.T, late)
+                    return witness, count, exhaustive
+    return None, count, exhaustive
 
 
 def slot_delay_table(spec, erased, num_eval):

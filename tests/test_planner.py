@@ -35,8 +35,10 @@ from relaystream.planner import (
     point_rate,
     t_min,
     upper_bound,
+    _concat_rate,
     _hops,
     _initial_plan,
+    _pair_counts,
     _plan_bottleneck_first,
     _ranked_hops,
     _redistribute,
@@ -353,14 +355,17 @@ def _plan_record(plan) -> tuple:
 PLANNER_DIGEST = "d4fe7b2d093a18d5893ae1c64b0d2e455a56610c1219fb35f6c224e0b4c6c453"
 
 
-def test_planner_outputs_are_pinned():
+def digest_configs() -> list[NetworkConfig]:
     # random_network draws delays, zero budgets and deadlines below t_min,
     # which oswdf refuses; sample_config draws the ensemble's networks
     rng = random.Random(9)
     configs = [random_network(rng) for _ in range(300)]
-    configs += [sample_config(rng) for _ in range(100)]
+    return configs + [sample_config(rng) for _ in range(100)]
+
+
+def test_planner_outputs_are_pinned():
     digest = hashlib.sha256()
-    for cfg in configs:
+    for cfg in digest_configs():
         osw_record, osw = _plan_record(lambda: oswdf_optimize(cfg))
         mw_record, _ = _plan_record(lambda: mwdf_plan(cfg))
         matched = _plan_record(lambda: mwdf_plan(cfg, match=osw))[0] if osw else None
@@ -386,26 +391,69 @@ def test_bisection_invariants_behind_the_removed_refusals():
     branches = {"scale-down": 0, "pour": 0}
     for cfg in configs:
         bot, other = _ranked_hops(cfg)
-        init = _initial_plan(cfg, bot, other)
-        init_k = init.k1 if bot.name == "hop1" else init.k2
-        assert [Fraction(k, init.n) for k in init_k] == list(bot.caps)
-        # the concatenated scheme's per-link rates, where the pour starts
+        n, g1, g2 = _initial_plan(cfg, bot, other)
+        init_g = g1 if bot.name == "hop1" else g2
+        assert [Fraction(sum(counts), n) for _, counts in init_g] == list(bot.caps)
+        # the concatenated scheme's per-link rates, where the pour starts;
+        # oswdf_optimize reads each link's numerator from the cswdf pair counts
+        nums = [sum(max(0, cfg.T + 1 - z_i - z) for z in other.z) for z_i in bot.z]
+        pair_counts = _pair_counts(cfg)
+        assert (pair_counts[0] if bot.name == "hop1" else pair_counts[1])[1] == nums
         den = sum(cfg.T + 1 - z for z in other.z)
-        concat = sum(
-            (min(cap, Fraction(sum(max(0, cfg.T + 1 - z_i - z) for z in other.z), den))
-             for z_i, cap in zip(bot.z, bot.caps)),
-            start=Fraction(0),
-        )
+        base_rates = [min(cap, Fraction(num, den)) for num, cap in zip(nums, bot.caps)]
+        concat = sum(base_rates, start=Fraction(0))
         for j in range(1, 8):
             probe = bot.rate * Fraction(j, 8)
-            rates = _redistribute(cfg.T, bot, other, probe)
+            rates = _redistribute(bot, base_rates, probe)
             assert sum(rates) == probe
             assert all(0 < r <= cap for r, cap in zip(rates, bot.caps))
             branches["scale-down" if probe < concat else "pour"] += 1
             n = lcm(*[max(1, N) * r.denominator for N, r in zip(bot.N, rates)])
             if n > N_MAX:
                 continue
-            cand = _plan_bottleneck_first(cfg, bot, other, n, rates)
-            cand_k = cand.k1 if bot.name == "hop1" else cand.k2
-            assert [Fraction(k, cand.n) for k in cand_k] == rates
+            n, g1, g2 = _plan_bottleneck_first(cfg, bot, other, n, rates)
+            cand_g = g1 if bot.name == "hop1" else g2
+            assert [Fraction(sum(counts), n) for _, counts in cand_g] == rates
     assert branches["scale-down"] and branches["pour"], branches
+
+
+def test_cswdf_rate_from_pair_counts():
+    # the lower bound oswdf_optimize takes from the pair counts alone is
+    # the full cswdf plan's rate
+    for cfg in digest_configs():
+        rate = _concat_rate(_pair_counts(cfg))
+        expected = cswdf_plan(cfg)[0]
+        assert rate == expected and repr(rate) == repr(expected), cfg
+
+
+def test_oswdf_optimize_builds_one_allocation(monkeypatch):
+    # the bisection compares list-form candidates; only the plan returned
+    # gets validated groupings, and the cswdf plan is not built when
+    # oswdf wins
+    import relaystream.planner as planner_mod
+    from relaystream.spectrum import DelayGrouping
+
+    built, candidates = [], []
+    check, plan = DelayGrouping.__post_init__, planner_mod._plan_bottleneck_first
+    monkeypatch.setattr(DelayGrouping, "__post_init__", lambda g: (built.append(g), check(g)))
+    monkeypatch.setattr(planner_mod, "_plan_bottleneck_first",
+                        lambda *args: candidates.append(args) or plan(*args))
+    monkeypatch.setattr(planner_mod, "cswdf_plan", lambda cfg: pytest.fail("cswdf_plan ran"))
+    alloc = oswdf_optimize(NET_B)
+    assert alloc.scheme == "oswdf" and alloc.k1_total == alloc.k2_total
+    assert len(candidates) > 2
+    assert len(built) == len(NET_B.N1) + len(NET_B.N2)
+
+
+def test_oswdf_optimize_returns_cswdf_plan_where_it_wins():
+    wins = 0
+    for cfg in digest_configs():
+        try:
+            alloc = oswdf_optimize(cfg)
+        except ValueError:
+            continue
+        if alloc.scheme == "cswdf":
+            wins += 1
+            expected = cswdf_plan(cfg)[1]
+            assert alloc == expected and repr(alloc) == repr(expected), cfg
+    assert wins >= 5

@@ -158,6 +158,38 @@ def test_verify_single_link_cross_product():
     assert report.ok and report.exhaustive
 
 
+def test_verify_sampled_joint_replay_is_not_exhaustive(tmp_path, monkeypatch, capsys):
+    # the per-link checks are exact, but once the joint cross product has
+    # more than JOINT_PAIRS pairs only a sample is replayed, and the report
+    # and the verify line say so
+    import relaystream.sim as sim_mod
+
+    cfg = NetworkConfig(T=5, N1=(2,), N2=(1,))
+    code = assemble(oswdf_optimize(cfg))
+    full = verify_adversarial(code)
+    monkeypatch.setattr(sim_mod, "JOINT_PAIRS", 3)
+    sampled = verify_adversarial(code)
+    assert full.ok and full.exhaustive
+    assert sampled.ok and not sampled.exhaustive
+    total = full.checked_patterns - sampled.checked_patterns + 3
+    assert total > 3
+    for limit, exhaustive in ((total, True), (total - 1, False)):
+        monkeypatch.setattr(sim_mod, "JOINT_PAIRS", limit)
+        assert verify_adversarial(code).exhaustive is exhaustive
+
+    monkeypatch.setattr(sim_mod, "JOINT_PAIRS", 3)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"T": 5, "N1": [2], "N2": [1]}))
+    doc = str(tmp_path / "alloc.json")
+    assert main(["plan", "--config", str(config_path), "--scheme", "oswdf", "--out", doc]) == 0
+    capsys.readouterr()
+    assert main(["verify", doc]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(
+        f"{sampled.checked_patterns} patterns checked, sampled (not exhaustive)\n"
+    ), out
+
+
 # the 1x1 shapes of the audit benchmark: (N1, N2, dT1, dT2, T - t_min)
 AUDIT_1X1 = (
     ((1,), (1,), (0,), (0,), 0),
@@ -275,7 +307,7 @@ def golden_configs():
 # joint replay's own witness
 VERIFY_DIGESTS = {
     '{"T": 6, "N1": [2], "N2": [3], "dT1": [1], "dT2": [0]}':
-        "987178f1dcce15c46998c5de11a49c278805d9848f37207f74a9a3808a2a0023",
+        "022fdf729558f9610b20af1794882aca0410eb0cf4fdd72190fcbd8c9d38a03e",
     '{"T": 6, "N1": [3, 1], "N2": [1, 3], "dT1": [1, 1], "dT2": [1, 0]}':
         "9e233f35976ee54e96139959e39dd20d6ef444ce032cc3659b942d9cf44b8826",
     '{"T": 7, "N1": [3], "N2": [1, 3], "dT1": [0], "dT2": [0, 0]}':
@@ -330,8 +362,9 @@ def test_verify_outputs_are_pinned(tmp_path, capsys):
     config = NetworkConfig(T=5, N1=(2,), N2=(2,))
     alloc = mwdf_plan(config)
     code = assemble(dataclasses.replace(alloc, relabel_delay=alloc.relabel_delay - 1))
-    witness = repr(_cross_product_check(code, config, random.Random(5)))
-    digests["joint replay"] = hashlib.sha256(witness.encode()).hexdigest()
+    witness, count, exhaustive = _cross_product_check(code, config, random.Random(5))
+    assert exhaustive
+    digests["joint replay"] = hashlib.sha256(repr((witness, count)).encode()).hexdigest()
     assert digests == VERIFY_DIGESTS
 
 
