@@ -28,7 +28,7 @@ Schemes:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import Optional, Sequence
@@ -551,7 +551,7 @@ def oswdf_optimize(config: NetworkConfig) -> Allocation:
             ub = probe
             lb = max(lb, rate)
     if best is None:
-        return cswdf_plan(config)[1]
+        return replace(cswdf_plan(config)[1], capped=capped)
     return _allocation(config, bot, best, capped)
 
 

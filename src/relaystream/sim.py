@@ -8,11 +8,13 @@ exact for any component length: patterns never interact across
 components, and inside one span b erasures delay the k-th arrival to at
 most position k - 1 + b (never, once b > n - k), so each component's
 worst case is a closed form. The same rule lets the Monte Carlo path skip
-the symbolic decoder. Packets are erased whole, so every component
-of one (n, k) shape on a link sees the same stream: one prefix count per
-shape gives each diagonal's k-th arrival in O(horizon), and each route
-class (link, shape, diagonal position, relay offset) is tested for
-lateness once, however many routes share it.
+the symbolic decoder. Packets are erased whole, so every component on a
+link sees the same sorted erasure times: an erased symbol is late iff its
+diagonal's window up to the allowed delay holds more erasures than it can
+spare, one binary search in those times. Each route class (link, shape,
+diagonal position, relay offset) is tested once, however many routes
+share it, and only at erased slots, so the cost follows the erasures,
+not the horizon.
 
 The network decomposes per hop: the relay re-encodes consistently, so a
 source symbol survives end to end iff its first hop recovers it by the
@@ -43,7 +45,8 @@ from .channels import GeParams, sample_ge, sample_iid
 from .codes import StreamingCodeSpec
 from .planner import (
     NetworkConfig,
-    cswdf_plan,
+    _concat_rate,
+    _pair_counts,
     mwdf_rate,
     oswdf_optimize,
     t_min,
@@ -404,30 +407,6 @@ class SimResult:
         return self.lost / self.packets if self.packets else 0.0
 
 
-def _kth_arrival(erased: np.ndarray, n: int, k: int, num_diag: int) -> np.ndarray:
-    """Where each diagonal of an (n, k) component collects its k-th symbol.
-
-    Diagonal i covers slots i .. i+n-1 of the link stream led by k-1 known
-    pre-stream slots, so diagonal k-1 starts at transmit time 0. Returns,
-    for i < num_diag, the window position of the k-th received slot; a
-    value >= n means the window never collects k. Slots past the end of
-    ``erased`` count as lost. O(num_diag), whatever n is.
-    """
-    pad = k - 1
-    received = np.zeros(num_diag + n - 1, dtype=bool)
-    received[:pad] = True
-    stream = ~erased[: num_diag + n - k]
-    received[pad : pad + len(stream)] = stream
-    # the k-th arrival from diagonal i is arrival number (arrivals before i) + k - 1;
-    # sentinels past the stream stand in for arrivals that never come
-    arrivals = np.concatenate(
-        [np.flatnonzero(received), np.full(k, num_diag + n, dtype=np.intp)]
-    )
-    head = received[:num_diag]
-    before = np.cumsum(head) - head
-    return arrivals[before + pad] - np.arange(num_diag)
-
-
 def _slot_shapes(spec: StreamingCodeSpec) -> np.ndarray:
     """Rows (n_c, k_c, j), one per message slot: the shape of the slot's
     component and the slot's 1-based position on the component diagonal."""
@@ -482,31 +461,38 @@ def loss_mask(
     A packet is lost when any of its routed symbols either misses its relay
     relabel time on hop 1 or exceeds its remaining delay budget on hop 2.
     Bit arrays are indexed by each link's transmit clock and must cover
-    num_packets plus the code span plus the deadline.
+    num_packets plus the code span plus the deadline; slots past an array
+    count as erased.
 
-    Each route class is tested once, straight from the k-th-arrival index
-    of its link and component shape; no per-slot table is built.
+    Only erased slots are visited. Symbol j of an (n, k) component sent at
+    tau is recovered within delay d iff its diagonal, which starts at
+    s = tau - (j-1), receives k of the slots s .. s + min(d + j - 1, n - 1)
+    (slots before 0 are known pre-stream slots); one search in the link's
+    sorted erasure times counts that window's erasures. Each route class
+    is tested once, so the cost is about (erased slots x log) per class,
+    not the horizon: on NET_A this beats a horizon-long scan below about
+    25% erasures and loses above it (4x slower at 90%).
     """
     classes1, classes2 = _route_classes(code)
-    # hop-2 clocks run up to the largest relay delay past the last packet
-    max_relay = max((offset for _, _, _, _, offset, _ in classes2), default=0)
     lost = np.zeros(num_packets, dtype=bool)
-    for bits, num_eval, classes in (
-        (bits1, num_packets, classes1),
-        (bits2, num_packets + max_relay, classes2),
-    ):
-        index: dict[tuple[int, int, int], np.ndarray] = {}
+    tail = np.arange(code.span + 1)
+    for bits, classes in ((bits1, classes1), (bits2, classes2)):
+        # erasure times per link, sentinels standing in for the slots past the array
+        times = [np.concatenate([np.flatnonzero(b), len(b) + tail]) for b in bits]
         for link, n, k, j, offset, allowed in classes:
             if allowed < 0:
                 return np.ones(num_packets, dtype=bool)
-            if (link, n, k) not in index:
-                index[link, n, k] = _kth_arrival(bits[link], n, k, num_eval + k - 1)
-            # symbol j at clock tau sits on diagonal tau - (j-1)
-            start = offset + k - j
-            p = index[link, n, k][start : start + num_packets]
-            # late iff erased and recovered after allowed, or never (p >= n)
-            erased = bits[link][offset : offset + num_packets]
-            lost |= erased & (p > min(allowed + j - 1, n - 1))
+            t = times[link]
+            tau = t[t.searchsorted(offset) : t.searchsorted(offset + num_packets)]
+            # the window [s, s + thr] is late iff it holds more than b
+            # erasures: tau is one, so always when b <= 0, else iff the
+            # (b+1)-th erasure from s falls inside
+            thr = min(allowed + j - 1, n - 1)
+            b = thr + 1 - k
+            if b > 0:
+                s = tau - (j - 1)
+                tau = tau[t[t.searchsorted(s) + b] <= s + thr]
+            lost[tau - offset] = True
     return lost
 
 
@@ -593,7 +579,7 @@ def run_ensemble(seed: int, trials: int) -> list[EnsembleRow]:
                 config=cfg,
                 upper=upper_bound(cfg),
                 mwdf=mwdf_rate(cfg)[0],
-                cswdf=cswdf_plan(cfg)[0],
+                cswdf=_concat_rate(_pair_counts(cfg)),
                 oswdf=oswdf_optimize(cfg).rate,
             )
         )

@@ -6,10 +6,10 @@ validated dataclass with dict-based subtraction, the planners'
 straightforward constructions (every mwdf split tried, cswdf groupings
 concatenated pair by pair), the joint replay rerun from time 0 for every
 pattern pair, the per-slot recovery-delay table of the k-th-arrival
-rule, each component's worst case by enumerating every erasure pattern,
-a code's runs expanded back into its flat component list, and the code
-builders, spectrum measurement and channel statistics that only the
-tests need."""
+rule and the Monte Carlo loss mask read off it at every slot, each
+component's worst case by enumerating every erasure pattern, a code's
+runs expanded back into its flat component list, and the code builders,
+spectrum measurement and channel statistics that only the tests need."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +28,7 @@ from relaystream.sim import (
     INF_DELAY,
     JOINT_PAIRS,
     FailureWitness,
-    _kth_arrival,
+    _route_classes,
     _slot_shapes,
 )
 from relaystream.spectrum import DelayGrouping, optimal_grouping
@@ -302,6 +302,53 @@ def cross_product_from_zero(code, config, rng):
                     witness = FailureWitness((tuple(p1),), (tuple(p2),), t, sym, config.T, late)
                     return witness, count, exhaustive
     return None, count, exhaustive
+
+
+def _kth_arrival(erased, n, k, num_diag):
+    # where each diagonal of an (n, k) component collects its k-th symbol:
+    # diagonal i covers slots i .. i+n-1 of the link stream led by k-1
+    # known pre-stream slots, so diagonal k-1 starts at transmit time 0;
+    # returns, for i < num_diag, the window position of the k-th received
+    # slot, >= n for never; slots past the end of erased count as lost
+    pad = k - 1
+    received = np.zeros(num_diag + n - 1, dtype=bool)
+    received[:pad] = True
+    stream = ~erased[: num_diag + n - k]
+    received[pad : pad + len(stream)] = stream
+    # the k-th arrival from diagonal i is arrival number (arrivals before i) + k - 1;
+    # sentinels past the stream stand in for arrivals that never come
+    arrivals = np.concatenate(
+        [np.flatnonzero(received), np.full(k, num_diag + n, dtype=np.intp)]
+    )
+    head = received[:num_diag]
+    before = np.cumsum(head) - head
+    return arrivals[before + pad] - np.arange(num_diag)
+
+
+def dense_loss_mask(code, bits1, bits2, num_packets):
+    # the Monte Carlo loss mask read off a horizon-long k-th-arrival index
+    # per (link, shape), at every slot rather than only the erased ones
+    classes1, classes2 = _route_classes(code)
+    # hop-2 clocks run up to the largest relay delay past the last packet
+    max_relay = max((offset for _, _, _, _, offset, _ in classes2), default=0)
+    lost = np.zeros(num_packets, dtype=bool)
+    for bits, num_eval, classes in (
+        (bits1, num_packets, classes1),
+        (bits2, num_packets + max_relay, classes2),
+    ):
+        index = {}
+        for link, n, k, j, offset, allowed in classes:
+            if allowed < 0:
+                return np.ones(num_packets, dtype=bool)
+            if (link, n, k) not in index:
+                index[link, n, k] = _kth_arrival(bits[link], n, k, num_eval + k - 1)
+            # symbol j at clock tau sits on diagonal tau - (j-1)
+            start = offset + k - j
+            p = index[link, n, k][start : start + num_packets]
+            # late iff erased and recovered after allowed, or never (p >= n)
+            erased = bits[link][offset : offset + num_packets]
+            lost |= erased & (p > min(allowed + j - 1, n - 1))
+    return lost
 
 
 def slot_delay_table(spec, erased, num_eval):

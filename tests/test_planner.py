@@ -351,8 +351,9 @@ def _plan_record(plan) -> tuple:
 
 # sha256 of the records below as the planners produced them before the
 # per-hop link view (`_Hop`) existed: an oracle for oswdf_optimize, whose
-# output no closed form pins beyond rate inequalities
-PLANNER_DIGEST = "d4fe7b2d093a18d5893ae1c64b0d2e455a56610c1219fb35f6c224e0b4c6c453"
+# output no closed form pins beyond rate inequalities. Since then only the
+# `capped` flag moved, on the 8 networks where oswdf returns the cswdf plan
+PLANNER_DIGEST = "974e4f71b98174ded61f244680dcfdaf7d9ab522c701eb00282ebbc834d9024b"
 
 
 def digest_configs() -> list[NetworkConfig]:
@@ -454,6 +455,21 @@ def test_oswdf_optimize_returns_cswdf_plan_where_it_wins():
             continue
         if alloc.scheme == "cswdf":
             wins += 1
-            expected = cswdf_plan(cfg)[1]
+            # the packet-size guard stopped every bisection that fell back
+            expected = replace(cswdf_plan(cfg)[1], capped=True)
             assert alloc == expected and repr(alloc) == repr(expected), cfg
     assert wins >= 5
+
+
+def test_cswdf_fallback_reports_the_cap(monkeypatch):
+    # the guard stops this bisection before it passes the concatenated
+    # rate; with room to refine, oswdf beats that rate
+    import relaystream.planner as planner_mod
+
+    cfg = NetworkConfig(T=23, N1=(9, 7, 8), N2=(7, 10, 10))
+    capped = oswdf_optimize(cfg)
+    assert capped.scheme == "cswdf" and capped.capped
+    monkeypatch.setattr(planner_mod, "N_MAX", 10**7)
+    refined = oswdf_optimize(cfg)
+    assert refined.scheme == "oswdf" and not refined.capped
+    assert refined.rate > capped.rate

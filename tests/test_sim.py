@@ -14,6 +14,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaystream.channels import GeParams
 from relaystream.cli import main
@@ -37,6 +38,7 @@ from relaystream.sim import (
     replay_witness,
     run_ensemble,
     run_monte_carlo,
+    sample_config,
     verify_adversarial,
     _cross_product_check,
 )
@@ -45,6 +47,7 @@ from relaystream.spectrum import DelayGrouping
 from oracles import (
     component_worst_delays_by_enumeration,
     cross_product_from_zero,
+    dense_loss_mask,
     measure_spectrum,
     slot_delay_table,
 )
@@ -512,6 +515,104 @@ def test_loss_mask_never_recovered_is_lost_at_any_deadline(T):
     bits2 = [np.zeros(30, dtype=bool)]
     bits2[0][5:8] = True
     assert np.flatnonzero(loss_mask(code, bits1, bits2, 20)).tolist() == [4, 5]
+
+
+# the other shapes of the audit benchmark, with two links on a hop
+AUDIT_MULTI = (
+    ((1,), (1, 2), (0,), (0, 1), 1),
+    ((2,), (2, 3), (0,), (0, 0), 2),
+    ((3,), (1, 2), (0,), (0, 0), 1),
+    ((1, 2), (1,), (0, 0), (1,), 2),
+    ((1, 2), (1,), (0, 1), (0,), 0),
+    ((1, 2), (3,), (0, 0), (0,), 0),
+    ((2, 3), (1, 2), (0, 0), (0, 0), 1),
+    ((1, 2), (2, 3), (0, 0), (0, 1), 1),
+    ((1, 2), (1, 2), (0, 0), (0, 1), 0),
+    ((3, 1), (1, 3), (1, 0), (0, 0), 0),
+)
+SCHEMES = {
+    "mwdf": mwdf_plan,
+    "cswdf": lambda cfg: cswdf_plan(cfg)[1],
+    "oswdf": oswdf_optimize,
+}
+
+
+def loss_mask_plans():
+    # the loss-curve codes (NET_A oswdf, mwdf matched to it, the mid-size
+    # network), every scheme on the audit shapes, and cswdf on ensemble
+    # networks
+    mid = NetworkConfig(T=20, N1=(3, 5, 7), N2=(2, 4, 6))
+    yield "A-oswdf", lambda: oswdf_optimize(NET_A)
+    yield "A-mwdf", lambda: mwdf_plan(NET_A, match=oswdf_optimize(NET_A))
+    yield "MID-oswdf", lambda: oswdf_optimize(mid)
+    for i, (n1, n2, dt1, dt2, extra) in enumerate(AUDIT_1X1 + AUDIT_MULTI):
+        cfg = NetworkConfig(T=1, N1=n1, N2=n2, dT1=dt1, dT2=dt2)
+        cfg = dataclasses.replace(cfg, T=t_min(cfg) + extra)
+        for scheme, plan in SCHEMES.items():
+            yield f"shape{i}-{scheme}", lambda cfg=cfg, plan=plan: plan(cfg)
+    rng = random.Random(3)
+    for i in range(8):
+        cfg = sample_config(rng)
+        yield f"ensemble{i}-cswdf", lambda cfg=cfg: cswdf_plan(cfg)[1]
+
+
+def assert_masks_agree(code, num_packets, bits1, bits2):
+    lost = loss_mask(code, bits1, bits2, num_packets)
+    dense = dense_loss_mask(code, bits1, bits2, num_packets)
+    assert lost.dtype == dense.dtype and lost.shape == dense.shape == (num_packets,)
+    assert np.array_equal(lost, dense)
+    return lost
+
+
+@pytest.mark.parametrize("plan", [pytest.param(p, id=name) for name, p in loss_mask_plans()])
+def test_loss_mask_matches_dense_oracle(plan):
+    # every erasure rate from none to almost all, arrays at the horizon and
+    # 3 slots short of it (slots past an array count as erased)
+    code = assemble(plan())
+    rng = np.random.default_rng(41)
+    for num, eps, short in itertools.product((0, 1, 7, 300), (0, .02, .2, .5, .9), (0, 3)):
+        horizon = num + code.span + code.allocation.config.T + 2 - short
+        bits1 = [rng.random(horizon) < eps for _ in code.hop1]
+        bits2 = [rng.random(horizon) < eps for _ in code.hop2]
+        assert_masks_agree(code, num, bits1, bits2)
+
+
+PROPERTY_CODES = [
+    assemble(oswdf_optimize(NET_A)),
+    assemble(oswdf_initial(NET_B)),
+    assemble(mwdf_plan(NetworkConfig(T=6, N1=(1, 2), N2=(1,), dT1=(0, 1), dT2=(1,)))),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_loss_mask_matches_dense_oracle_on_any_bits(data):
+    code = data.draw(st.sampled_from(PROPERTY_CODES))
+    num = data.draw(st.integers(0, 30))
+    horizon = num + code.span + code.allocation.config.T + 2 - data.draw(st.integers(0, 3))
+    links = st.lists(st.booleans(), min_size=horizon, max_size=horizon).map(np.array)
+    bits1 = [data.draw(links) for _ in code.hop1]
+    bits2 = [data.draw(links) for _ in code.hop2]
+    assert_masks_agree(code, num, bits1, bits2)
+
+
+def test_loss_mask_matches_dense_oracle_off_the_verified_region():
+    # relabel delays the verifier rejects: 0 on NET_A's mwdf plan forwards
+    # hop-1 diagonals before k of their slots can arrive (every erasure of
+    # such a slot is late), and 0 on a link with unit propagation delay
+    # leaves a negative allowed delay (every packet lost)
+    short_window = assemble(dataclasses.replace(mwdf_plan(NET_A), relabel_delay=0))
+    cfg = NetworkConfig(T=6, N1=(2, 1), N2=(1,), dT1=(1, 0))
+    negative = assemble(dataclasses.replace(mwdf_plan(cfg), relabel_delay=0))
+    rng = np.random.default_rng(8)
+    for code in (short_window, negative):
+        assert not verify_adversarial(code).ok
+        for num, short in itertools.product((0, 7, 300), (0, 3)):
+            horizon = num + code.span + code.allocation.config.T + 2 - short
+            bits1 = [rng.random(horizon) < 0.1 for _ in code.hop1]
+            bits2 = [rng.random(horizon) < 0.1 for _ in code.hop2]
+            lost = assert_masks_agree(code, num, bits1, bits2)
+            assert lost.all() == (code is negative or num == 0)
 
 
 def test_zero_packets():
