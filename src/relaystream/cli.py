@@ -330,6 +330,8 @@ def cmd_simulate(args) -> int:
     alloc, code = load_code(args.allocation)
     if args.packets < 0:
         raise CliError("--packets must be nonnegative")
+    if args.seed < 0:
+        raise CliError("--seed must be nonnegative")
 
     if args.channel == "iid":
         channels = [ChannelSpec("iid", eps=e) for e in _parse_eps_grid(args.eps)]

@@ -138,14 +138,9 @@ def _hops(config: NetworkConfig) -> tuple[_Hop, _Hop]:
     return hop("hop1", config.N1, config.dT1, z1, z2), hop("hop2", config.N2, config.dT2, z2, z1)
 
 
-def hop_rates(config: NetworkConfig) -> tuple[Fraction, Fraction]:
-    h1, h2 = _hops(config)
-    return h1.rate, h2.rate
-
-
 def upper_bound(config: NetworkConfig) -> Fraction:
     """Capacity upper bound: the smaller of the two hop rate sums."""
-    return min(hop_rates(config))
+    return min(h.rate for h in _hops(config))
 
 
 def mwdf_rate(config: NetworkConfig) -> tuple[Fraction, int, int]:
@@ -214,16 +209,8 @@ class Allocation:
         object.__setattr__(self, "budgets2", tuple(self.budgets2) or self.config.N2)
 
     @property
-    def k1_total(self) -> int:
-        return sum(self.k1)
-
-    @property
-    def k2_total(self) -> int:
-        return sum(self.k2)
-
-    @property
     def k(self) -> int:
-        return min(self.k1_total, self.k2_total)
+        return min(sum(self.k1), sum(self.k2))
 
     @property
     def n(self) -> int:

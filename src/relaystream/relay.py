@@ -28,14 +28,13 @@ from __future__ import annotations
 import copy
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .codes import CodecState, StreamingCodeSpec, build_grouped_code, decode_step, encode_step
 from .planner import Allocation
 
 
-@dataclass(frozen=True)
-class SymbolRoute:
+class SymbolRoute(NamedTuple):
     """End-to-end path of one source symbol."""
 
     sym: int
@@ -49,14 +48,14 @@ class SymbolRoute:
 
 @dataclass(frozen=True)
 class NetworkCode:
-    """Per-link streaming codes plus the routing table that joins them."""
+    """Per-link streaming codes plus the routing table that joins them:
+    one route per source symbol, routes[sym] for symbol sym. Message slots
+    that no route names carry zeros."""
 
     allocation: Allocation
     hop1: tuple[StreamingCodeSpec, ...]
     hop2: tuple[StreamingCodeSpec, ...]
     routes: tuple[SymbolRoute, ...]
-    hop1_fill: tuple[tuple[Optional[int], ...], ...]  # message slot -> sym
-    hop2_fill: tuple[tuple[Optional[int], ...], ...]
 
     @property
     def k(self) -> int:
@@ -126,32 +125,10 @@ def assemble(alloc: Allocation) -> NetworkCode:
         config.T,
     )
     routes = tuple(
-        SymbolRoute(
-            sym=sym,
-            link1=l1,
-            slot1=s1,
-            relay_delay=e1,
-            link2=l2,
-            slot2=s2,
-            dest_delay=e2,
-        )
-        for sym, ((e1, l1, s1), (e2, l2, s2)) in enumerate(
-            sorted(pairs, key=lambda p: (p[0][1], p[0][2]))
-        )
+        SymbolRoute(sym, l1, s1, e1, l2, s2, e2)
+        for sym, ((e1, l1, s1), (e2, l2, s2)) in enumerate(sorted(pairs, key=lambda p: p[0][1:]))
     )
-    fill1: list[list[Optional[int]]] = [[None] * c.k for c in hop1]
-    fill2: list[list[Optional[int]]] = [[None] * c.k for c in hop2]
-    for r in routes:
-        fill1[r.link1][r.slot1] = r.sym
-        fill2[r.link2][r.slot2] = r.sym
-    return NetworkCode(
-        allocation=alloc,
-        hop1=hop1,
-        hop2=hop2,
-        routes=routes,
-        hop1_fill=tuple(tuple(f) for f in fill1),
-        hop2_fill=tuple(tuple(f) for f in fill2),
-    )
+    return NetworkCode(alloc, hop1, hop2, routes)
 
 
 @dataclass(slots=True)
@@ -195,15 +172,16 @@ class NetworkState:
         # src_t -> (link1, slot1) -> value
         self._pending: dict[int, dict[tuple[int, int], int]] = {}
         # routing tables for step(), shared with forks: hop-1 slot -> sym
-        # (k: zero); per routed hop-2 slot (slot, sym, relay delay, (link1,
-        # slot1)), and the reverse map slot -> (sym, relay delay)
-        routes = code.routes
-        self._fill1 = [[code.k if sym is None else sym for sym in fill] for fill in code.hop1_fill]
-        self._feed2 = [
-            [(slot, sym, routes[sym].relay_delay, (routes[sym].link1, routes[sym].slot1))
-             for slot, sym in enumerate(fill) if sym is not None]
-            for fill in code.hop2_fill
-        ]
+        # (k, which reads zero, where no route); per hop-2 link its routed
+        # slots in slot order as (slot, sym, relay delay, (link1, slot1)),
+        # and the reverse map slot -> (sym, relay delay)
+        self._fill1 = [[code.k] * spec.k for spec in code.hop1]
+        self._feed2 = [[] for _ in code.hop2]
+        for sym, link1, slot1, relay_delay, link2, slot2, _ in code.routes:
+            self._fill1[link1][slot1] = sym
+            self._feed2[link2].append((slot2, sym, relay_delay, (link1, slot1)))
+        for feed in self._feed2:
+            feed.sort()
         self._back2 = [{slot: (sym, delay) for slot, sym, delay, _ in feed} for feed in self._feed2]
         self._keep = 4 * (code.allocation.config.T + 1) + max(c.span for c in code.hop1)
         self.violations: list[Violation] = []

@@ -7,14 +7,16 @@ slots) arrives, whichever is earlier. That rule makes the per-link check
 exact for any component length: patterns never interact across
 components, and inside one span b erasures delay the k-th arrival to at
 most position k - 1 + b (never, once b > n - k), so each component's
-worst case is a closed form. The same rule lets the Monte Carlo path skip
-the symbolic decoder. Packets are erased whole, so every component on a
-link sees the same sorted erasure times: an erased symbol is late iff its
-diagonal's window up to the allowed delay holds more erasures than it can
-spare, one binary search in those times. Each route class (link, shape,
-diagonal position, relay offset) is tested once, however many routes
-share it, and only at erased slots, so the cost follows the erasures,
-not the horizon.
+worst case is a closed form. It differs from the declared delay by the same
+amount at every slot of a run of equal components, so the check is one
+comparison per run and costs per run, not per slot. The same rule lets
+the Monte Carlo path skip the symbolic decoder. Packets are erased whole,
+so every component on a link sees the same sorted erasure times: an
+erased symbol is late iff its diagonal's window up to the allowed delay
+holds more erasures than it can spare, one binary search in those times.
+Each route class (link, shape, diagonal position, relay offset) is tested
+once, however many routes share it, and only at erased slots, so the cost
+follows the erasures, not the horizon.
 
 The network decomposes per hop: the relay re-encodes consistently, so a
 source symbol survives end to end iff its first hop recovers it by the
@@ -36,7 +38,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -174,6 +175,44 @@ def _route_witness(code: NetworkCode, route, required: int) -> FailureWitness:
     return _witness(code, erased, src_time, route.sym, required)
 
 
+def _check_links(
+    code: NetworkCode, config: NetworkConfig
+) -> tuple[int, Optional[tuple[str, FailureWitness]]]:
+    """Patterns checked, and the first failing run's detail and witness
+    (None if every run passes). Symbol j of a run waits k - 1 + b - j
+    slots at worst (or never, for every j) against a declared N + k - 1 - j,
+    so the run's first slot decides for all of its slots."""
+    checked = 0
+    anchor = code.span + config.T + 2
+    # the hop's budgets and where its (link, slot) pair sits in a route
+    hops = ((1, code.hop1, config.N1, 1), (2, code.hop2, config.N2, 4))
+    for hop, specs, budgets, col in hops:
+        for link, (spec, budget) in enumerate(zip(specs, budgets)):
+            for comp, places in spec.plan:
+                patterns = math.comb(comp.n, min(budget, comp.n))
+                worst, args = component_worst_delays(comp.n, comp.k, budget)
+                declared = spec.N + comp.k - 1
+                if worst[0] <= declared:
+                    checked += patterns * len(places)
+                    continue
+                checked += patterns
+                slot = places[0][1]
+                route = next((r for r in code.routes if r[col : col + 2] == (link, slot)), None)
+                src = anchor - route.relay_delay if hop == 2 and route else anchor
+                recovers = (
+                    "never recovers" if worst[0] >= INF_DELAY
+                    else f"recovers in {worst[0]} slots"
+                )
+                # place the pattern on the diagonal through a steady-state
+                # link time so the witness replays
+                times = tuple(anchor + p for p in args[0])
+                return checked, (
+                    f"hop-{hop} link {link} slot {slot} {recovers}, declared {declared}",
+                    _witness(code, {(hop, link): times}, src, route.sym if route else -1, declared),
+                )
+    return checked, None
+
+
 def verify_adversarial(
     code: NetworkCode, config: Optional[NetworkConfig] = None
 ) -> VerificationReport:
@@ -184,7 +223,8 @@ def verify_adversarial(
     Per-link checks are exact for any component length: each component's
     worst case over every budget-sized pattern in its span is a closed
     form (``component_worst_delays``), and ``checked`` counts those
-    patterns. That covers every placement in the wider sliding window too:
+    patterns; one comparison per run of equal components decides all its
+    slots. That covers every placement in the wider sliding window too:
     positions outside a component cannot influence it, so a window
     pattern projects onto one of the span patterns. ``config`` overrides
     the deadline to check against, so a code can be audited against a
@@ -195,9 +235,8 @@ def verify_adversarial(
     JOINT_PAIRS pairs it is sampled and the report is not exhaustive.
     """
     config = config or code.allocation.config
-    checked = 0
+    checked, failure = _check_links(code, config)
     exhaustive = True
-    anchor = code.span + config.T + 2
 
     def fail(detail: str, witness: FailureWitness) -> VerificationReport:
         return VerificationReport(
@@ -208,38 +247,8 @@ def verify_adversarial(
             exhaustive=exhaustive,
         )
 
-    hops = (
-        (code.hop1, config.N1, code.hop1_fill, 1),
-        (code.hop2, config.N2, code.hop2_fill, 2),
-    )
-    for specs, budgets, fills, hop in hops:
-        for link, spec in enumerate(specs):
-            budget = budgets[link]
-            for comp, places in spec.plan:
-                worst, args = component_worst_delays(comp.n, comp.k, budget)
-                for _, moff in places:
-                    checked += math.comb(comp.n, min(budget, comp.n))
-                    for j in range(comp.k):
-                        slot = moff + j
-                        declared = spec.slot_delays[slot]
-                        if worst[j] <= declared:
-                            continue
-                        # place the pattern on the diagonal through a
-                        # steady-state link time so the witness replays
-                        times = tuple(anchor - j + p for p in args[j])
-                        sym = fills[link][slot]
-                        src = anchor
-                        if hop == 2 and sym is not None:
-                            src = anchor - code.routes[sym].relay_delay
-                        recovers = (
-                            "never recovers" if worst[j] >= INF_DELAY
-                            else f"recovers in {worst[j]} slots"
-                        )
-                        return fail(
-                            f"hop-{hop} link {link} slot {slot} {recovers}, declared {declared}",
-                            _witness(code, {(hop, link): times}, src,
-                                     -1 if sym is None else sym, declared),
-                        )
+    if failure is not None:
+        return fail(*failure)
 
     for route in code.routes:
         # the relay must hold the symbol before it forwards it
@@ -429,10 +438,8 @@ def _route_classes(code: NetworkCode) -> tuple[list[tuple[int, ...]], ...]:
     allowed delay is late whenever a larger one is.
     """
     config = code.allocation.config
-    link1, slot1, relay, link2, slot2 = (
-        np.fromiter(map(attrgetter(field), code.routes), np.int64, len(code.routes))
-        for field in ("link1", "slot1", "relay_delay", "link2", "slot2")
-    )
+    routes = np.fromiter(itertools.chain.from_iterable(code.routes), np.int64, 7 * code.k)
+    _, link1, slot1, relay, link2, slot2, _ = routes.reshape(-1, 7).T
     sides = (
         (code.hop1, link1, slot1, np.zeros_like(relay), relay - np.asarray(config.dT1)[link1]),
         (code.hop2, link2, slot2, relay, config.T - relay - np.asarray(config.dT2)[link2]),

@@ -5,17 +5,18 @@ constrained maximization in exact fractions, the pairing budget as a
 validated dataclass with dict-based subtraction, the planners'
 straightforward constructions (every mwdf split tried, cswdf groupings
 concatenated pair by pair), the joint replay rerun from time 0 for every
-pattern pair, the per-slot recovery-delay table of the k-th-arrival
-rule and the Monte Carlo loss mask read off it at every slot, each
-component's worst case by enumerating every erasure pattern, a code's
-runs expanded back into its flat component list, and the code builders,
-spectrum measurement and channel statistics that only the tests need."""
+pattern pair, the per-link check slot by slot, the per-slot
+recovery-delay table of the k-th-arrival rule and the Monte Carlo loss
+mask read off it at every slot, each component's worst case by
+enumerating every erasure pattern, a code's runs expanded back into its
+flat component list, and the code builders, spectrum measurement and
+channel statistics that only the tests need."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import ceil, floor
+from math import ceil, comb, floor
 from operator import xor
 
 import numpy as np
@@ -30,6 +31,8 @@ from relaystream.sim import (
     FailureWitness,
     _route_classes,
     _slot_shapes,
+    _witness,
+    component_worst_delays,
 )
 from relaystream.spectrum import DelayGrouping, optimal_grouping
 
@@ -302,6 +305,44 @@ def cross_product_from_zero(code, config, rng):
                     witness = FailureWitness((tuple(p1),), (tuple(p2),), t, sym, config.T, late)
                     return witness, count, exhaustive
     return None, count, exhaustive
+
+
+def check_links_per_slot(code, config):
+    # sim._check_links slot by slot: each component placement counts its
+    # patterns as it is reached, and every message slot compares its
+    # component's worst delay with its own declared delay; the failing
+    # slot's route is read from a table over every routed slot
+    routed = {}
+    for r in code.routes:
+        routed[1, r.link1, r.slot1] = r
+        routed[2, r.link2, r.slot2] = r
+    checked = 0
+    anchor = code.span + config.T + 2
+    for hop, specs, budgets in ((1, code.hop1, config.N1), (2, code.hop2, config.N2)):
+        for link, spec in enumerate(specs):
+            budget = budgets[link]
+            for comp, places in spec.plan:
+                worst, args = component_worst_delays(comp.n, comp.k, budget)
+                for _, moff in places:
+                    checked += comb(comp.n, min(budget, comp.n))
+                    for j in range(comp.k):
+                        slot = moff + j
+                        declared = spec.slot_delays[slot]
+                        if worst[j] <= declared:
+                            continue
+                        times = tuple(anchor - j + p for p in args[j])
+                        route = routed.get((hop, link, slot))
+                        src = anchor - route.relay_delay if hop == 2 and route else anchor
+                        recovers = (
+                            "never recovers" if worst[j] >= INF_DELAY
+                            else f"recovers in {worst[j]} slots"
+                        )
+                        return checked, (
+                            f"hop-{hop} link {link} slot {slot} {recovers}, declared {declared}",
+                            _witness(code, {(hop, link): times}, src,
+                                     route.sym if route else -1, declared),
+                        )
+    return checked, None
 
 
 def _kth_arrival(erased, n, k, num_diag):

@@ -23,7 +23,6 @@ from relaystream.codes import CodecState, build_grouped_code, decode_step, encod
 from relaystream.planner import (
     NetworkConfig,
     cswdf_plan,
-    hop_rates,
     mwdf_plan,
     mwdf_rate,
     oswdf_initial,
@@ -31,6 +30,7 @@ from relaystream.planner import (
     point_rate,
     t_min,
     upper_bound,
+    _hops,
 )
 from relaystream.relay import assemble
 from relaystream.sim import ChannelSpec, run_ensemble, run_monte_carlo, verify_adversarial
@@ -66,8 +66,8 @@ def test_criterion_2_gap_network_allocation_and_convergence():
         assert upper_bound(NET_B) == Fraction(2, 3)
         init = oswdf_initial(NET_B)
         assert init.n == 12
-        assert init.k1_total == 8
-        assert init.k2_total == 7
+        assert sum(init.k1) == 8
+        assert sum(init.k2) == 7
         final = oswdf_optimize(NET_B)
         lo = Fraction(13, 20) - Fraction(1, 10**4)
         assert lo <= final.rate <= Fraction(13, 20), final.rate
@@ -195,7 +195,7 @@ def test_criterion_9_propagation_delay_beats_erasure_model():
             cfg = NetworkConfig(T=T, N1=(2,), N2=(2,), dT1=(1,))
             if T < t_min(cfg):
                 continue
-            delayed = hop_rates(cfg)[0]
+            delayed = _hops(cfg)[0].rate
             as_erasure = point_rate(T - 2, 2 + 1)
             if delayed > as_erasure:
                 hit = (T, delayed, as_erasure)

@@ -477,6 +477,14 @@ def test_simulate_zero_packets(planned_b_mwdf, capsys):
     assert out.strip().splitlines() == ["scheme,rate,channel,eps,alpha,beta,packets,lost,loss_rate,seed"]
 
 
+@pytest.mark.parametrize("packets", ["10", "0"])
+def test_simulate_negative_seed_is_a_usage_error(planned_b_mwdf, capsys, packets):
+    code, out, err = run(capsys, ["simulate", planned_b_mwdf, "--packets", packets, "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.endswith("error: --seed must be nonnegative\n"), err
+
+
 @pytest.mark.parametrize("eps", ["1.5", "-0.1", "nan", "0.1,2"])
 def test_simulate_eps_outside_unit_interval_is_a_usage_error(planned_b_mwdf, capsys, eps):
     code, out, err = run(capsys, ["simulate", planned_b_mwdf, "--eps", eps, "--packets", "10"])

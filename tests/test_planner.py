@@ -27,7 +27,6 @@ from relaystream.planner import (
     RATE_TOLERANCE,
     cswdf_closed_form,
     cswdf_plan,
-    hop_rates,
     mwdf_plan,
     mwdf_rate,
     oswdf_initial,
@@ -76,7 +75,7 @@ def check_allocation(alloc: Allocation) -> None:
     # matched symbols must fit under the deadline: greedily pair the
     # latest-forwarded hop-1 symbols with the fastest hop-2 slots
     m2 = sorted(aggregate_mass(alloc, 2).items())
-    need = min(alloc.k1_total, alloc.k2_total)
+    need = min(sum(alloc.k1), sum(alloc.k2))
     take1 = []
     for d, c in sorted(aggregate_mass(alloc, 1).items()):
         take = min(c, need - len(take1))
@@ -108,9 +107,9 @@ def test_t_min():
 
 
 def test_upper_bound_reference_networks():
-    assert hop_rates(NET_A) == (Fraction(1), Fraction(5, 4))
+    assert tuple(h.rate for h in _hops(NET_A)) == (Fraction(1), Fraction(5, 4))
     assert upper_bound(NET_A) == 1
-    assert hop_rates(NET_B) == (Fraction(2, 3), Fraction(3, 4))
+    assert tuple(h.rate for h in _hops(NET_B)) == (Fraction(2, 3), Fraction(3, 4))
     assert upper_bound(NET_B) == Fraction(2, 3)
 
 
@@ -127,8 +126,8 @@ def test_pure_delay_cheaper_than_extra_erasure():
     # erasure term: the delayed link strictly beats the noisier one
     delayed = NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,))
     noisy = NetworkConfig(T=6, N1=(3,), N2=(2,))
-    r_delayed, _ = hop_rates(delayed)
-    r_noisy, _ = hop_rates(noisy)
+    r_delayed = _hops(delayed)[0].rate
+    r_noisy = _hops(noisy)[0].rate
     assert r_delayed == Fraction(1, 2) > r_noisy == Fraction(2, 5)
 
 
@@ -203,7 +202,7 @@ def test_oswdf_initial_no_gap_network():
     assert alloc.n1 == (40, 40) and alloc.n2 == (40, 40)
     assert alloc.k1 == (24, 16)
     assert alloc.k2 == (22, 18)
-    assert alloc.k1_total == alloc.k2_total == 40
+    assert sum(alloc.k1) == sum(alloc.k2) == 40
     assert alloc.rate == 1
     assert nonzero(alloc.groupings1[0]) == ((4, 8), (3, 8), (2, 8))
     assert nonzero(alloc.groupings1[1]) == ((4, 8), (3, 8))
@@ -237,7 +236,7 @@ def test_oswdf_optimize_returns_initial_when_closed():
 
 def test_oswdf_optimize_converges_on_gap_network():
     alloc = oswdf_optimize(NET_B)
-    assert alloc.k1_total == alloc.k2_total
+    assert sum(alloc.k1) == sum(alloc.k2)
     assert Fraction(13, 20) - RATE_TOLERANCE <= alloc.rate <= Fraction(13, 20)
     assert not alloc.capped
     check_allocation(alloc)
@@ -247,7 +246,7 @@ def test_symmetric_single_link_network():
     cfg = NetworkConfig(T=6, N1=(2,), N2=(2,))
     alloc = oswdf_optimize(cfg)
     assert alloc.rate == Fraction(3, 5) == upper_bound(cfg)
-    assert alloc.k1_total == alloc.k2_total == 15
+    assert sum(alloc.k1) == sum(alloc.k2) == 15
     check_allocation(alloc)
 
 
@@ -289,7 +288,7 @@ def test_passthrough_relay_when_budgets_zero():
     cfg = NetworkConfig(T=2, N1=(1,), N2=(0,))
     alloc = oswdf_optimize(cfg)
     assert alloc.rate == upper_bound(cfg) == Fraction(2, 3)
-    assert alloc.k1_total == alloc.k2_total
+    assert sum(alloc.k1) == sum(alloc.k2)
     check_allocation(alloc)
 
 
@@ -370,7 +369,7 @@ def test_planner_outputs_are_pinned():
         osw_record, osw = _plan_record(lambda: oswdf_optimize(cfg))
         mw_record, _ = _plan_record(lambda: mwdf_plan(cfg))
         matched = _plan_record(lambda: mwdf_plan(cfg, match=osw))[0] if osw else None
-        digest.update(repr((cfg, hop_rates(cfg), osw_record, mw_record, matched)).encode())
+        digest.update(repr((cfg, tuple(h.rate for h in _hops(cfg)), osw_record, mw_record, matched)).encode())
     assert digest.hexdigest() == PLANNER_DIGEST
 
 
@@ -441,7 +440,7 @@ def test_oswdf_optimize_builds_one_allocation(monkeypatch):
                         lambda *args: candidates.append(args) or plan(*args))
     monkeypatch.setattr(planner_mod, "cswdf_plan", lambda cfg: pytest.fail("cswdf_plan ran"))
     alloc = oswdf_optimize(NET_B)
-    assert alloc.scheme == "oswdf" and alloc.k1_total == alloc.k2_total
+    assert alloc.scheme == "oswdf" and sum(alloc.k1) == sum(alloc.k2)
     assert len(candidates) > 2
     assert len(built) == len(NET_B.N1) + len(NET_B.N2)
 

@@ -2,10 +2,13 @@
 
 Trimming the package namespace can break a script without breaking any
 import inside the package, so the scripts and the README's library
-sketch are run here.
+sketch are run here. The traced benchmark wraps module functions by
+name and reads their results, so those names and fields are checked too.
 """
 
 import ast
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -14,6 +17,9 @@ import sys
 import pytest
 
 import relaystream
+from relaystream.channels import GeParams, sample_ge, sample_iid
+from relaystream.planner import NetworkConfig, oswdf_optimize
+from relaystream.relay import assemble, run_network
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = {
@@ -66,3 +72,24 @@ def test_script_runs(script):
 def test_readme_sketch_runs(capsys):
     exec(compile(readme_sketch(), "README.md", "exec"), {})
     assert 0 <= float(capsys.readouterr().out) < 1
+
+
+def test_traced_benchmark_finds_what_it_wraps():
+    # perfbench/tracing.py resolves every TARGETS entry when tracing
+    # starts and its hooks read these results: a name removed here would
+    # crash every traced run while untraced runs still pass
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py")
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name, (module, attr) in tracing.TARGETS.items():
+        importlib.import_module(module)
+        owner, last = tracing._resolve(module, attr)
+        assert callable(getattr(owner, last, None)), name
+
+    for seq in (sample_iid(0.5, 20, 1), sample_ge(GeParams(alpha=0.1, beta=0.5, eps=0.1), 20, 1)):
+        assert len(seq.bits) == 20 and 0 <= int(seq.bits.sum()) <= 20
+    code = assemble(oswdf_optimize(NetworkConfig(T=3, N1=(1,), N2=(1,))))
+    state = run_network(code, [[0] * code.k] * 3, [{1, 2}])
+    assert state.time > 3 and len(state.violations) > 0

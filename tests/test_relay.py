@@ -5,6 +5,8 @@ closes the capacity gap at rate 1; NET_B (T=4, budgets (1,)/(3,2)) has a
 planning gap and zero-fills one first-hop slot.
 """
 
+import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -92,19 +94,19 @@ def test_assemble_closed_network():
     for r in code.routes:
         assert r.relay_delay + r.dest_delay <= 5
     # rate 1: no zero-filled slots anywhere
-    assert all(s is not None for f in code.hop1_fill for s in f)
-    assert all(s is not None for f in code.hop2_fill for s in f)
+    for specs, col in ((code.hop1, 1), (code.hop2, 4)):
+        slots = {(link, slot) for link, spec in enumerate(specs) for slot in range(spec.k)}
+        assert {r[col : col + 2] for r in code.routes} == slots
 
 
 def test_assemble_gap_network_zero_fills_worst_slot():
     code = assemble(oswdf_initial(NET_B))
     assert code.k == 7
-    fills = [s for f in code.hop1_fill for s in f]
-    assert fills.count(None) == 1
+    routed = {(r.link1, r.slot1) for r in code.routes}
+    unrouted = [slot for slot in range(code.hop1[0].k) if (0, slot) not in routed]
+    assert len(unrouted) == 1
     # the dropped slot is one of the slowest (delay 2, the last such slot)
-    spec = code.hop1[0]
-    dropped = next(i for i, s in enumerate(code.hop1_fill[0]) if s is None)
-    assert spec.slot_delays[dropped] == 2
+    assert code.hop1[0].slot_delays[unrouted[0]] == 2
     for r in code.routes:
         assert r.relay_delay + r.dest_delay <= 4
 
@@ -334,3 +336,47 @@ def test_pipeline_holds_everything_later_steps_read():
     twin.deliveries.clear()
     twin.violations.append(None)
     assert twin.pipeline() == state.pipeline()
+
+
+# codes whose runs are pinned: NET_A oswdf, NET_B's initial oswdf plan (a
+# zero-pinned hop-1 slot), NET_A mwdf matched to oswdf (one relabel delay,
+# budgets below the network's) and NET_A cswdf with two symbols dropped, so
+# both hops carry zero-pinned slots
+def pinned_runtime_codes():
+    yield "A-oswdf", oswdf_optimize(NET_A)
+    yield "B-oswdf", oswdf_initial(NET_B)
+    yield "A-mwdf", mwdf_plan(NET_A, match=oswdf_optimize(NET_A))
+    alloc = cswdf_plan(NET_A)[1]
+    yield "A-cswdf", dataclasses.replace(alloc, k2=(alloc.k2[0] - 2,) + alloc.k2[1:])
+
+
+# sha256 of (deliveries, violations), list order included, per code and
+# erasure set: one burst of each link's budget, then one of budget + 2
+RUNTIME_DIGESTS = {
+    ("A-oswdf", 0): "9067ffb60dbcaa8729d714ecbe6dbb9dc4fdbfe58689b97095fc84696fd5f6b3",
+    ("A-oswdf", 2): "02ce2d5e4ce8492aaa3ca680bd6d6f61b14f24c833e497c3df4e6cd9a137d56a",
+    ("B-oswdf", 0): "e3675e9022401be04f7291d7ef71477506f43fd1f1efd5defbc7e7e5d252a466",
+    ("B-oswdf", 2): "79b8764e4c75c63584247dc4058747cf577f15c6fbafa6b6495572aa837bc16a",
+    ("A-mwdf", 0): "2655ada9932060021f1408d544bca6a96d4d87131a4f9162ce30a03544a147ee",
+    ("A-mwdf", 2): "6ad3e7de89cfa2bc3849f537c621a259dc1a4a1bd17749873c84e66e8d7184ff",
+    ("A-cswdf", 0): "c000678da82d4a4977551cad8b44f98481e89edcd4031590c85faf292ba048f5",
+    ("A-cswdf", 2): "4f2a788f7092b5a7db6c8813fd58726f0dfe31269817c68fe4d612b7aa9d3f98",
+}
+
+
+def test_run_network_outputs_are_pinned():
+    digests = {}
+    for name, alloc in pinned_runtime_codes():
+        code = assemble(alloc)
+        packets = lcg_packets(12, code.k)
+        for over in (0, 2):
+            lost1 = [set(range(3, 3 + N + over)) for N in alloc.budgets1]
+            lost2 = [set(range(6, 6 + N + over)) for N in alloc.budgets2]
+            state = run_network(code, packets, lost1, lost2)
+            assert bool(state.violations) == bool(over), (name, over)
+            rows = (
+                [(d.src_time, d.sym, d.value, d.at) for d in state.deliveries],
+                [(v.src_time, v.sym, v.at) for v in state.violations],
+            )
+            digests[name, over] = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digests == RUNTIME_DIGESTS

@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import relaystream.sim as sim_mod
 from relaystream.channels import GeParams
 from relaystream.cli import main
 from relaystream.codes import CodecState, build_grouped_code, decode_step, encode_step
+from relaystream.gf import make_mds
 from relaystream.planner import (
     Allocation,
     NetworkConfig,
@@ -45,6 +47,7 @@ from relaystream.sim import (
 from relaystream.spectrum import DelayGrouping
 
 from oracles import (
+    check_links_per_slot,
     component_worst_delays_by_enumeration,
     cross_product_from_zero,
     dense_loss_mask,
@@ -369,6 +372,52 @@ def test_verify_outputs_are_pinned(tmp_path, capsys):
     assert exhaustive
     digests["joint replay"] = hashlib.sha256(repr((witness, count)).encode()).hexdigest()
     assert digests == VERIFY_DIGESTS
+
+
+def link_check_cases():
+    # every scheme on the audit shapes, at T and at T - 1
+    for n1, n2, dt1, dt2, extra in AUDIT_1X1 + AUDIT_MULTI:
+        cfg = NetworkConfig(T=1, N1=n1, N2=n2, dT1=dt1, dT2=dt2)
+        cfg = dataclasses.replace(cfg, T=t_min(cfg) + extra)
+        for scheme, plan in SCHEMES.items():
+            code = assemble(plan(cfg))
+            for T in (cfg.T, cfg.T - 1):
+                yield f"{cfg}-{scheme}-T{T}", code, dataclasses.replace(cfg, T=T)
+    # matched mwdf codes, whose design budgets below N fail per link; on
+    # the last one only hop-2 link 1 is lowered, so passing runs come first
+    for cfg in (NET_A, NetworkConfig(T=6, N1=(3,), N2=(3, 2)), NetworkConfig(T=5, N1=(3,), N2=(1, 2))):
+        yield f"{cfg}-matched", assemble(mwdf_plan(cfg, match=oswdf_optimize(cfg))), cfg
+    code = assemble(oswdf_optimize(NET_A))
+    # hop-1 link 0 built for one erasure less: its runs have n - k > N, so
+    # the check fails with a finite delay
+    spec = code.hop1[0]
+    hop1 = (dataclasses.replace(spec, N=spec.N - 1),) + code.hop1[1:]
+    yield "finite", dataclasses.replace(code, hop1=hop1), NET_A
+    # hop-2 link 1's second run one slot short (n - k < N): the link's
+    # first run passes and its second never recovers
+    spec = code.hop2[1]
+    head, (comp, count) = spec.runs
+    short = dataclasses.replace(spec, runs=(head, (make_mds(comp.n - 1, comp.k), count)), n=spec.n - count)
+    yield "second run", dataclasses.replace(code, hop2=(code.hop2[0], short)), NET_A
+
+
+def test_link_check_matches_per_slot_oracle(monkeypatch):
+    # one comparison per run gives the report (verdict, detail, pattern
+    # count, witness and its replayed delay) that checking every slot does
+    details = {}
+    for name, code, config in link_check_cases():
+        fast = verify_adversarial(code, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(sim_mod, "_check_links", check_links_per_slot)
+            slow = verify_adversarial(code, config)
+        assert fast == slow, name
+        details[name] = fast.detail
+    # the hand-built inputs reach the branches they were built for
+    assert details["finite"] == "hop-1 link 0 slot 0 recovers in 4 slots, declared 3"
+    assert details["second run"] == "hop-2 link 1 slot 14 never recovers, declared 2"
+    matched = [detail for name, detail in details.items() if name.endswith("matched")]
+    assert matched[-1] == "hop-2 link 1 slot 0 never recovers, declared 1"
+    assert all(" never recovers, declared " in detail for detail in matched)
 
 
 # ---------------------------------------------------------------------------
