@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .channels import GeParams
+from .gf import FIELD_ORDER
 from .planner import (
     Allocation,
     NetworkConfig,
@@ -158,25 +159,35 @@ def allocation_from_doc(doc: dict, path: str) -> Allocation:
             raise CliError(f"{path}: allocation document missing {key!r}")
     config = config_from_doc(doc["config"], path)
 
-    def hop(entries, net_budgets):
+    def hop(name, entries, net_budgets):
         if len(entries) != len(net_budgets):
             raise CliError(
                 f"{path}: document lists {len(entries)} links where the config has {len(net_budgets)}"
             )
         ns, ks, gs, bs = [], [], [], []
-        for e, net in zip(entries, net_budgets):
+        for link, (e, net) in enumerate(zip(entries, net_budgets)):
             ns.append(read_int(e["n"], "n", path))
             ks.append(read_int(e["k"], "k", path))
-            gs.append(DelayGrouping.from_pairs(
+            pairs = [
                 (read_int(d, "grouping delay", path), read_int(c, "grouping count", path))
                 for d, c in e["grouping"]
-            ))
+            ]
+            # a delay-d component is d + 1 slots long; refusing here keeps
+            # from_pairs from spanning the range out to a far-off delay
+            for d, c in pairs:
+                if c and not 0 <= d < FIELD_ORDER:
+                    raise CliError(
+                        f"{name} link {link} grouping delay {d} is outside 0..{FIELD_ORDER - 1}, "
+                        "the delays the field has components for",
+                        code=1,
+                    )
+            gs.append(DelayGrouping.from_pairs(pairs))
             bs.append(read_int(e.get("budget", net), "budget", path))
         return tuple(ns), tuple(ks), tuple(gs), tuple(bs)
 
     try:
-        n1, k1, g1, b1 = hop(doc["hop1"], config.N1)
-        n2, k2, g2, b2 = hop(doc["hop2"], config.N2)
+        n1, k1, g1, b1 = hop("hop1", doc["hop1"], config.N1)
+        n2, k2, g2, b2 = hop("hop2", doc["hop2"], config.N2)
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"{path}: bad hop entry: {e}")
     relabel = doc.get("relabel_delay")

@@ -91,6 +91,15 @@ class StreamingCodeSpec:
             out += list(range(self.N + c.k - 1, self.N - 1, -1)) * count
         return tuple(out)
 
+    @cached_property
+    def shapes(self) -> tuple[tuple[int, int, int], ...]:
+        """(n_c, k_c, j) of every source-packet slot: its component's shape
+        and its 1-based position j on the component diagonal."""
+        out = []
+        for c, count in self.runs:
+            out += [(c.n, c.k, j) for j in range(1, c.k + 1)] * count
+        return tuple(out)
+
 
 def build_grouped_code(n: int, N: int, grouping: DelayGrouping) -> StreamingCodeSpec:
     """Realize an arbitrary staircase-decomposable grouping in n slots.

@@ -26,8 +26,8 @@ is back to another run's can take that run's later deliveries.
 from __future__ import annotations
 
 import copy
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .codes import CodecState, StreamingCodeSpec, build_grouped_code, decode_step, encode_step
@@ -50,7 +50,8 @@ class SymbolRoute(NamedTuple):
 class NetworkCode:
     """Per-link streaming codes plus the routing table that joins them:
     one route per source symbol, routes[sym] for symbol sym. Message slots
-    that no route names carry zeros."""
+    that no route names carry zeros. The route classes the Monte Carlo
+    kernel tests are derived once per code, on first use."""
 
     allocation: Allocation
     hop1: tuple[StreamingCodeSpec, ...]
@@ -65,6 +66,33 @@ class NetworkCode:
     def span(self) -> int:
         """Longest memory of any link's code, zero-dimension padding included."""
         return max(c.span for c in self.hop1 + self.hop2)
+
+    @cached_property
+    def classes(self) -> tuple[tuple[tuple[int, int, int, int, int, int], ...], ...]:
+        """Per hop, the distinct (link, n_c, k_c, j, clock offset, allowed
+        delay) over the routes.
+
+        A routed symbol's delay on one hop depends only on its link, the
+        shape of its component, its diagonal position j and, on hop 2, the
+        relay delay by which its clock lags the source. Routes that agree
+        on those agree on the delay they may take as well: a route leaves
+        the relay at its hop-1 slot's declared delay plus propagation, or
+        at the one relabel delay. So each class is listed once; a code
+        whose routes broke that would list a class twice, and the looser
+        row would only repeat a test the tighter one decides.
+        """
+        config = self.allocation.config
+        shapes1 = [spec.shapes for spec in self.hop1]
+        shapes2 = [spec.shapes for spec in self.hop2]
+        hop1 = {
+            (l1, *shapes1[l1][s1], 0, relay - config.dT1[l1])
+            for _, l1, s1, relay, _, _, _ in self.routes
+        }
+        hop2 = {
+            (l2, *shapes2[l2][s2], relay, config.T - relay - config.dT2[l2])
+            for _, _, _, relay, l2, s2, _ in self.routes
+        }
+        return tuple(hop1), tuple(hop2)
 
 
 def _slot_entries(
@@ -288,25 +316,21 @@ class NetworkState:
 def run_network(
     code: NetworkCode,
     packets: Sequence[Sequence[int]],
-    erasures1: Sequence[Sequence[bool] | AbstractSet[int]] = (),
-    erasures2: Sequence[Sequence[bool] | AbstractSet[int]] = (),
+    erasures1: Sequence[Iterable[int]] = (),
+    erasures2: Sequence[Iterable[int]] = (),
     flush: Optional[int] = None,
 ) -> NetworkState:
     """Drive a packet stream through the network and drain the pipeline.
 
     erasures1/erasures2 give, per hop link, the lost transmission times
-    (indexed by the link's transmit clock), as a set of times or as a
-    boolean sequence over the stream. The stream is padded with zero
-    packets so every in-flight symbol either arrives or misses its deadline
-    before returning.
+    (indexed by the link's transmit clock); links past the list lose
+    nothing. The stream is padded with zero packets so every in-flight
+    symbol either arrives or misses its deadline before returning.
     """
     state = NetworkState(code)
     config = code.allocation.config
     total = len(packets) + (flush if flush is not None else config.T + code.span + max(config.dT1 + config.dT2) + 1)
-
-    def lost(table, links: int) -> list[AbstractSet[int]]:
-        rows = [r if isinstance(r, AbstractSet) else {t for t, e in enumerate(r) if e} for r in table]
-        return rows + [set()] * (links - len(rows))
-
-    state.run(packets, lost(erasures1, len(code.hop1)), lost(erasures2, len(code.hop2)), total)
+    lost1 = [*erasures1] + [()] * (len(code.hop1) - len(erasures1))
+    lost2 = [*erasures2] + [()] * (len(code.hop2) - len(erasures2))
+    state.run(packets, lost1, lost2, total)
     return state

@@ -16,7 +16,9 @@ erased symbol is late iff its diagonal's window up to the allowed delay
 holds more erasures than it can spare, one binary search in those times.
 Each route class (link, shape, diagonal position, relay offset) is tested
 once, however many routes share it, and only at erased slots, so the cost
-follows the erasures, not the horizon.
+follows the erasures, not the horizon. The classes are derived once per
+code (``NetworkCode.classes``), so repeated runs on one code pay for them
+once.
 
 The network decomposes per hop: the relay re-encodes consistently, so a
 source symbol survives end to end iff its first hop recovers it by the
@@ -162,7 +164,7 @@ def _route_witness(code: NetworkCode, route, required: int) -> FailureWitness:
 
     def slot_pattern(spec: StreamingCodeSpec, slot: int, at_time: int) -> tuple[int, ...]:
         # the slot's worst pattern, on its diagonal through at_time
-        n_c, k_c, j = _slot_shapes(spec)[slot].tolist()
+        n_c, k_c, j = spec.shapes[slot]
         pattern = component_worst_delays(n_c, k_c, spec.N)[1][j - 1]
         return tuple(at_time - (j - 1) + p for p in pattern)
 
@@ -416,47 +418,6 @@ class SimResult:
         return self.lost / self.packets if self.packets else 0.0
 
 
-def _slot_shapes(spec: StreamingCodeSpec) -> np.ndarray:
-    """Rows (n_c, k_c, j), one per message slot: the shape of the slot's
-    component and the slot's 1-based position on the component diagonal."""
-    runs = np.array([(c.n, c.k, count) for c, count in spec.runs], dtype=np.int64)
-    n, k, count = runs.reshape(-1, 3).T
-    slots = k * count
-    k_slot = np.repeat(k, slots)
-    j = (np.arange(spec.k) - np.repeat(np.cumsum(slots) - slots, slots)) % k_slot + 1
-    return np.column_stack([np.repeat(n, slots), k_slot, j])
-
-
-def _route_classes(code: NetworkCode) -> tuple[list[tuple[int, ...]], ...]:
-    """Per hop, the distinct (link, n_c, k_c, j, clock offset, allowed
-    delay) over the routes, keeping only the tightest allowed delay.
-
-    A routed symbol's delay on one hop depends only on its link, the
-    shape of its component, its diagonal position j and, on hop 2, the
-    relay delay by which its clock lags the source. Routes that agree on
-    those differ only in the delay each may take, and the smallest
-    allowed delay is late whenever a larger one is.
-    """
-    config = code.allocation.config
-    routes = np.fromiter(itertools.chain.from_iterable(code.routes), np.int64, 7 * code.k)
-    _, link1, slot1, relay, link2, slot2, _ = routes.reshape(-1, 7).T
-    sides = (
-        (code.hop1, link1, slot1, np.zeros_like(relay), relay - np.asarray(config.dT1)[link1]),
-        (code.hop2, link2, slot2, relay, config.T - relay - np.asarray(config.dT2)[link2]),
-    )
-    classes = []
-    for specs, link, slot, offset, allowed in sides:
-        shapes = np.concatenate([_slot_shapes(spec) for spec in specs])
-        first_slot = np.cumsum([0] + [spec.k for spec in specs])
-        rows = np.column_stack([link, shapes[first_slot[link] + slot], offset, allowed])
-        # sorted rows put each class's tightest allowed delay first
-        rows = rows[np.lexsort(rows.T[::-1])]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
-        classes.append(rows[first].tolist())
-    return tuple(classes)
-
-
 def loss_mask(
     code: NetworkCode,
     bits1: list[np.ndarray],
@@ -476,14 +437,14 @@ def loss_mask(
     s = tau - (j-1), receives k of the slots s .. s + min(d + j - 1, n - 1)
     (slots before 0 are known pre-stream slots); one search in the link's
     sorted erasure times counts that window's erasures. Each route class
-    is tested once, so the cost is about (erased slots x log) per class,
-    not the horizon: on NET_A this beats a horizon-long scan below about
-    25% erasures and loses above it (4x slower at 90%).
+    of ``code.classes`` is tested once, so the cost is about (erased slots
+    x log) per class, not the horizon: on NET_A this beats a horizon-long
+    scan below about 25% erasures and loses above it (4x slower at 90%).
+    The classes are derived on the code's first call and kept with it.
     """
-    classes1, classes2 = _route_classes(code)
     lost = np.zeros(num_packets, dtype=bool)
     tail = np.arange(code.span + 1)
-    for bits, classes in ((bits1, classes1), (bits2, classes2)):
+    for bits, classes in zip((bits1, bits2), code.classes):
         # erasure times per link, sentinels standing in for the slots past the array
         times = [np.concatenate([np.flatnonzero(b), len(b) + tail]) for b in bits]
         for link, n, k, j, offset, allowed in classes:

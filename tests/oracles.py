@@ -5,7 +5,8 @@ constrained maximization in exact fractions, the pairing budget as a
 validated dataclass with dict-based subtraction, the planners'
 straightforward constructions (every mwdf split tried, cswdf groupings
 concatenated pair by pair), the joint replay rerun from time 0 for every
-pattern pair, the per-link check slot by slot, the per-slot
+pattern pair, the per-link check slot by slot, slot shapes and route
+classes worked out in numpy by sorting every route, the per-slot
 recovery-delay table of the k-th-arrival rule and the Monte Carlo loss
 mask read off it at every slot, each component's worst case by
 enumerating every erasure pattern, a code's runs expanded back into its
@@ -15,7 +16,7 @@ channel statistics that only the tests need."""
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from math import ceil, comb, floor
 from operator import xor
 
@@ -29,8 +30,6 @@ from relaystream.sim import (
     INF_DELAY,
     JOINT_PAIRS,
     FailureWitness,
-    _route_classes,
-    _slot_shapes,
     _witness,
     component_worst_delays,
 )
@@ -270,8 +269,8 @@ def list_form(spectrum):
 
 def cross_product_from_zero(code, config, rng):
     # the joint replay without forks: every pattern pair reruns the whole
-    # stream from time 0 through run_network, erasures given as
-    # horizon-long boolean tables; same pairs, packets and rng draws
+    # stream from time 0 through run_network; same pairs, packets and rng
+    # draws
     spec1, spec2 = code.hop1[0], code.hop2[0]
     w1 = spec1.span + max(spec1.slot_delays)
     w2 = spec2.span + max(spec2.slot_delays, default=0)
@@ -289,8 +288,8 @@ def cross_product_from_zero(code, config, rng):
         state = run_network(
             code,
             packets,
-            [[t in p1 for t in range(horizon)]],
-            [[t in p2 for t in range(horizon)]],
+            [set(p1)],
+            [set(p2)],
             flush=horizon - len(packets),
         )
         count += 1
@@ -366,10 +365,44 @@ def _kth_arrival(erased, n, k, num_diag):
     return arrivals[before + pad] - np.arange(num_diag)
 
 
+def slot_shape_table(spec):
+    # rows (n_c, k_c, j), one per message slot, worked out in numpy from
+    # the runs: the slot's component shape and 1-based diagonal position
+    runs = np.array([(c.n, c.k, count) for c, count in spec.runs], dtype=np.int64)
+    n, k, count = runs.reshape(-1, 3).T
+    slots = k * count
+    k_slot = np.repeat(k, slots)
+    j = (np.arange(spec.k) - np.repeat(np.cumsum(slots) - slots, slots)) % k_slot + 1
+    return np.column_stack([np.repeat(n, slots), k_slot, j])
+
+
+def route_classes_by_sort(code):
+    # per hop, every route's (link, n_c, k_c, j, clock offset, allowed
+    # delay) row, lexsorted so each class's tightest allowed delay comes
+    # first, then the first row of each class
+    config = code.allocation.config
+    routes = np.fromiter(chain.from_iterable(code.routes), np.int64, 7 * code.k)
+    _, link1, slot1, relay, link2, slot2, _ = routes.reshape(-1, 7).T
+    sides = (
+        (code.hop1, link1, slot1, np.zeros_like(relay), relay - np.asarray(config.dT1)[link1]),
+        (code.hop2, link2, slot2, relay, config.T - relay - np.asarray(config.dT2)[link2]),
+    )
+    classes = []
+    for specs, link, slot, offset, allowed in sides:
+        shapes = np.concatenate([slot_shape_table(spec) for spec in specs])
+        first_slot = np.cumsum([0] + [spec.k for spec in specs])
+        rows = np.column_stack([link, shapes[first_slot[link] + slot], offset, allowed])
+        rows = rows[np.lexsort(rows.T[::-1])]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
+        classes.append(rows[first].tolist())
+    return tuple(classes)
+
+
 def dense_loss_mask(code, bits1, bits2, num_packets):
     # the Monte Carlo loss mask read off a horizon-long k-th-arrival index
     # per (link, shape), at every slot rather than only the erased ones
-    classes1, classes2 = _route_classes(code)
+    classes1, classes2 = route_classes_by_sort(code)
     # hop-2 clocks run up to the largest relay delay past the last packet
     max_relay = max((offset for _, _, _, _, offset, _ in classes2), default=0)
     lost = np.zeros(num_packets, dtype=bool)
@@ -399,7 +432,7 @@ def slot_delay_table(spec, erased, num_eval):
     # received, matching the decoder
     out = np.empty((spec.k, num_eval), dtype=np.int32)
     own = ~erased[:num_eval]
-    for slot, (n, k, j) in enumerate(_slot_shapes(spec).tolist()):
+    for slot, (n, k, j) in enumerate(slot_shape_table(spec).tolist()):
         # symbol j of packet tau sits on diagonal tau - (j-1)
         p = _kth_arrival(erased, n, k, num_eval + k - 1)[k - j : k - j + num_eval]
         out[slot] = np.where(own, 0, np.where(p >= n, INF_DELAY, p - (j - 1)))

@@ -3,11 +3,15 @@ document round-trips, witness reporting, CSV determinism, exit codes."""
 
 import argparse
 import json
+import os
+import resource
+import subprocess
 import sys
 import time
 
 import pytest
 
+import relaystream
 from relaystream.cli import (
     COMMANDS,
     allocation_from_doc,
@@ -367,6 +371,38 @@ def test_verify_names_a_slot_that_never_recovers(tmp_path, capsys):
         "  witness: source packet 9, symbol 0; required delay 2, achieved never",
         "  hop-1 erasures: [[9, 10]]",
         "  hop-2 erasures: [[]]",
+    ]
+
+
+def cap_address_space():
+    # runs in the child only: 2 GiB of address space, far below what a
+    # dense range over 3*10^8 delays takes
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("delay", [300_000_000, -300_000_000, 300])
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_grouping_delay_outside_the_field_fails_in_bounded_memory(tmp_path, capsys, command, delay):
+    # a component of delay d is d + 1 slots long, so no delay outside
+    # 0..255 assembles; the document is refused before its grouping is
+    # expanded, whatever the number written in it
+    cfg = write(tmp_path, "one.json", {"T": 4, "N1": [1], "N2": [1]})
+    code, out, _ = run(capsys, ["plan", "--config", cfg, "--scheme", "mwdf"])
+    assert code == 0
+    doc = json.loads(out)
+    doc["hop1"][0]["grouping"] = [[delay, 1], [1, 1]]
+    path = write(tmp_path, "far.json", doc)
+    src = os.path.dirname(os.path.dirname(relaystream.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaystream.cli", command, path],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"FAIL: hop1 link 0 grouping delay {delay} is outside 0..255, the delays the field has components for"
     ]
 
 

@@ -12,7 +12,6 @@ from relaystream.codes import CodecState, build_grouped_code, decode_step, encod
 from relaystream.gf import make_mds
 from relaystream.planner import NetworkConfig, oswdf_optimize
 from relaystream.relay import assemble
-from relaystream.sim import _slot_shapes
 from relaystream.spectrum import DelayGrouping
 
 from oracles import (
@@ -285,12 +284,12 @@ def per_component_layout(code):
             groups.setdefault(comp, []).append((coff, moff))
         for j in range(1, comp.k + 1):
             delays.append(code.N + comp.k - j)
-            shapes.append([comp.n, comp.k, j])
+            shapes.append((comp.n, comp.k, j))
     plan = tuple((comp, tuple(places)) for comp, places in groups.items())
     systematic = tuple(
         (moff + r, coff + r) for comp, places in plan for r in range(comp.k) for coff, moff in places
     )
-    return plan, systematic, tuple(delays), shapes
+    return plan, systematic, tuple(delays), tuple(shapes)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -319,7 +318,7 @@ def test_runs_match_per_component_layout(seed):
     assert code.plan == plan
     assert code.systematic == systematic
     assert code.slot_delays == delays
-    assert _slot_shapes(code).tolist() == shapes
+    assert code.shapes == shapes
 
 
 def test_large_grouping_is_one_run():
@@ -328,7 +327,7 @@ def test_large_grouping_is_one_run():
     assert code.k == 20_000 and code.span == 4
     assert code.plan == ((make_mds(4, 1), tuple((4 * i, i) for i in range(20_000))),)
     assert code.slot_delays == (3,) * 20_000
-    assert (_slot_shapes(code) == [4, 1, 1]).all()
+    assert code.shapes == ((4, 1, 1),) * 20_000
 
 
 def test_grouped_code_dead_slots_and_rejections():

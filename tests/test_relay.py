@@ -166,9 +166,8 @@ def test_adversarial_bursts_within_budget():
     # worst-case bursts on every link at once, repeated mid-stream
     code = assemble(oswdf_initial(NET_A))
     packets = lcg_packets(14, code.k)
-    horizon = 40
-    e1 = [[t in (3, 4) for t in range(horizon)], [t in (3, 4, 5) for t in range(horizon)]]
-    e2 = [[t in (6,) for t in range(horizon)], [t in (6, 7) for t in range(horizon)]]
+    e1 = [{3, 4}, {3, 4, 5}]
+    e2 = [{6}, {6, 7}]
     state = run_network(code, packets, e1, e2)
     assert not state.violations
     assert_stream_recovered(code, state, packets)
@@ -177,9 +176,8 @@ def test_adversarial_bursts_within_budget():
 def test_adversarial_bursts_gap_network():
     code = assemble(oswdf_initial(NET_B))
     packets = lcg_packets(12, code.k)
-    horizon = 40
-    e1 = [[t in (2, 9) for t in range(horizon)]]
-    e2 = [[t in (4, 5, 6) for t in range(horizon)], [t in (5, 6) for t in range(horizon)]]
+    e1 = [{2, 9}]
+    e2 = [{4, 5, 6}, {5, 6}]
     state = run_network(code, packets, e1, e2)
     assert not state.violations
     assert_stream_recovered(code, state, packets)
@@ -190,8 +188,7 @@ def test_budget_violation_is_contained():
     # their relay deadline, and only those
     code = assemble(oswdf_initial(NET_B))
     packets = lcg_packets(10, code.k)
-    horizon = 30
-    e1 = [[t in (2, 3) for t in range(horizon)]]  # budget is 1
+    e1 = [{2, 3}]  # budget is 1
     state = run_network(code, packets, e1)
     assert state.violations
     bad = {(v.src_time, v.sym) for v in state.violations}
@@ -223,7 +220,7 @@ def test_mwdf_buffers_whole_packets():
     # every symbol leaves the relay at the split time
     assert {r.relay_delay for r in code.routes} == {3}
     packets = lcg_packets(10, code.k)
-    e1 = [[t in (2, 3) for t in range(30)], [t in (2, 3) for t in range(30)]]
+    e1 = [{2, 3}, {2, 3}]
     state = run_network(code, packets, e1)
     assert not state.violations
     assert_stream_recovered(code, state, packets)
@@ -249,8 +246,8 @@ def test_propagation_delay_pipeline():
     cfg = NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,))
     code = assemble(oswdf_optimize(cfg))
     packets = lcg_packets(10, code.k)
-    e1 = [[t in (4, 5) for t in range(30)]]
-    e2 = [[t in (7, 8) for t in range(30)]]
+    e1 = [{4, 5}]
+    e2 = [{7, 8}]
     state = run_network(code, packets, e1, e2)
     assert not state.violations
     assert_stream_recovered(code, state, packets)
@@ -260,7 +257,7 @@ def test_passthrough_second_hop():
     code = assemble(oswdf_optimize(NetworkConfig(T=2, N1=(1,), N2=(0,))))
     packets = lcg_packets(8, code.k)
     # singleton erasures spaced beyond the component span
-    e1 = [[t % 4 == 1 for t in range(20)]]
+    e1 = [set(range(1, 20, 4))]
     state = run_network(code, packets, e1)
     assert not state.violations
     assert_stream_recovered(code, state, packets)

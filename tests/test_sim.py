@@ -52,8 +52,10 @@ from oracles import (
     cross_product_from_zero,
     dense_loss_mask,
     measure_spectrum,
+    route_classes_by_sort,
     slot_delay_table,
 )
+from test_planner import digest_configs
 
 NET_A = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
 NET_B = NetworkConfig(T=4, N1=(1,), N2=(3, 2))
@@ -537,8 +539,8 @@ def test_loss_mask_matches_full_pipeline(cfg, num, eps):
     state = run_network(
         code,
         packets,
-        [list(map(bool, b)) for b in bits1],
-        [list(map(bool, b)) for b in bits2],
+        [set(np.flatnonzero(b).tolist()) for b in bits1],
+        [set(np.flatnonzero(b).tolist()) for b in bits2],
     )
     got = {}
     for d in state.deliveries:
@@ -603,6 +605,112 @@ def loss_mask_plans():
     for i in range(8):
         cfg = sample_config(rng)
         yield f"ensemble{i}-cswdf", lambda cfg=cfg: cswdf_plan(cfg)[1]
+
+
+def assert_classes_match_oracle(code):
+    # the classes equal the sorted-rows oracle's as sets, with no class
+    # listed twice
+    for got, want in zip(code.classes, route_classes_by_sort(code)):
+        assert len(set(got)) == len(got)
+        assert set(got) == set(map(tuple, want))
+
+
+def class_codes():
+    # the loss-mask plans, NET_B, cswdf with two hop-2 symbols dropped
+    # (zero-pinned slots on both hops), and every plan that assembles of
+    # the planner-digest networks up to n = 2000 and of a seeded ensemble
+    # sample up to n = 20 000
+    for _, plan in loss_mask_plans():
+        yield assemble(plan())
+    yield assemble(oswdf_optimize(NET_B))
+    alloc = cswdf_plan(NET_A)[1]
+    yield assemble(dataclasses.replace(alloc, k2=(alloc.k2[0] - 2,) + alloc.k2[1:]))
+    rng = random.Random(18)
+    for cfgs, limit in ((digest_configs(), 2000), ([sample_config(rng) for _ in range(8)], 20_000)):
+        for cfg in cfgs:
+            for plan in (
+                lambda: cswdf_plan(cfg)[1],
+                lambda: mwdf_plan(cfg),
+                lambda: oswdf_optimize(cfg),
+                lambda: mwdf_plan(cfg, match=oswdf_optimize(cfg)),
+            ):
+                try:
+                    alloc = plan()
+                    if alloc.n <= limit:
+                        yield assemble(alloc)
+                except ValueError:
+                    pass  # refused plans, and oswdf plans the padding defect breaks
+
+
+def test_route_classes_match_sorted_oracle():
+    count = 0
+    for code in class_codes():
+        assert_classes_match_oracle(code)
+        count += 1
+    assert count > 700
+
+
+def test_replaced_code_derives_its_own_classes():
+    # hop-2 link 1's second run one slot shorter: the same routes now sit
+    # on (n - 1, k) components, and the copy's classes say so
+    code = assemble(oswdf_optimize(NET_A))
+    before = code.classes
+    spec = code.hop2[1]
+    head, (comp, count) = spec.runs
+    short = dataclasses.replace(spec, runs=(head, (make_mds(comp.n - 1, comp.k), count)), n=spec.n - count)
+    copy = dataclasses.replace(code, hop2=(code.hop2[0], short))
+    assert set(copy.classes[0]) == set(before[0]) and set(copy.classes[1]) != set(before[1])
+    assert code.classes is before
+    assert_classes_match_oracle(copy)
+
+
+# sha256 per code and channel of the loss_mask bytes and (packets, lost)
+# of run_monte_carlo, seeds 3 and 4: NET_A over 5000 packets, MID over 1000
+MONTE_CARLO_DIGESTS = {
+    ("A-oswdf", "iid-0.01"): "cdf3ccc07a59f2114503093ba1eb464d2d9740042f39b0eb9c6803ac503e49d6",
+    ("A-oswdf", "iid-0.05"): "d2a9a5d4f13259b1126ed1f868448cbda7164bcfc06c1f1bcac6cadc0563a084",
+    ("A-oswdf", "ge-0.01-0.3-0.005"): "d48d0d05d9fdb7fc5ec4cefefab69c0e2b12e76c419815eb2d19fae264bed7d7",
+    ("A-oswdf", "per-link"): "7a43ecf1e912b12270adb9df46c639037eedc7495e37186d05deb2fffecbce67",
+    ("A-mwdf", "iid-0.01"): "34b9f25dcd4c69695b204472bb65a5eb09d0c3417cdc4e181e4727d261a52325",
+    ("A-mwdf", "iid-0.05"): "40d734e2448d36e9fe5c7ac327dc47241deb5c90c260b1a8ae25f681418f55fb",
+    ("A-mwdf", "ge-0.01-0.3-0.005"): "62f7fad7ccb0bf90afb5f9348e3998343c701f1d974e33cfd0c9b19d626c0126",
+    ("A-mwdf", "per-link"): "7f6c658b374dfb5fc204771905c382ce6d137818df19bedf1ce61e3957ce14e2",
+    ("MID-oswdf", "iid-0.01"): "e8ce566ddfb4694cb58dc24ea9c648ec616456834fa52fdceed6b076cbbd49ae",
+    ("MID-oswdf", "iid-0.05"): "412f56742d99a262a0249428a803229dd6ff5bd0e361ce1cadc8222af12e07b7",
+    ("MID-oswdf", "ge-0.01-0.3-0.005"): "ae0ec00843c07e7788225def6b2843c214092987a4a66e037ffef67c45f59e58",
+    ("MID-oswdf", "per-link"): "99aabd3485937fcd4797865e50961f836e42025e3757665b3e396f30ef1bc23a",
+}
+
+
+def test_monte_carlo_outputs_are_pinned():
+    # the loss-curve codes under the loss-curve channels and one per-link
+    # list; the mask is sampled as run_monte_carlo samples it
+    ge = ChannelSpec("ge", ge=GeParams(alpha=0.01, beta=0.3, eps=0.005))
+    digests = {}
+    for name, plan in itertools.islice(loss_mask_plans(), 3):
+        code = assemble(plan())
+        links = len(code.hop1) + len(code.hop2)
+        num = 1000 if name.startswith("MID") else 5000
+        channels = {
+            "iid-0.01": ChannelSpec("iid", eps=0.01),
+            "iid-0.05": ChannelSpec("iid", eps=0.05),
+            "ge-0.01-0.3-0.005": ge,
+            "per-link": [ChannelSpec("iid", eps=0.01 * (i + 1)) for i in range(links - 1)] + [ge],
+        }
+        for ch_name, channel in channels.items():
+            per_link = [channel] * links if isinstance(channel, ChannelSpec) else channel
+            digest = hashlib.sha256()
+            for seed in (3, 4):
+                horizon = num + code.span + code.allocation.config.T + 2
+                children = np.random.SeedSequence(seed).spawn(links)
+                bits = [spec.sample(horizon, child) for spec, child in zip(per_link, children)]
+                mask = loss_mask(code, bits[: len(code.hop1)], bits[len(code.hop1):], num)
+                res = run_monte_carlo(code, channel, num, seed)
+                assert res.lost == mask.sum()
+                digest.update(mask.tobytes())
+                digest.update(repr((res.packets, res.lost)).encode())
+            digests[name, ch_name] = digest.hexdigest()
+    assert digests == MONTE_CARLO_DIGESTS
 
 
 def assert_masks_agree(code, num_packets, bits1, bits2):
