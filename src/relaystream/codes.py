@@ -19,22 +19,24 @@ across every component. Diagonals that reach back before the start of the
 stream treat the missing source symbols as known zeros.
 
 Each spec compiles a plan: for each run that carries symbols, where its
-components sit. Encoding copies a component's systematic rows with one
-slice and forms each parity symbol as k lookups in 256-entry product rows
-cached on the shape's MdsSpec. Decoding needs no elimination per arrival:
-any k positions of an MDS diagonal determine its whole message, fewer
-than k only the systematic rows among them. So a systematic symbol is
-handed over as it arrives, and a diagonal an erasure touched is solved
-once, at its k-th known position, for the rows still missing; one record
-per shape serves every component of that shape.
+components sit. The encoder flattens it: one getter copies every
+systematic row, and each parity position is the XOR of k lookups in
+256-entry product rows cached on the shape's MdsSpec, each term naming
+its lag and message slot. Decoding needs no elimination per arrival: any
+k positions of an MDS diagonal determine its whole message, fewer than k
+only the systematic rows among them. So a systematic symbol is handed
+over as it arrives, and a diagonal an erasure touched is solved once, at
+its k-th known position, for the rows still missing and only those (k
+products each, not k per message row); one record per shape serves every
+component of that shape.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 from .gf import FIELD_ORDER, MdsSpec, make_mds, solve_erasures
 from .spectrum import DelayGrouping
@@ -84,6 +86,23 @@ class StreamingCodeSpec:
         )
 
     @cached_property
+    def encoder(self) -> tuple[Callable[[Sequence[int]], tuple[int, ...]], tuple]:
+        """The encoder's flat plan: a getter of the packet's systematic
+        part from (*message, 0), zero at parity and dead positions, and per
+        parity position (position, ((lag, message slot, product table),
+        ...)), the XOR of whose terms it carries."""
+        source = [self.k] * self.n
+        for slot, pos in self.systematic:
+            source[pos] = slot
+        parity = tuple(
+            (coff + r, tuple((lag, moff + j, table) for lag, j, table in terms))
+            for comp, places in self.plan
+            for coff, moff in places
+            for r, terms in comp.parity_terms
+        )
+        return tuple_getter(source), parity
+
+    @cached_property
     def slot_delays(self) -> tuple[int, ...]:
         """Declared recovery delay of every source-packet slot."""
         out = []
@@ -99,6 +118,14 @@ class StreamingCodeSpec:
         for c, count in self.runs:
             out += [(c.n, c.k, j) for j in range(1, c.k + 1)] * count
         return tuple(out)
+
+
+def tuple_getter(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """itemgetter(*indices), returning a tuple for any number of indices."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices) if indices else lambda seq: ()
 
 
 def build_grouped_code(n: int, N: int, grouping: DelayGrouping) -> StreamingCodeSpec:
@@ -156,7 +183,8 @@ class CodecState:
 
     def fork(self) -> "CodecState":
         """An independent copy that continues from this exact point."""
-        other = copy.copy(self)
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__)
         other._history = dict(self._history)
         other._received = dict(self._received)
         other._records = [
@@ -177,15 +205,14 @@ def encode_step(state: CodecState, source_packet: Sequence[int]) -> tuple[int, .
     history[t] = source_packet = tuple(source_packet)
     # t advances by one per call, so this drops the one entry out of reach
     history.pop(t - spec.span, None)
-    out = [0] * spec.n  # dead slots stay zero
-    for comp, places in spec.plan:
-        for coff, moff in places:
-            out[coff : coff + comp.k] = source_packet[moff : moff + comp.k]
-            for r, terms in comp.parity_terms:
-                acc = 0
-                for lag, j, table in terms:
-                    acc ^= table[history[t - lag][moff + j]]
-                out[coff + r] = acc
+    systematic, parity = spec.encoder
+    out = list(systematic((*source_packet, 0)))
+    recent = [history[t - lag] for lag in range(spec.span)]
+    for pos, terms in parity:
+        acc = 0
+        for lag, slot, table in terms:
+            acc ^= table[recent[lag][slot]]
+        out[pos] = acc
     return tuple(out)
 
 
@@ -235,15 +262,15 @@ def decode_step(
                     continue
                 record[0] += 1
                 if record[0] == k and (len(unknown) > 1 or r not in unknown):
-                    rows = sorted(unknown)
+                    wanted = [j - 1 for j in sorted(unknown)]
                     for coff, moff in places:
                         # pre-stream positions are 0, erased and future ones None
                         word = [
                             0 if s < 0 else None if s > t or past[s] is None else past[s][coff + s - d]
                             for s in range(d, d + n)
                         ]
-                        message = solve_erasures(comp, word)
-                        news.extend((d + j - 1, moff + j - 1, message[j - 1]) for j in rows)
+                        message = solve_erasures(comp, word, wanted)
+                        news.extend((d + j, moff + j, value) for j, value in zip(wanted, message))
                     unknown.clear()
                 elif r in unknown:
                     unknown.discard(r)

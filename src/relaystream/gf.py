@@ -8,7 +8,8 @@ evaluation points, row-reduced so the first k columns form the identity.
 Row reduction multiplies every k x k minor by the same nonzero constant,
 so the MDS property of the Vandermonde matrix is preserved.
 
-Decoding is plain Gaussian elimination over the received columns. Blocks
+Decoding is plain Gaussian elimination over the received columns, cached
+per erasure pattern, and forms only the message symbols asked for. Blocks
 here are tiny (n <= ~40), so no structured RS decoder is warranted.
 """
 
@@ -133,8 +134,13 @@ class UnrecoverableError(Exception):
     """Raised when the erasure pattern exceeds the code's correction radius."""
 
 
-def solve_erasures(spec: MdsSpec, received: Sequence[Optional[int]]) -> tuple[int, ...]:
-    """Recover the full message from a word with erasures marked as None."""
+def solve_erasures(
+    spec: MdsSpec, received: Sequence[Optional[int]], wanted: Optional[Sequence[int]] = None
+) -> tuple[int, ...]:
+    """Recover message symbols from a word with erasures marked as None:
+    the whole message, or the symbols at the indices ``wanted``, in that
+    order. Each costs k products, so asking for only the missing ones
+    saves the rest."""
     if len(received) != spec.n:
         raise ValueError("received length mismatch")
     present = [p for p, v in enumerate(received) if v is not None]
@@ -144,14 +150,14 @@ def solve_erasures(spec: MdsSpec, received: Sequence[Optional[int]]) -> tuple[in
         )
     cols = tuple(present[: spec.k])
     inverse = _inverse(spec, cols)
+    # message symbol i is the XOR over r of y_r * inverse[r][i]; zeros add nothing
+    terms = [(GF_LOG[y], row) for y, row in zip(map(received.__getitem__, cols), inverse) if y]
     message = []
-    for i in range(spec.k):
+    for i in range(spec.k) if wanted is None else wanted:
         acc = 0
-        for r in range(spec.k):
-            y = received[cols[r]]
-            assert y is not None
-            if y:
-                acc ^= gf_mul(y, inverse[r][i])
+        for log_y, row in terms:
+            if row[i]:
+                acc ^= GF_EXP[log_y + GF_LOG[row[i]]]
         message.append(acc)
     return tuple(message)
 

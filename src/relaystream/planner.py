@@ -155,8 +155,8 @@ def mwdf_rate(config: NetworkConfig) -> tuple[Fraction, int, int]:
     """
     t = config.T
 
-    def hop_sums(Ns: Sequence[int], dTs: Sequence[int]) -> list[Fraction]:
-        # sum of point_rate(h - dt, n) over its positive terms, as one num/den
+    def hop_sums(Ns: Sequence[int], dTs: Sequence[int]) -> list[tuple[int, int]]:
+        # sum of point_rate(h - dt, n) over its positive terms, as (num, den)
         sums = []
         for h in range(t + 1):
             num, den = 0, 1
@@ -164,15 +164,22 @@ def mwdf_rate(config: NetworkConfig) -> tuple[Fraction, int, int]:
                 b = h - dt + 1
                 if b > n:
                     num, den = num * b + (b - n) * den, den * b
-            sums.append(Fraction(num, den))
+            sums.append((num, den))
         return sums
 
+    # rates compare by cross-multiplication (every den is positive); the
+    # strict > keeps the smallest t1 reaching the best rate
     h1, h2 = hop_sums(config.N1, config.dT1), hop_sums(config.N2, config.dT2)
-    rate, neg_t1 = max((min(h1[t1], h2[t - t1]), -t1) for t1 in range(t + 1))
-    if rate == 0:
+    (best, best_den), t1 = (0, 1), 0
+    for i in range(t + 1):
+        (a, a_den), (b, b_den) = h1[i], h2[t - i]
+        low, low_den = (a, a_den) if a * b_den <= b * a_den else (b, b_den)
+        if low * best_den > best * low_den:
+            (best, best_den), t1 = (low, low_den), i
+    if best == 0:
         return Fraction(0), 0, t
-    t1 = -neg_t1
-    return rate, t1, bisect_left(h2, rate, 0, t - t1 + 1)
+    t2 = bisect_left(h2, True, 0, t - t1 + 1, key=lambda h: h[0] * best_den >= best * h[1])
+    return Fraction(best, best_den), t1, t2
 
 
 @dataclass(frozen=True)

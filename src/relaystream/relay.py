@@ -18,19 +18,29 @@ a within-budget adversary the symbol is always there; beyond the budget
 (stochastic channels) a missing symbol is replaced by zero and noted as a
 protocol violation. Because the relay re-encodes its own row consistently,
 a wrong value corrupts only its own coordinate at the destination, never
-its neighbors. The runtime buffers relay symbols by source time and can
-fork, so replays that share a prefix run it once; a replay whose pipeline
-is back to another run's can take that run's later deliveries.
+its neighbors. The runtime buffers relay symbols by source time, keyed
+by symbol, and gathers each hop-2 row one buffer bucket per relay delay.
+It can fork, so replays that share a prefix run it once; a replay whose
+pipeline is back to another run's can take that run's later deliveries.
+Hop 1 and the relay also step on their own (``relay_step``, the code
+``step`` runs), for probes that need only the rows the relay forwards.
 """
 
 from __future__ import annotations
 
-import copy
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .codes import CodecState, StreamingCodeSpec, build_grouped_code, decode_step, encode_step
+from .codes import (
+    CodecState,
+    StreamingCodeSpec,
+    build_grouped_code,
+    decode_step,
+    encode_step,
+    tuple_getter,
+)
 from .planner import Allocation
 
 
@@ -185,8 +195,11 @@ class NetworkState:
     destination determines it.
 
     The relay buffers recovered hop-1 symbols in one bucket per source
-    time and drops the bucket that falls out of reach each slot. fork()
-    copies the whole pipeline, so runs that share a prefix need not
+    time, keyed by symbol, and drops the bucket that falls out of reach
+    each slot. Each hop-2 row is gathered one bucket per relay delay, not
+    one lookup per symbol. relay_step() runs hop 1 and the relay alone,
+    the same code step() runs, for probes that compare forwarded rows.
+    fork() copies the whole pipeline, so runs that share a prefix need not
     repeat it.
     """
 
@@ -197,27 +210,47 @@ class NetworkState:
         self.state2 = [CodecState(spec) for spec in code.hop2]
         self._sent1: list[dict[int, tuple[int, ...]]] = [{} for _ in code.hop1]
         self._sent2: list[dict[int, tuple[int, ...]]] = [{} for _ in code.hop2]
-        # src_t -> (link1, slot1) -> value
-        self._pending: dict[int, dict[tuple[int, int], int]] = {}
-        # routing tables for step(), shared with forks: hop-1 slot -> sym
-        # (k, which reads zero, where no route); per hop-2 link its routed
-        # slots in slot order as (slot, sym, relay delay, (link1, slot1)),
-        # and the reverse map slot -> (sym, relay delay)
-        self._fill1 = [[code.k] * spec.k for spec in code.hop1]
-        self._feed2 = [[] for _ in code.hop2]
+        # src_t -> key -> value; a hop-1 slot's key is its route's sym, or a
+        # negative number of its own where no route reads it
+        self._pending: dict[int, dict[int, int]] = {}
+        # routing tables for step(), shared with forks. Hop 1: per link, a
+        # getter of its row from [*packet, 0] and each slot's buffer key.
+        # Hop 2: per link, its routed slots in slot order as (slot, sym,
+        # relay delay); the same grouped by relay delay as (delay, getter of
+        # the group's syms from a bucket, the group's pre-stream zeros); a
+        # getter placing the groups' values, then a zero, into the row; and
+        # the reverse map slot -> (sym, relay delay)
+        fill1 = [[code.k] * spec.k for spec in code.hop1]
+        unrouted = itertools.count(-1, -1)
+        self._keys1 = [[next(unrouted) for _ in range(spec.k)] for spec in code.hop1]
+        self._feed2: list[list[tuple[int, int, int]]] = [[] for _ in code.hop2]
         for sym, link1, slot1, relay_delay, link2, slot2, _ in code.routes:
-            self._fill1[link1][slot1] = sym
-            self._feed2[link2].append((slot2, sym, relay_delay, (link1, slot1)))
-        for feed in self._feed2:
+            fill1[link1][slot1] = sym
+            self._keys1[link1][slot1] = sym
+            self._feed2[link2].append((slot2, sym, relay_delay))
+        self._read1 = [tuple_getter(fill) for fill in fill1]
+        self._groups2, self._place2 = [], []
+        for spec, feed in zip(code.hop2, self._feed2):
             feed.sort()
-        self._back2 = [{slot: (sym, delay) for slot, sym, delay, _ in feed} for feed in self._feed2]
+            groups: dict[int, list[tuple[int, int]]] = {}
+            for slot, sym, delay in feed:
+                groups.setdefault(delay, []).append((slot, sym))
+            order = [slot for members in groups.values() for slot, _ in members]
+            self._groups2.append([
+                (delay, tuple_getter([sym for _, sym in members]), (0,) * len(members))
+                for delay, members in groups.items()
+            ])
+            at = {slot: i for i, slot in enumerate(order)}
+            self._place2.append(tuple_getter([at.get(slot, len(order)) for slot in range(spec.k)]))
+        self._back2 = [{slot: (sym, delay) for slot, sym, delay in feed} for feed in self._feed2]
         self._keep = 4 * (code.allocation.config.T + 1) + max(c.span for c in code.hop1)
         self.violations: list[Violation] = []
         self.deliveries: list[Delivery] = []
 
     def fork(self) -> "NetworkState":
         """An independent copy that continues from this exact point."""
-        other = copy.copy(self)
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__)
         other.state1 = [s.fork() for s in self.state1]
         other.state2 = [s.fork() for s in self.state2]
         other._sent1 = [dict(sent) for sent in self._sent1]
@@ -227,56 +260,97 @@ class NetworkState:
         other.deliveries = list(self.deliveries)
         return other
 
+    def relay_pipeline(self) -> tuple:
+        """Everything later relay steps read: the clock, each hop-1
+        codec's clocks, window and decoder records, the packets in flight
+        on hop 1 and the relay buffer.
+
+        Two runs of one code with equal relay pipelines, fed the same
+        packets and hop-1 erasures from here on, forward the same rows.
+        """
+        codecs = [(s.enc_time, s.dec_time, s._history, s._received, s._records) for s in self.state1]
+        return self.time, codecs, self._sent1, self._pending
+
     def pipeline(self) -> tuple:
-        """Everything later steps read: the clock, each codec's clocks,
-        windows and decoder records, the packets in flight and the relay
-        buffer; not the logs (violations, deliveries), which no step reads.
+        """Everything later steps read: the relay pipeline plus each hop-2
+        codec's clocks, window and decoder records and the packets in
+        flight on hop 2; not the logs (violations, deliveries), which no
+        step reads.
 
         Two runs of one code with equal pipelines, fed the same packets
         and erasures from here on, deliver the same from here on.
         """
-        codecs = [
-            (s.enc_time, s.dec_time, s._history, s._received, s._records)
-            for s in self.state1 + self.state2
-        ]
-        return self.time, codecs, self._sent1, self._sent2, self._pending
+        codecs = [(s.enc_time, s.dec_time, s._history, s._received, s._records) for s in self.state2]
+        return self.relay_pipeline(), codecs, self._sent2
 
-    def step(
-        self,
-        source_packet: Sequence[int],
-        erase1: Sequence[bool] = (),
-        erase2: Sequence[bool] = (),
-    ) -> None:
-        config = self.code.allocation.config
+    def _relay(self, source_packet: Sequence[int], erase1: Sequence[bool]) -> list[tuple[int, ...]]:
+        """Hop 1 and the relay at the current slot: transmit the source
+        packet on every hop-1 link, buffer what arrives, drop the bucket
+        out of reach, and return the row each hop-2 link forwards, a
+        missing symbol replaced by zero and noted as a violation."""
         pending = self._pending
         t = self.time
         if len(source_packet) != self.code.k:
             raise ValueError("source packet must carry one value per routed symbol")
 
         # per link: transmit this slot's packet, then take in the one arriving
-        row1 = [*source_packet, 0]
-        links1 = zip(self.state1, self._sent1, self._fill1, config.dT1)
-        for i, (state, sent, fill, dt) in enumerate(links1):
-            sent[t] = encode_step(state, list(map(row1.__getitem__, fill)))
+        row1 = (*source_packet, 0)
+        links1 = zip(self.state1, self._sent1, self._read1, self._keys1, self.code.allocation.config.dT1)
+        for i, (state, sent, read, keys, dt) in enumerate(links1):
+            sent[t] = encode_step(state, read(row1))
             if t >= dt:
                 pkt = None if erase1 and erase1[i] else sent[t - dt]
                 del sent[t - dt]
                 for src_t, slot, value in decode_step(state, pkt, t - dt):
-                    pending.setdefault(src_t, {})[i, slot] = value
+                    bucket = pending.get(src_t)
+                    if bucket is None:
+                        bucket = pending[src_t] = {}
+                    bucket[keys[slot]] = value
 
-        links2 = zip(self.state2, self._sent2, self._feed2, self._back2, config.dT2)
-        for j, (state, sent, feed, back, dt) in enumerate(links2):
-            row = [0] * state.spec.k
-            for slot, sym, relay_delay, key in feed:
-                src_t = t - relay_delay
-                if src_t < 0:
-                    continue  # pre-stream symbols are known zeros
-                bucket = pending.get(src_t)
-                value = bucket.get(key) if bucket else None
-                if value is None:
-                    self.violations.append(Violation(src_time=src_t, sym=sym, at=t))
-                    value = 0
-                row[slot] = value
+        rows = []
+        for state, feed, groups, place in zip(self.state2, self._feed2, self._groups2, self._place2):
+            values: list[int] = []
+            try:
+                for delay, read, zeros in groups:
+                    values += zeros if t < delay else read(pending[t - delay])
+            except KeyError:
+                rows.append(self._row_with_violations(state.spec.k, feed))
+                continue
+            values.append(0)
+            rows.append(place(values))
+
+        # t advances by one per step, so this drops the one bucket out of reach
+        pending.pop(t - self._keep - 1, None)
+        return rows
+
+    def _row_with_violations(self, width: int, feed: Sequence[tuple[int, int, int]]) -> tuple[int, ...]:
+        # symbol by symbol in slot order, so violations are noted in that order
+        t, pending = self.time, self._pending
+        row = [0] * width
+        for slot, sym, relay_delay in feed:
+            src_t = t - relay_delay
+            if src_t < 0:
+                continue  # pre-stream symbols are known zeros
+            bucket = pending.get(src_t)
+            value = bucket.get(sym) if bucket else None
+            if value is None:
+                self.violations.append(Violation(src_time=src_t, sym=sym, at=t))
+                value = 0
+            row[slot] = value
+        return tuple(row)
+
+    def step(
+        self,
+        source_packet: Sequence[int],
+        erase1: Sequence[bool] = (),
+        erase2: Sequence[bool] = (),
+    ) -> list[tuple[int, ...]]:
+        """Advance every hop one slot; return the rows the relay forwarded."""
+        rows = self._relay(source_packet, erase1)
+        # per hop-2 link: transmit the forwarded row, then decode the packet arriving
+        t = self.time
+        links2 = zip(self.state2, self._sent2, rows, self._back2, self.code.allocation.config.dT2)
+        for j, (state, sent, row, back, dt) in enumerate(links2):
             sent[t] = encode_step(state, row)
             if t >= dt:
                 pkt = None if erase2 and erase2[j] else sent[t - dt]
@@ -285,20 +359,27 @@ class NetworkState:
                     route = back.get(slot)
                     if route is not None and relay_t >= route[1]:
                         self.deliveries.append(Delivery(relay_t - route[1], route[0], value, t))
-
-        # t advances by one per step, so this drops the one bucket out of reach
-        pending.pop(t - self._keep - 1, None)
         self.time += 1
+        return rows
 
-    def run(
+    def relay_step(self, source_packet: Sequence[int], erase1: Sequence[bool] = ()) -> list[tuple[int, ...]]:
+        """Advance hop 1 and the relay one slot, as step() does, and return
+        the rows forwarded; hop 2 does not move, so from here on the state
+        serves further relay steps only."""
+        rows = self._relay(source_packet, erase1)
+        self.time += 1
+        return rows
+
+    def steps(
         self,
         packets: Sequence[Sequence[int]],
         lost1: Sequence[Iterable[int]],
         lost2: Sequence[Iterable[int]],
         until: int,
-    ) -> None:
-        """Step until the clock reads ``until``. lost1/lost2 hold, per hop
-        link, the lost transmission times; packets past the list are zero."""
+    ) -> Iterator[int]:
+        """Step until the clock reads ``until``, yielding the clock after
+        each step. lost1/lost2 hold, per hop link, the lost transmission
+        times; packets past the list are zero."""
         config = self.code.allocation.config
         # a packet sent at x arrives at x + dT
         arrive1 = [{x + dt for x in lost} for dt, lost in zip(config.dT1, lost1)]
@@ -311,6 +392,18 @@ class NetworkState:
                 [t in a for a in arrive1] if t in any1 else (),
                 [t in a for a in arrive2] if t in any2 else (),
             )
+            yield self.time
+
+    def run(
+        self,
+        packets: Sequence[Sequence[int]],
+        lost1: Sequence[Iterable[int]],
+        lost2: Sequence[Iterable[int]],
+        until: int,
+    ) -> None:
+        """Step until the clock reads ``until`` (see steps())."""
+        for _ in self.steps(packets, lost1, lost2, until):
+            pass
 
 
 def run_network(

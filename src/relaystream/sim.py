@@ -29,7 +29,11 @@ On 1x1 networks the verifier spot-checks that decomposition by replaying
 joint hop-pattern pairs through the real pipeline, and the replay leans on
 the same split: hop 2 reads hop 1 only through the rows the relay
 forwards, so only hop-1 patterns that change a forwarded row are replayed
-jointly with each hop-2 pattern (see ``_cross_product_check``).
+jointly with each hop-2 pattern (see ``_cross_product_check``). Whether a
+hop-1 pattern changes a row is asked of hop 1 and the relay alone, which
+compare their rows with the erasure-free run's. A failure witness is
+replayed until its symbol's first correct delivery, not to the end of its
+horizon.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .planner import (
     t_min,
     upper_bound,
 )
-from .relay import NetworkCode, NetworkState, run_network
+from .relay import NetworkCode, NetworkState
 
 INF_DELAY = 1 << 20  # sentinel for "never recovered"
 JOINT_PAIRS = 400  # most joint hop-pattern pairs replayed on a 1x1 network
@@ -116,24 +120,30 @@ class VerificationReport:
 
 def replay_witness(code: NetworkCode, witness: FailureWitness) -> Optional[int]:
     """Re-run the witness; return the achieved delay of the offending
-    symbol (None if it never arrives correctly)."""
+    symbol (None if it never arrives correctly).
+
+    Deliveries come in time order, so the run stops at the symbol's first
+    correct delivery; only a symbol that never arrives correctly runs the
+    whole horizon."""
     config = code.allocation.config
     span = code.span
     horizon = witness.src_time + config.T + 2 * span + max(config.dT1 + config.dT2) + 4
     rng = random.Random(20240 + witness.src_time)
     packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(witness.src_time + span + 1)]
-
-    state = run_network(
-        code,
+    truth = packets[witness.src_time][witness.sym]
+    state = NetworkState(code)
+    deliveries = state.deliveries
+    seen = 0
+    for _ in state.steps(
         packets,
         [set(times) for times in witness.erasures1],
         [set(times) for times in witness.erasures2],
-        flush=horizon - len(packets),
-    )
-    truth = packets[witness.src_time][witness.sym]
-    for d in state.deliveries:
-        if d.src_time == witness.src_time and d.sym == witness.sym and d.value == truth:
-            return d.at - witness.src_time
+        horizon,
+    ):
+        for d in deliveries[seen:]:
+            if d.src_time == witness.src_time and d.sym == witness.sym and d.value == truth:
+                return d.at - witness.src_time
+        seen = len(deliveries)
     return None
 
 
@@ -290,9 +300,9 @@ def _cross_product_check(code: NetworkCode, config: NetworkConfig, rng):
     pattern once where that is exact.
 
     Hop 2 reads hop 1 only through the rows the relay forwards. A hop-1
-    pattern whose run, with hop 2 clear, delivers exactly what the
-    erasure-free run delivers forwarded the same rows, so any pair with
-    it delivers what its hop-2 pattern does with hop 1 clear: one replay,
+    pattern under which the relay forwards exactly the erasure-free run's
+    rows (``_JointReplay.forwards_clear``) leaves any pair with it
+    delivering what its hop-2 pattern does with hop 1 clear: one replay,
     keyed ((), p2), serves all those pairs. A pair whose hop-1 pattern
     changes a forwarded row (the relay sends it before hop 1 recovers it,
     say) is replayed jointly, keyed (p1, p2). Pair order, rng draws, the
@@ -300,19 +310,11 @@ def _cross_product_check(code: NetworkCode, config: NetworkConfig, rng):
 
     Returns the witness (or None), the pairs checked, and whether they
     were the whole cross product rather than a JOINT_PAIRS sample.
-
-    Every replay runs the same packets, so up to its first erasure
-    arrival it matches the erasure-free run. That run is made once and
-    forked where replays start and settle; each replay resumes from its
-    fork. One span past its last erasure arrival, a replay whose
-    pipeline equals the erasure-free run's there will deliver what that
-    run delivers from then on, so it stops and takes those deliveries.
     """
     spec1, spec2 = code.hop1[0], code.hop2[0]
     w1 = spec1.span + max(spec1.slot_delays, default=0)
     w2 = spec2.span + max(spec2.slot_delays, default=0)
-    span = max(spec1.span, spec2.span)
-    start = span + 1
+    start = max(spec1.span, spec2.span) + 1
     pats1 = list(itertools.combinations(range(start, start + w1), min(config.N1[0], w1)))
     pats2 = list(itertools.combinations(range(start, start + w2), min(config.N2[0], w2)))
     pairs = [(a, b) for a in pats1 for b in pats2]
@@ -321,47 +323,20 @@ def _cross_product_check(code: NetworkCode, config: NetworkConfig, rng):
         pairs = rng.sample(pairs, JOINT_PAIRS)
     horizon = start + w1 + w2 + config.T + 2
     packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(start + w1 + 2)]
-    dt1, dt2 = code.allocation.config.dT1[0], code.allocation.config.dT2[0]
-
-    def window_of(p1, p2) -> tuple[int, int]:
-        # the first erasure arrival, and the step one span past the last
-        arrivals = [x + dt1 for x in p1] + [x + dt2 for x in p2]
-        return min(arrivals, default=horizon), min(max(arrivals, default=horizon) + span + 1, horizon)
-
-    # a joint window runs from the earlier start to the later end of its hops'
-    stops = {horizon}
-    for p1, p2 in pairs:
-        stops.update(window_of(p1, ()) + window_of((), p2))
-    base = NetworkState(code)
-    forks = {}
-    for at in sorted(stops):
-        base.run(packets, [()], [()], at)
-        forks[at] = base.fork()
-    clear = forks[horizon].deliveries
-
-    def deliveries(p1, p2) -> list:
-        first, settled = window_of(p1, p2)
-        state = forks[first].fork()
-        state.run(packets, [set(p1)], [set(p2)], settled)
-        if state.pipeline() == forks[settled].pipeline():
-            return state.deliveries + clear[len(forks[settled].deliveries):]
-        state.run(packets, [set(p1)], [set(p2)], horizon)
-        return state.deliveries
-
-    @lru_cache(maxsize=None)
-    def forwards_clear(p1) -> bool:
-        return deliveries(p1, ()) == clear
+    replay = _JointReplay(code, packets, horizon, pairs)
+    forwards_clear = lru_cache(maxsize=None)(replay.forwards_clear)
 
     @lru_cache(maxsize=None)
     def first_miss(p1, p2) -> Optional[tuple[int, int, Optional[int]]]:
-        got = {}
-        for d in deliveries(p1, p2):
-            got.setdefault((d.src_time, d.sym), (d.value, d.at))
+        # each symbol's first delivery: later ones are overwritten by earlier
+        got = {(d.src_time, d.sym): d for d in reversed(replay.deliveries(p1, p2))}
         for t, pkt in enumerate(packets):
-            for sym in range(code.k):
-                val = got.get((t, sym))
-                if val is None or val[0] != pkt[sym] or val[1] > t + config.T:
-                    return t, sym, None if val is None or val[0] != pkt[sym] else val[1] - t
+            for sym, value in enumerate(pkt):
+                d = got.get((t, sym))
+                if d is None or d.value != value:
+                    return t, sym, None
+                if d.at > t + config.T:
+                    return t, sym, d.at - t
         return None
 
     for count, (p1, p2) in enumerate(pairs, 1):
@@ -370,6 +345,82 @@ def _cross_product_check(code: NetworkCode, config: NetworkConfig, rng):
             t, sym, late = miss
             return FailureWitness((p1,), (p2,), t, sym, config.T, late), count, exhaustive
     return None, len(pairs), exhaustive
+
+
+class _JointReplay:
+    """Replays of one packet list to a horizon on a 1x1 code, one hop
+    pattern per link, resumed from forks of the erasure-free run.
+
+    Every replay runs the same packets, so up to its first erasure
+    arrival it matches the erasure-free run. That run is made once and
+    forked where the given pairs' replays start and settle, keeping the
+    rows its relay forwards; each replay resumes from its fork.
+    """
+
+    def __init__(self, code: NetworkCode, packets, horizon: int, pairs) -> None:
+        config = code.allocation.config
+        self.packets, self.horizon = packets, horizon
+        self.dt1, self.dt2 = config.dT1[0], config.dT2[0]
+        self.span = max(code.hop1[0].span, code.hop2[0].span)
+        self.zero = [0] * code.k
+        # a joint window runs from the earlier start to the later end of its hops'
+        stops = {horizon}
+        for p1 in {p1 for p1, _ in pairs}:
+            stops.update(self.window(p1, ()))
+        for p2 in {p2 for _, p2 in pairs}:
+            stops.update(self.window((), p2))
+        base = NetworkState(code)
+        self.forks, self.rows = {}, []
+        for t in range(horizon):
+            if t in stops:
+                self.forks[t] = base.fork()
+            self.rows.append(base.step(self.packet(t)))
+        self.forks[horizon] = base
+        self.clear = base.deliveries
+
+    def packet(self, t: int):
+        return self.packets[t] if t < len(self.packets) else self.zero
+
+    def window(self, p1, p2) -> tuple[int, int]:
+        """The first erasure arrival, and the step one span past the last,
+        neither past the horizon."""
+        arrivals = [x + self.dt1 for x in p1] + [x + self.dt2 for x in p2]
+        horizon = self.horizon
+        return min(arrivals + [horizon]), min(max(arrivals, default=horizon) + self.span + 1, horizon)
+
+    def deliveries(self, p1, p2) -> list:
+        """Deliveries of the run under hop patterns p1 and p2. One span past
+        its last erasure arrival, a replay whose pipeline equals the
+        erasure-free run's there will deliver what that run delivers from
+        then on, so it stops and takes those deliveries."""
+        first, settled = self.window(p1, p2)
+        state = self.forks[first].fork()
+        state.run(self.packets, [set(p1)], [set(p2)], settled)
+        if state.pipeline() == self.forks[settled].pipeline():
+            return state.deliveries + self.clear[len(self.forks[settled].deliveries):]
+        state.run(self.packets, [set(p1)], [set(p2)], self.horizon)
+        return state.deliveries
+
+    def forwards_clear(self, p1) -> bool:
+        """Whether the run under hop-1 pattern p1, hop 2 clear, delivers
+        what the erasure-free run does.
+
+        With hop 2 clear every forwarded row is delivered as sent, dT2
+        slots later, so that holds iff the relay forwards the erasure-free
+        run's rows up to horizon - dT2; a violation forwards zero, which
+        may equal the row it stands for. Only hop 1 and the relay are
+        replayed, and once their pipeline equals the erasure-free run's,
+        one span past the last erasure arrival, the rows do from then on.
+        """
+        first, settled = self.window(p1, ())
+        state = self.forks[first].fork()
+        arrive = {x + self.dt1 for x in p1}
+        for t in range(first, self.horizon - self.dt2):
+            if t == settled and state.relay_pipeline() == self.forks[t].relay_pipeline():
+                return True
+            if state.relay_step(self.packet(t), (True,) if t in arrive else ()) != self.rows[t]:
+                return False
+        return True
 
 
 # ---------------------------------------------------------------------------

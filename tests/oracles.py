@@ -5,13 +5,14 @@ constrained maximization in exact fractions, the pairing budget as a
 validated dataclass with dict-based subtraction, the planners'
 straightforward constructions (every mwdf split tried, cswdf groupings
 concatenated pair by pair), the joint replay rerun from time 0 for every
-pattern pair, the per-link check slot by slot, slot shapes and route
-classes worked out in numpy by sorting every route, the per-slot
-recovery-delay table of the k-th-arrival rule and the Monte Carlo loss
-mask read off it at every slot, each component's worst case by
-enumerating every erasure pattern, a code's runs expanded back into its
-flat component list, and the code builders, spectrum measurement and
-channel statistics that only the tests need."""
+pattern pair, the witness replay run to its full horizon, the relay-rows
+probe decided by deliveries run from time 0, the per-link check slot by
+slot, slot shapes and route classes worked out in numpy by sorting every
+route, the per-slot recovery-delay table of the k-th-arrival rule and the
+Monte Carlo loss mask read off it at every slot, each component's worst
+case by enumerating every erasure pattern, a code's runs expanded back
+into its flat component list, and the code builders, spectrum
+measurement and channel statistics that only the tests need."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,7 @@ from functools import reduce
 from itertools import chain, combinations
 from math import ceil, comb, floor
 from operator import xor
+from random import Random
 
 import numpy as np
 
@@ -95,19 +97,23 @@ def oracle_determined(k, rows):
 
 
 def mwdf_rate_bruteforce(config):
-    # every split T1 + T2 <= T; strict > keeps the lexicographically first
-    def hop_sum(links, horizon):
-        acc = Fraction(0)
-        for n, dt in links:
-            acc += point_rate(horizon - dt, n)
-        return acc
+    # every split T1 + T2 <= T, each hop's Fraction sum taken once per
+    # horizon; strict > keeps the lexicographically first
+    def hop_sums(links):
+        sums = []
+        for horizon in range(config.T + 1):
+            acc = Fraction(0)
+            for n, dt in links:
+                acc += point_rate(horizon - dt, n)
+            sums.append(acc)
+        return sums
 
-    links1 = list(zip(config.N1, config.dT1))
-    links2 = list(zip(config.N2, config.dT2))
+    sums1 = hop_sums(list(zip(config.N1, config.dT1)))
+    sums2 = hop_sums(list(zip(config.N2, config.dT2)))
     best = (Fraction(0), 0, config.T)
     for t1 in range(config.T + 1):
         for t2 in range(config.T - t1 + 1):
-            rate = min(hop_sum(links1, t1), hop_sum(links2, t2))
+            rate = min(sums1[t1], sums2[t2])
             if rate > best[0]:
                 best = (rate, t1, t2)
     return best
@@ -304,6 +310,40 @@ def cross_product_from_zero(code, config, rng):
                     witness = FailureWitness((tuple(p1),), (tuple(p2),), t, sym, config.T, late)
                     return witness, count, exhaustive
     return None, count, exhaustive
+
+
+def replay_witness_full_horizon(code, witness):
+    # sim.replay_witness without its early stop: the whole horizon through
+    # run_network, then the symbol's first correct delivery in the log
+    config = code.allocation.config
+    span = code.span
+    horizon = witness.src_time + config.T + 2 * span + max(config.dT1 + config.dT2) + 4
+    rng = Random(20240 + witness.src_time)
+    packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(witness.src_time + span + 1)]
+    state = run_network(
+        code,
+        packets,
+        [set(times) for times in witness.erasures1],
+        [set(times) for times in witness.erasures2],
+        flush=horizon - len(packets),
+    )
+    truth = packets[witness.src_time][witness.sym]
+    for d in state.deliveries:
+        if d.src_time == witness.src_time and d.sym == witness.sym and d.value == truth:
+            return d.at - witness.src_time
+    return None
+
+
+def forwards_clear_by_deliveries(code, packets, p1, horizons):
+    # per horizon, whether the 1x1 run under hop-1 pattern p1 with hop 2
+    # clear delivers what the erasure-free run does, both run from time 0
+    # (deliveries(p1, ()) == clear); a run to a horizon delivers what a
+    # longer run delivers before it
+    def deliveries(lost1):
+        return run_network(code, packets, [lost1], [()], flush=max(horizons) - len(packets)).deliveries
+
+    got, clear = deliveries(set(p1)), deliveries(set())
+    return [[d for d in got if d.at < h] == [d for d in clear if d.at < h] for h in horizons]
 
 
 def check_links_per_slot(code, config):

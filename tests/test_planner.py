@@ -136,6 +136,17 @@ def test_mwdf_rate_reference_networks():
     assert mwdf_rate(NET_B) == (Fraction(1, 2), 1, 3)
 
 
+def test_mwdf_rate_matches_bruteforce_on_ensemble_networks():
+    # the split search in integer (num, den) pairs against every split in
+    # Fractions, rate and split both, on the ensemble's networks
+    rng = random.Random(5)
+    for _ in range(3000):
+        cfg = sample_config(rng)
+        expected = mwdf_rate_bruteforce(cfg)
+        got = mwdf_rate(cfg)
+        assert got == expected and repr(got) == repr(expected), cfg
+
+
 def random_network(rng: random.Random) -> NetworkConfig:
     """1-4 links per hop, budgets 0-6, delays 0-4, T from 1 to t_min + 6."""
     l1, l2 = rng.randint(1, 4), rng.randint(1, 4)

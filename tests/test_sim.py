@@ -43,6 +43,7 @@ from relaystream.sim import (
     sample_config,
     verify_adversarial,
     _cross_product_check,
+    _JointReplay,
 )
 from relaystream.spectrum import DelayGrouping
 
@@ -51,7 +52,9 @@ from oracles import (
     component_worst_delays_by_enumeration,
     cross_product_from_zero,
     dense_loss_mask,
+    forwards_clear_by_deliveries,
     measure_spectrum,
+    replay_witness_full_horizon,
     route_classes_by_sort,
     slot_delay_table,
 )
@@ -251,6 +254,105 @@ def test_forked_cross_product_matches_rerun_from_zero_when_mistimed(shape, lower
     slow = cross_product_from_zero(code, config, random.Random(T))
     assert fast == slow
     assert fast[0] is not None
+
+
+def joint_codes():
+    # the audit 1x1 codes at their planned deadline, and the mistimed ones
+    for n1, n2, dt1, dt2, offset in AUDIT_1X1:
+        config = NetworkConfig(T=n1[0] + dt1[0] + n2[0] + dt2[0] + offset,
+                               N1=n1, N2=n2, dT1=dt1, dT2=dt2)
+        yield f"{config}", assemble(oswdf_optimize(config))
+    for lower in (1, 2):
+        for n1, n2, dt1, dt2, T in MISTIMED_1X1:
+            alloc = mwdf_plan(NetworkConfig(T=T, N1=n1, N2=n2, dT1=dt1, dT2=dt2))
+            code = assemble(dataclasses.replace(alloc, relabel_delay=alloc.relabel_delay - lower))
+            yield f"{alloc.config}-lowered{lower}", code
+
+
+def test_relay_rows_probe_matches_deliveries_oracle():
+    # for every hop-1 pattern of the joint check, and at every horizon up to
+    # the check's, comparing forwarded rows up to horizon - dT2 decides what
+    # comparing deliveries does; the short horizons put row changes in the
+    # last dT2 slots, which deliver nothing yet
+    outcomes, edges = set(), 0
+    for name, code in joint_codes():
+        config = code.allocation.config
+        spec1, spec2 = code.hop1[0], code.hop2[0]
+        w1 = spec1.span + max(spec1.slot_delays)
+        w2 = spec2.span + max(spec2.slot_delays, default=0)
+        start = max(spec1.span, spec2.span) + 1
+        pats1 = list(itertools.combinations(range(start, start + w1), min(config.N1[0], w1)))
+        full = start + w1 + w2 + config.T + 2
+        rng = random.Random(config.T)
+        packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(start + w1 + 2)]
+        horizons = range(start, full + 1)
+        replays = {h: _JointReplay(code, packets, h, [(p1, ()) for p1 in pats1]) for h in horizons}
+        for p1 in pats1:
+            want = forwards_clear_by_deliveries(code, packets, p1, horizons)
+            got = [replays[h].forwards_clear(p1) for h in horizons]
+            assert got == want, (name, p1)
+            outcomes.add(("lowered" in name, want[-1]))
+            # a changed row on a dT2 = 1 code: the sweep meets the horizon
+            # one slot past the row, which it reaches no delivery before
+            edges += config.dT2[0] == 1 and not want[-1]
+    # properly timed codes forward clear rows; mistimed ones may not
+    assert outcomes == {(False, True), (True, True), (True, False)}
+    assert edges
+
+
+def test_relay_rows_probe_counts_a_violation_forwarding_zero_as_clear():
+    # zero packets on a mistimed code: the relay misses symbols, forwards
+    # zero in their place, and zero is what it should have forwarded, so
+    # the deliveries and the rows are the erasure-free run's
+    code = next(code for name, code in joint_codes() if "lowered" in name)
+    config = code.allocation.config
+    start = code.span + 1
+    w1 = code.hop1[0].span + max(code.hop1[0].slot_delays)
+    pats1 = list(itertools.combinations(range(start, start + w1), config.N1[0]))
+    horizon = start + 3 * w1 + config.T
+    packets = [[0] * code.k for _ in range(start + w1 + 2)]
+    replay = _JointReplay(code, packets, horizon, [(p1, ()) for p1 in pats1])
+    violated = 0
+    for p1 in pats1:
+        assert forwards_clear_by_deliveries(code, packets, p1, [horizon]) == [True]
+        assert replay.forwards_clear(p1)
+        violated += bool(run_network(code, packets, [set(p1)], [()]).violations)
+    assert violated
+
+
+def witness_cases():
+    # every scheme on the audit shapes: the route witnesses of verify at
+    # T - 1, and the per-link witnesses with each hop's budgets raised by
+    # one over the code's; then the mistimed 1x1 codes' own witnesses
+    for n1, n2, dt1, dt2, extra in AUDIT_1X1 + AUDIT_MULTI:
+        cfg = NetworkConfig(T=1, N1=n1, N2=n2, dT1=dt1, dT2=dt2)
+        cfg = dataclasses.replace(cfg, T=t_min(cfg) + extra)
+        for scheme, plan in SCHEMES.items():
+            code = assemble(plan(cfg))
+            for check in (
+                dataclasses.replace(cfg, T=cfg.T - 1),
+                dataclasses.replace(cfg, N1=tuple(N + 1 for N in n1)),
+                dataclasses.replace(cfg, N2=tuple(N + 1 for N in n2)),
+            ):
+                yield code, verify_adversarial(code, check).failure
+    for name, code in joint_codes():
+        if "lowered" in name:
+            yield code, verify_adversarial(code).failure
+
+
+def test_witness_replay_stops_where_the_full_horizon_replay_finds_it():
+    # the replay that stops at the symbol's first correct delivery gives
+    # the delay the whole-horizon replay reads off its log, including
+    # None for symbols that never arrive correctly
+    delays = []
+    for code, witness in witness_cases():
+        if witness is None or witness.sym < 0:
+            continue  # the code passes the check, or the slot carries no symbol
+        full = replay_witness_full_horizon(code, witness)
+        assert witness.actual_delay == replay_witness(code, witness) == full, witness
+        delays.append(full)
+    assert len(delays) > 150
+    assert None in delays and any(d is not None for d in delays)
 
 
 def test_verify_reports_per_link_violation(monkeypatch):
