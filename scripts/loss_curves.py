@@ -20,7 +20,7 @@ from relaystream import (
     oswdf_optimize,
     run_monte_carlo,
 )
-from relaystream.cli import CliError, config_from_doc, load_json
+from relaystream.cli import CliError, _parse_eps_grid, config_from_doc, load_json
 
 REFERENCE = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
 
@@ -37,6 +37,23 @@ def main():
     ap.add_argument("--out", help="csv path; default stdout")
     args = ap.parse_args()
 
+    # the same refusals as `relaystream simulate`, before any planning
+    if args.packets < 0:
+        ap.error("--packets must be nonnegative")
+    if args.seed < 0:
+        ap.error("--seed must be nonnegative")
+    try:
+        grid = _parse_eps_grid(args.eps)
+    except CliError as e:
+        ap.error(str(e))
+    if args.channel == "iid":
+        channels = [ChannelSpec("iid", eps=eps) for eps in grid]
+    else:
+        try:
+            channels = [ChannelSpec("ge", ge=GeParams(args.alpha, args.beta, eps)) for eps in grid]
+        except ValueError as e:
+            ap.error(f"bad channel params: {e}")
+
     config = REFERENCE
     if args.config:
         try:
@@ -50,11 +67,7 @@ def main():
     fh = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(fh)
     writer.writerow(["scheme", "rate", "channel", "eps", "packets", "lost", "loss_rate"])
-    for eps in (float(e) for e in args.eps.split(",")):
-        if args.channel == "iid":
-            channel = ChannelSpec("iid", eps=eps)
-        else:
-            channel = ChannelSpec("ge", ge=GeParams(args.alpha, args.beta, eps))
+    for eps, channel in zip(grid, channels):
         for name, code in codes:
             res = run_monte_carlo(code, channel, args.packets, seed=args.seed)
             writer.writerow([

@@ -29,9 +29,15 @@ def main():
     ap.add_argument("--out", help="csv path; default stdout")
     args = ap.parse_args()
 
-    n1 = tuple(int(x) for x in args.n1.split(","))
-    n2 = tuple(int(x) for x in args.n2.split(","))
-    start = t_min(NetworkConfig(T=10**6, N1=n1, N2=n2))
+    try:
+        n1 = tuple(int(x) for x in args.n1.split(","))
+        n2 = tuple(int(x) for x in args.n2.split(","))
+        config = NetworkConfig(T=10**6, N1=n1, N2=n2)
+    except ValueError as e:
+        ap.error(f"bad budgets: {e}")
+    if args.deadlines < 1:
+        ap.error("--deadlines must be positive")
+    start = t_min(config)
 
     fh = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(fh)

@@ -5,7 +5,10 @@ Sampled generators take explicit 64-bit seeds and are reproducible bit for
 bit; simulation outputs always record the seed they were driven by. The
 Gilbert-Elliott sampler draws alternating geometric sojourn times instead
 of stepping the chain slot by slot, which is exact and fast enough for
-million-slot horizons.
+million-slot horizons. Its per-sojourn loop only draws: each good
+sojourn's uniforms are written in place into one buffer, each bad sojourn
+is only recorded, and the loss bits come from one comparison of the buffer
+plus one pass that marks the bad sojourns.
 """
 
 from __future__ import annotations
@@ -60,25 +63,40 @@ class GeParams:
 
 
 def sample_ge(params: GeParams, horizon: int, seed: int) -> ErasureSequence:
-    """Sample a Gilbert-Elliott loss pattern, initial state stationary."""
+    """Sample a Gilbert-Elliott loss pattern, initial state stationary.
+
+    The generator calls are, in order: one ``random`` for the initial state
+    (skipped when alpha = beta = 0), then per sojourn one ``geometric`` for
+    its length (skipped when the state is absorbing) and, in a good sojourn
+    with eps > 0, one ``random`` filling that sojourn's slots of a float
+    buffer in place. Bad sojourns are marked after the loop in one pass, and
+    the good-state losses come from a single ``buffer < eps``.
+    """
     rng = np.random.default_rng(seed)
     a, b = params.alpha, params.beta
-    bits = np.zeros(horizon, dtype=bool)
     if a == 0 and b == 0:
         in_bad = False
     else:
         in_bad = rng.random() < a / (a + b)
-    # one draw per sojourn, in chain order; a sojourn may end past the horizon
     geometric, uniform, eps = rng.geometric, rng.random, params.eps
+    u = np.zeros(horizon)  # 0 is never below eps when eps = 0
+    edges = []  # start and end of each bad sojourn, in chain order
     pos = 0
     while pos < horizon:
+        p = b if in_bad else a
+        end = horizon if p == 0 else pos + geometric(p)
+        if end > horizon:  # a sojourn may end past it; a tiny p draws up to 2**63 - 1
+            end = horizon
         if in_bad:
-            end = horizon if b == 0 else pos + geometric(b)
-            bits[pos:end] = True
-        else:
-            end = horizon if a == 0 else pos + geometric(a)
-            if eps > 0:
-                bits[pos:end] = uniform(min(end, horizon) - pos) < eps
+            edges += pos, end
+        elif eps > 0:
+            uniform(out=u[pos:end])
         pos = end
         in_bad = not in_bad
+    # sojourns are at least one slot long, so the edges are distinct and
+    # the slots with an odd number of edges at or before them are bad
+    flips = np.zeros(horizon + 1, dtype=bool)
+    flips[edges] = True
+    bits = u < eps
+    bits |= np.logical_xor.accumulate(flips[:-1])
     return ErasureSequence(bits)

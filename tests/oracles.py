@@ -12,7 +12,9 @@ route, the per-slot recovery-delay table of the k-th-arrival rule and the
 Monte Carlo loss mask read off it at every slot, each component's worst
 case by enumerating every erasure pattern, a code's runs expanded back
 into its flat component list, and the code builders, spectrum
-measurement and channel statistics that only the tests need."""
+measurement and channel statistics that only the tests need, and the
+Gilbert-Elliott sampler that writes each sojourn's slice of the loss
+bits as it draws it."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -557,3 +559,28 @@ def ge_average_loss(params):
     if a == 0 and b == 0:
         return params.eps
     return (b * params.eps + a) / (a + b)
+
+
+def sample_ge_by_slices(params, horizon, seed):
+    # the same generator calls as channels.sample_ge, in the same order,
+    # but each good sojourn compares a fresh uniform array and copies it
+    # into the bits and each bad sojourn writes its own slice
+    rng = np.random.default_rng(seed)
+    a, b = params.alpha, params.beta
+    bits = np.zeros(horizon, dtype=bool)
+    if a == 0 and b == 0:
+        in_bad = False
+    else:
+        in_bad = rng.random() < a / (a + b)
+    pos = 0
+    while pos < horizon:
+        if in_bad:
+            end = horizon if b == 0 else pos + rng.geometric(b)
+            bits[pos:end] = True
+        else:
+            end = horizon if a == 0 else pos + rng.geometric(a)
+            if params.eps > 0:
+                bits[pos:end] = rng.random(min(end, horizon) - pos) < params.eps
+        pos = end
+        in_bad = not in_bad
+    return bits

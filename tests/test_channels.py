@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaystream.channels import GeParams, sample_ge, sample_iid
 
-from oracles import ge_average_loss
+from oracles import ge_average_loss, sample_ge_by_slices
 
 
 def test_iid_edge_cases_and_determinism():
@@ -86,6 +87,47 @@ def test_ge_draws_are_pinned(params, seed, digest):
     alpha, beta, eps = params
     bits = sample_ge(GeParams(alpha=alpha, beta=beta, eps=eps), 5000, seed).bits
     assert hashlib.sha256(bits.tobytes()).hexdigest() == digest
+
+
+# (alpha, beta, eps) where the sampler's bookkeeping could part from the
+# slice-by-slice oracle while the draws stay the same
+GE_EDGE_PARAMS = [
+    (0.0, 0.3, 0.1),  # absorbing good state
+    (0.2, 0.0, 0.1),  # absorbing bad state
+    (0.0, 0.0, 0.2),  # both absorbing: no state draw, no sojourn draw
+    (0.01, 0.3, 0.0),  # eps = 0: no uniforms
+    (1.0, 1.0, 0.4),  # every sojourn one slot long
+    (0.5, 0.4, 0.05),  # p >= 1/3: numpy's geometric searches instead of inverting
+    (1 / 3, 0.2, 0.1),
+    (1e-300, 0.3, 0.1),  # geometric clamps to 2**63 - 1
+    (0.3, 1e-300, 0.1),
+    (0.01, 0.3, 0.005),  # the Monte Carlo benchmark's channel
+]
+
+
+@pytest.mark.parametrize("params", GE_EDGE_PARAMS, ids=str)
+def test_ge_matches_slice_oracle_bit_for_bit(params):
+    ge = GeParams(*params)
+    for horizon in (0, 1, 2, 7, 5000, 50060):
+        for seed in range(4):
+            bits = sample_ge(ge, horizon, seed).bits
+            assert np.array_equal(bits, sample_ge_by_slices(ge, horizon, seed)), (horizon, seed)
+
+
+PROBABILITY = st.one_of(st.sampled_from([0.0, 1e-300, 1 / 3, 1.0]), st.floats(0, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha=PROBABILITY,
+    beta=PROBABILITY,
+    eps=st.one_of(st.just(0.0), st.floats(0, 1, exclude_max=True)),
+    horizon=st.integers(0, 3000),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_ge_matches_slice_oracle_on_any_params(alpha, beta, eps, horizon, seed):
+    ge = GeParams(alpha, beta, eps)
+    assert np.array_equal(sample_ge(ge, horizon, seed).bits, sample_ge_by_slices(ge, horizon, seed))
 
 
 def test_ge_absorbing_bad_state():

@@ -57,16 +57,41 @@ def test_all_is_what_scripts_and_readme_import():
     assert sorted(relaystream.__all__) == sorted(used)
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_script_runs(script):
+def run_script(script, args):
     path = filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", script), *SCRIPTS[script]],
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", script), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs(script):
+    proc = run_script(script, SCRIPTS[script])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("\n") >= 2
+
+
+@pytest.mark.parametrize("script,args", [
+    ("loss_curves.py", ["--eps", "0.1,abc"]),
+    ("loss_curves.py", ["--eps", "1.5"]),
+    ("loss_curves.py", ["--channel", "ge", "--eps", "1.0"]),
+    ("loss_curves.py", ["--channel", "ge", "--alpha", "2"]),
+    ("loss_curves.py", ["--seed", "-1"]),
+    ("loss_curves.py", ["--packets", "-1"]),
+    ("rate_sweep.py", ["--n1", "2,x"]),
+    ("rate_sweep.py", ["--n1", ""]),
+    ("rate_sweep.py", ["--n1", "-1"]),
+    ("rate_sweep.py", ["--deadlines", "0"]),
+    ("rate_sweep.py", ["--deadlines", "-2"]),
+], ids=str)
+def test_script_refuses_bad_input_with_usage_error(script, args):
+    proc = run_script(script, args)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_readme_sketch_runs(capsys):
