@@ -20,7 +20,7 @@ from relaystream import (
     oswdf_optimize,
     run_monte_carlo,
 )
-from relaystream.cli import CliError, _parse_eps_grid, config_from_doc, load_json
+from relaystream.cli import CliError, config_from_doc, load_json, parse_eps_grid
 
 REFERENCE = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
 
@@ -43,7 +43,7 @@ def main():
     if args.seed < 0:
         ap.error("--seed must be nonnegative")
     try:
-        grid = _parse_eps_grid(args.eps)
+        grid = parse_eps_grid(args.eps)
     except CliError as e:
         ap.error(str(e))
     if args.channel == "iid":

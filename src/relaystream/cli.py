@@ -327,12 +327,12 @@ SIM_COLUMNS = [
 ]
 
 
-def _parse_eps_grid(text: str) -> list[float]:
+def parse_eps_grid(text: str) -> list[float]:
     try:
         grid = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise CliError(f"bad --eps value: {text!r}")
-    if not all(0 <= e <= 1 for e in grid):  # NaN fails both comparisons
+    if not grid or not all(0 <= e <= 1 for e in grid):  # NaN fails both comparisons
         raise CliError(f"bad --eps value: {text!r}")
     return grid
 
@@ -344,14 +344,14 @@ def cmd_simulate(args) -> int:
     if args.seed < 0:
         raise CliError("--seed must be nonnegative")
 
+    grid = parse_eps_grid(args.eps)
     if args.channel == "iid":
-        channels = [ChannelSpec("iid", eps=e) for e in _parse_eps_grid(args.eps)]
+        channels = [ChannelSpec("iid", eps=e) for e in grid]
     else:
         try:
-            params = GeParams(alpha=args.alpha, beta=args.beta, eps=float(args.eps))
+            channels = [ChannelSpec("ge", ge=GeParams(args.alpha, args.beta, e)) for e in grid]
         except ValueError as e:
             raise CliError(f"bad channel params: {e}")
-        channels = [ChannelSpec("ge", ge=params)]
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -439,7 +439,7 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
 def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("allocation", help="allocation document JSON")
     p.add_argument("--channel", choices=["iid", "ge"], default="iid")
-    p.add_argument("--eps", default="0.01", help="loss probability; comma list sweeps a grid (iid)")
+    p.add_argument("--eps", default="0.01", help="loss probability; comma list sweeps a grid")
     p.add_argument("--alpha", type=float, default=0.0, help="good-to-bad transition (ge)")
     p.add_argument("--beta", type=float, default=0.0, help="bad-to-good transition (ge)")
     p.add_argument("--packets", type=int, default=10000)

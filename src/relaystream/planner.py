@@ -10,7 +10,9 @@ destination within T slots of creation.
 The planners all produce an Allocation: a common per-link packet size, a
 per-link message share for both hops, and the per-link delay groupings that
 the relay's symbol-wise relabeling will pair up. Rates are exact fractions;
-a rate like 8/9 is compared exactly, never through floats.
+a rate like 8/9 is compared exactly, never through floats. oswdf's caps,
+pour and bisection probes are integers over common denominators: a
+Fraction is built only for a rate the API returns.
 
 Schemes:
 
@@ -30,7 +32,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, floor, lcm
+from itertools import accumulate
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .spectrum import (
@@ -101,12 +104,16 @@ class _Hop:
 
     Z = N + dT folds propagation delay into the budget. A link's code may
     use delays up to what the other hop's fastest link leaves of the
-    deadline, and its cap is its point rate there. At T >= t_min, the only
-    deadlines the symbol-wise planner accepts, every link's max delay is
-    at least its N, so every cap is positive, and so is every per-link
-    rate the planner gives a bottleneck link. Note the rate denominators
-    keep N, not Z: a slot of pure delay costs strictly less rate than an
-    extra erasure would. The allocator visits links in decreasing Z order.
+    deadline, and its cap is its point rate there. The caps are integer
+    numerators over the hop's common denominator ``den``, the lcm of
+    max_delay + 1 over the links with a positive cap; a link with
+    max_delay + 1 <= N has cap 0 and stays out of the lcm. ``rate`` is
+    their sum, the one Fraction. At T >= t_min, the only deadlines the
+    symbol-wise planner accepts, every link's max delay is at least its N,
+    so every cap is positive, and so is every per-link rate the planner
+    gives a bottleneck link. Note the rate denominators keep N, not Z: a
+    slot of pure delay costs strictly less rate than an extra erasure
+    would. The allocator visits links in decreasing Z order.
     """
 
     name: str
@@ -114,7 +121,8 @@ class _Hop:
     dT: tuple[int, ...]
     z: tuple[int, ...]
     max_delay: tuple[int, ...]
-    caps: tuple[Fraction, ...]
+    caps: tuple[int, ...]
+    den: int
     rate: Fraction
     order: tuple[int, ...]
 
@@ -122,7 +130,8 @@ class _Hop:
 def _hops(config: NetworkConfig) -> tuple[_Hop, _Hop]:
     def hop(name, N, dT, z, other_z) -> _Hop:
         max_delay = tuple(config.T - min(other_z) - dt for dt in dT)
-        caps = tuple(point_rate(md, n) for md, n in zip(max_delay, N))
+        den = lcm(*[md + 1 for md, n in zip(max_delay, N) if md >= n])
+        caps = tuple((md + 1 - n) * (den // (md + 1)) if md >= n else 0 for md, n in zip(max_delay, N))
         return _Hop(
             name=name,
             N=N,
@@ -130,7 +139,8 @@ def _hops(config: NetworkConfig) -> tuple[_Hop, _Hop]:
             z=z,
             max_delay=max_delay,
             caps=caps,
-            rate=sum(caps, start=Fraction(0)),
+            den=den,
+            rate=Fraction(sum(caps), den),
             order=tuple(sorted(range(len(N)), key=lambda i: (-z[i], -N[i], i))),
         )
 
@@ -293,10 +303,10 @@ def cswdf_plan(config: NetworkConfig) -> tuple[Fraction, Allocation]:
         if not tops:
             return DelayGrouping(())
         # every top is at least the budget, so both end counts are nonzero
-        tops.sort()
-        return DelayGrouping.from_counts(
-            (tops[-1], [len(tops) - bisect_left(tops, d) for d in range(tops[-1], budget - 1, -1)])
-        )
+        starts = [0] * (max(tops) - budget + 1)
+        for top in tops:
+            starts[top - budget] += 1
+        return DelayGrouping.from_counts((max(tops), list(accumulate(reversed(starts)))))
 
     g1 = [stacked(N, tops) for N, tops in zip(config.N1, tops1)]
     g2 = [stacked(N, tops) for N, tops in zip(config.N2, tops2)]
@@ -393,15 +403,14 @@ _Plan = tuple[int, list[Spectrum], list[Spectrum]]  # n, hop-1 and hop-2 groupin
 
 
 def _plan_bottleneck_first(
-    config: NetworkConfig, bot: _Hop, other: _Hop, n: int, bot_rates: Sequence[Fraction]
+    config: NetworkConfig, bot: _Hop, other: _Hop, n: int, bot_k: Sequence[int]
 ) -> _Plan:
-    """Allocate the bottleneck hop at the given per-link rates, then fill
-    the other hop under the induced pairing constraint. n must make every
-    r * n integral. Returns the possibly rescaled n and both hops'
-    groupings in list form."""
+    """Allocate the bottleneck hop at the given per-link message counts
+    out of n, then fill the other hop under the induced pairing
+    constraint. Returns the possibly rescaled n and both hops' groupings
+    in list form."""
     bot_groupings = [
-        _link_grouping(n, int(r * n), N, maxd)
-        for r, N, maxd in zip(bot_rates, bot.N, bot.max_delay)
+        _link_grouping(n, k, N, maxd) for k, N, maxd in zip(bot_k, bot.N, bot.max_delay)
     ]
     constraint = _pairing_constraint(config.T, bot_groupings, bot.dT)
     n, other_groupings = _fill_under_constraint(n, other, constraint, bot_groupings)
@@ -445,7 +454,7 @@ def _initial_plan(config: NetworkConfig, bot: _Hop, other: _Hop) -> _Plan:
     # every bottleneck link needs (tau_i + 1) | n for integral counts
     n0 = (config.T + 1 - min(bot.z)) * (config.T + 1 - min(other.z))
     n = lcm(n0, *[d + 1 for d in bot.max_delay])
-    return _plan_bottleneck_first(config, bot, other, n, bot.caps)
+    return _plan_bottleneck_first(config, bot, other, n, [c * (n // bot.den) for c in bot.caps])
 
 
 def oswdf_initial(config: NetworkConfig) -> Allocation:
@@ -460,30 +469,36 @@ def oswdf_initial(config: NetworkConfig) -> Allocation:
     return _allocation(config, bot, _initial_plan(config, bot, other))
 
 
-def _redistribute(bot: _Hop, base: Sequence[Fraction], target: Fraction) -> list[Fraction]:
-    """Per-link bottleneck rates summing to target, for 0 < target < bot.rate.
+def _redistribute(
+    bot: _Hop, base: Sequence[int], base_den: int, num: int, den: int
+) -> list[tuple[int, int]]:
+    """Per-link bottleneck rates summing to num/den, for 0 < num/den <
+    bot.rate, each as a reduced (numerator, denominator).
 
-    Starts from the per-link rates ``base`` of the concatenated scheme and
-    pours the remainder into links in decreasing budget order, saturating
-    each at its point-to-point capacity; the caps sum to bot.rate, so the
-    pour drains.
+    Starts from the concatenated scheme's per-link rates, numerators
+    ``base`` over base_den, and pours the remainder into links in
+    decreasing budget order, saturating each at its point-to-point
+    capacity; the caps sum to bot.rate, so the pour drains. It pours on
+    integers over one common denominator.
     """
-    total = sum(base, start=Fraction(0))
-    if target < total:
+    total = sum(base)
+    if num * base_den < total * den:
         # target below the concatenated point: scale the base, whose sum
-        # is positive at T >= t_min, down uniformly
-        scale = target / total
-        return [r * scale for r in base]
-    deficit = target - total
-    rates = list(base)
-    for i in bot.order:
-        room = bot.caps[i] - rates[i]
-        take = min(room, deficit)
-        rates[i] += take
-        deficit -= take
-        if deficit == 0:
-            break
-    return rates
+        # is positive at T >= t_min, down uniformly; base_den cancels
+        rates = [(b * num, total * den) for b in base]
+    else:
+        c = lcm(base_den, bot.den, den)
+        up, cap_up = c // base_den, c // bot.den
+        pour = [b * up for b in base]
+        deficit = num * (c // den) - total * up
+        for i in bot.order:
+            take = min(bot.caps[i] * cap_up - pour[i], deficit)
+            pour[i] += take
+            deficit -= take
+            if deficit == 0:
+                break
+        rates = [(p, c) for p in pour]
+    return [(p // g, q // g) for p, q in rates for g in (gcd(p, q),)]
 
 
 def oswdf_optimize(config: NetworkConfig) -> Allocation:
@@ -498,7 +513,8 @@ def oswdf_optimize(config: NetworkConfig) -> Allocation:
     grid's n_work or the n a probe's per-link rates need; the second marks
     the result capped. Candidates stay in list form and are compared by
     their k totals; one Allocation is built, for the plan returned, and
-    the full cswdf_plan runs only when the concatenated scheme wins.
+    the full cswdf_plan runs only when the concatenated scheme wins. Rates
+    here are integer (num, den) pairs, compared by cross-multiplication.
     """
     bot, other = _ranked_hops(config)
     init = _initial_plan(config, bot, other)
@@ -508,18 +524,25 @@ def oswdf_optimize(config: NetworkConfig) -> Allocation:
         return _allocation(config, bot, init)
 
     counts = _pair_counts(config)
-    init_rate, csw_rate = Fraction(min(k1, k2), n_work), _concat_rate(counts)
-    best: Optional[_Plan] = init if init_rate >= csw_rate else None  # None: the cswdf plan
-    lb = best_rate = max(init_rate, csw_rate)
-    ub = min(bot.rate, Fraction(max(k1, k2), n_work))
-    # the concatenated scheme's per-link rates, where _redistribute starts
-    bot_k = (counts[0] if bot.name == "hop1" else counts[1])[1]
-    den = sum(config.T + 1 - z for z in other.z)
-    base = [min(cap, Fraction(k, den)) for k, cap in zip(bot_k, bot.caps)]
+    csw, csw_n = _concat_rate(counts).as_integer_ratio()
+    (_, csw_k1, _), (_, csw_k2, _) = counts
+    init_wins = min(k1, k2) * csw_n >= csw * n_work
+    best: Optional[_Plan] = init if init_wins else None  # None: the cswdf plan
+    lb, lb_d = best_k, best_n = (min(k1, k2), n_work) if init_wins else (csw, csw_n)
+    ub, ub_d = max(k1, k2), n_work
+    if bot.rate.numerator * ub_d < ub * bot.rate.denominator:
+        ub, ub_d = bot.rate.as_integer_ratio()
+    # the concatenated scheme's per-link rates, where _redistribute
+    # starts: min(cap, k / s) over base_den
+    s = sum(config.T + 1 - z for z in other.z)
+    base_den = lcm(bot.den, s)
+    bot_k = csw_k1 if bot.name == "hop1" else csw_k2
+    base = [min(c * (base_den // bot.den), k * (base_den // s)) for k, c in zip(bot_k, bot.caps)]
+    tol, tol_d = RATE_TOLERANCE.as_integer_ratio()
     capped = False
 
-    while ub - lb >= RATE_TOLERANCE:
-        lo_k, hi_k = floor(lb * n_work), ceil(ub * n_work)
+    while (ub * lb_d - lb * ub_d) * tol_d >= tol * ub_d * lb_d:
+        lo_k, hi_k = lb * n_work // lb_d, -(-ub * n_work // ub_d)
         # two or more grid steps apart, the midpoint lies strictly in (lb, ub)
         if hi_k - lo_k <= 1:
             n_work *= 2
@@ -527,23 +550,24 @@ def oswdf_optimize(config: NetworkConfig) -> Allocation:
                 capped = True
                 break
             continue
-        probe = Fraction(lo_k + (hi_k - lo_k) // 2, n_work)
-        rates = _redistribute(bot, base, probe)
-        n = lcm(*[max(1, N) * r.denominator for N, r in zip(bot.N, rates)])
+        probe = lo_k + (hi_k - lo_k) // 2  # over n_work
+        rates = _redistribute(bot, base, base_den, probe, n_work)
+        n = lcm(*[max(1, N) * q for N, (_, q) in zip(bot.N, rates)])
         if n > N_MAX:
             capped = True
             break
-        cand = _plan_bottleneck_first(config, bot, other, n, rates)
+        cand = _plan_bottleneck_first(config, bot, other, n, [p * (n // q) for p, q in rates])
         n, g1, g2 = cand
         k1, k2 = _mass(g1), _mass(g2)
-        rate = Fraction(min(k1, k2), n)
-        if rate > best_rate:
-            best, best_rate = cand, rate
+        k = min(k1, k2)
+        if k * best_n > best_k * n:
+            best, best_k, best_n = cand, k, n
         if k1 == k2:
-            lb = probe
+            lb, lb_d = probe, n_work
         else:
-            ub = probe
-            lb = max(lb, rate)
+            ub, ub_d = probe, n_work
+            if k * lb_d > lb * n:
+                lb, lb_d = k, n
     if best is None:
         return replace(cswdf_plan(config)[1], capped=capped)
     return _allocation(config, bot, best, capped)

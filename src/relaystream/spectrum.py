@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import le
 from typing import Iterable, Sequence
 
 Spectrum = tuple[int, list[int]]  # list form: (top delay, dense counts)
@@ -40,10 +41,12 @@ class DelayGrouping:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        delays = [d for d, _ in self.entries]
-        if any(a <= b for a, b in zip(delays, delays[1:])):
+        if not self.entries:
+            return
+        delays, counts = zip(*self.entries, strict=True)
+        if any(map(le, delays, delays[1:])):
             raise ValueError("delays must be strictly decreasing")
-        if any(type(c) is not int or c < 0 for _, c in self.entries):
+        if not set(map(type, counts)) <= {int} or min(counts) < 0:
             raise ValueError("counts must be nonnegative integers")
 
     @staticmethod
@@ -170,9 +173,7 @@ def max_symbols_under_constraint(
     # above[i]: budget at delays strictly above top - i, one prefix sum
     above = list(accumulate(budget, initial=0))
     last = len(budget)
-
-    def floor_kprime(d: int) -> int:
-        allowed = above[min(max(top - d - delay_shift, 0), last)]
-        return (n * (d + 1) - N * (n - allowed)) // (d + 1)
-
-    return max(0, min(map(floor_kprime, delays)))
+    return max(0, min([
+        (n * (d + 1) - N * (n - above[min(max(top - d - delay_shift, 0), last)])) // (d + 1)
+        for d in delays
+    ]))

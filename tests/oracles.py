@@ -4,7 +4,8 @@ determination by plain elimination, the converse bound and the
 constrained maximization in exact fractions, the pairing budget as a
 validated dataclass with dict-based subtraction, the planners'
 straightforward constructions (every mwdf split tried, cswdf groupings
-concatenated pair by pair), the joint replay rerun from time 0 for every
+concatenated pair by pair, the point-rate caps and the oswdf bottleneck
+pour in Fractions), the joint replay rerun from time 0 for every
 pattern pair, the witness replay run to its full horizon, the relay-rows
 probe decided by deliveries run from time 0, the per-link check slot by
 slot, slot shapes and route classes worked out in numpy by sorting every
@@ -119,6 +120,35 @@ def mwdf_rate_bruteforce(config):
             if rate > best[0]:
                 best = (rate, t1, t2)
     return best
+
+
+def hop_caps(config):
+    # each link's point rate at the delay the other hop's fastest link
+    # leaves of the deadline, one Fraction per link, per hop
+    z1, z2 = config.Z1, config.Z2
+    return (
+        [point_rate(config.T - min(z2) - dt, n) for n, dt in zip(config.N1, config.dT1)],
+        [point_rate(config.T - min(z1) - dt, n) for n, dt in zip(config.N2, config.dT2)],
+    )
+
+
+def redistribute_by_fractions(caps, order, base, target):
+    # the bottleneck pour in Fraction arithmetic: below the sum of the
+    # concatenated rates ``base`` scale them down uniformly, else pour the
+    # remainder into the links in ``order``, each up to its cap
+    total = sum(base, start=Fraction(0))
+    if target < total:
+        scale = target / total
+        return [r * scale for r in base]
+    deficit = target - total
+    rates = list(base)
+    for i in order:
+        take = min(caps[i] - rates[i], deficit)
+        rates[i] += take
+        deficit -= take
+        if deficit == 0:
+            break
+    return rates
 
 
 def cswdf_groupings_by_concat(config):

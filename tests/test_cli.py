@@ -541,6 +541,38 @@ def test_simulate_ge_channel(planned_b_mwdf, capsys):
     assert row[2] == "ge" and row[3] == "0.01" and row[4] == "0.05" and row[5] == "0.4"
 
 
+def test_simulate_ge_channel_grid(planned_b_mwdf, capsys):
+    # --eps is one grid parser for both channels: one row per eps
+    argv = [
+        "simulate", planned_b_mwdf, "--channel", "ge",
+        "--eps", "0.01,0.02", "--alpha", "0.05", "--beta", "0.4",
+        "--packets", "200", "--seed", "2",
+    ]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[2:6] for row in rows] == [["ge", "0.01", "0.05", "0.4"], ["ge", "0.02", "0.05", "0.4"]]
+
+
+@pytest.mark.parametrize("channel", ["iid", "ge"])
+@pytest.mark.parametrize("eps", ["", ",", " , "])
+def test_simulate_empty_eps_grid_is_a_usage_error(planned_b_mwdf, capsys, channel, eps):
+    # an empty grid would simulate nothing and still exit 0
+    argv = ["simulate", planned_b_mwdf, "--channel", channel, "--eps", eps, "--packets", "10"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad --eps value: {eps!r}\n"
+
+
+def test_simulate_ge_eps_outside_unit_interval_is_a_usage_error(planned_b_mwdf, capsys):
+    argv = ["simulate", planned_b_mwdf, "--channel", "ge", "--eps", "1.5", "--packets", "10"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad --eps value: '1.5'\n"
+
+
 # ---------------------------------------------------------------------------
 # ensemble
 # ---------------------------------------------------------------------------
@@ -628,7 +660,7 @@ SIMULATE_HELP = (
     'options:\n'
     '  -h, --help          show this help message and exit\n'
     '  --channel {iid,ge}\n'
-    '  --eps EPS           loss probability; comma list sweeps a grid (iid)\n'
+    '  --eps EPS           loss probability; comma list sweeps a grid\n'
     '  --alpha ALPHA       good-to-bad transition (ge)\n'
     '  --beta BETA         bad-to-good transition (ge)\n'
     '  --packets PACKETS\n'

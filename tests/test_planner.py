@@ -45,7 +45,13 @@ from relaystream.planner import (
 
 from relaystream.sim import sample_config
 
-from oracles import cswdf_groupings_by_concat, mwdf_rate_bruteforce, nonzero
+from oracles import (
+    cswdf_groupings_by_concat,
+    hop_caps,
+    mwdf_rate_bruteforce,
+    nonzero,
+    redistribute_by_fractions,
+)
 
 NET_A = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
 NET_B = NetworkConfig(T=4, N1=(1,), N2=(3, 2))
@@ -384,11 +390,9 @@ def test_planner_outputs_are_pinned():
     assert digest.hexdigest() == PLANNER_DIGEST
 
 
-def test_bisection_invariants_behind_the_removed_refusals():
-    # oswdf's bisection has no refusal for a rate it cannot redistribute, a
-    # non-integral bottleneck count or an empty bottleneck link: at T >= t_min
-    # the pour always drains, every per-link rate is positive, and both ways
-    # of choosing n make every count integral
+def bisection_configs() -> list[NetworkConfig]:
+    # ensemble networks plus small ones with zero budgets and delays, at
+    # t_min to t_min + 4
     rng = random.Random(13)
     configs = [sample_config(rng) for _ in range(30)]
     for _ in range(120):
@@ -399,32 +403,111 @@ def test_bisection_invariants_behind_the_removed_refusals():
         dt2 = tuple(rng.randint(0, 2) for _ in range(l2))
         base = NetworkConfig(T=20, N1=n1, N2=n2, dT1=dt1, dT2=dt2)
         configs.append(replace(base, T=t_min(base) + rng.randint(0, 4)))
+    return configs
+
+
+def concat_base(cfg, bot, other) -> list[Fraction]:
+    """The concatenated scheme's per-link bottleneck rates, where the pour
+    starts: each link's pair-count numerator over the other hop's slots,
+    at most its cap."""
+    nums = [sum(max(0, cfg.T + 1 - z_i - z) for z in other.z) for z_i in bot.z]
+    pair_counts = _pair_counts(cfg)
+    # oswdf_optimize reads each link's numerator from the cswdf pair counts
+    assert (pair_counts[0] if bot.name == "hop1" else pair_counts[1])[1] == nums
+    den = sum(cfg.T + 1 - z for z in other.z)
+    caps = hop_caps(cfg)[bot.name == "hop2"]
+    return [min(cap, Fraction(num, den)) for num, cap in zip(nums, caps)]
+
+
+def pour(bot, base_rates: list[Fraction], probe: Fraction) -> list[tuple[int, int]]:
+    """_redistribute on Fraction inputs, the base over its common denominator."""
+    base_den = lcm(*[r.denominator for r in base_rates])
+    base = [r.numerator * (base_den // r.denominator) for r in base_rates]
+    return _redistribute(bot, base, base_den, probe.numerator, probe.denominator)
+
+
+def test_hop_caps_match_point_rates():
+    # integer caps over each hop's common denominator sum to the same
+    # bound, with T below t_min, zero budgets and max_delay + 1 <= N
+    rng = random.Random(31)
+    below = zero_cap = zero_budget = 0
+    for _ in range(600):
+        cfg = random_network(rng)
+        expected = hop_caps(cfg)
+        for h, caps in zip(_hops(cfg), expected):
+            assert [Fraction(c, h.den) for c in h.caps] == caps, cfg
+            assert h.rate == sum(caps, start=Fraction(0)), cfg
+            assert h.den == lcm(*[d + 1 for d, c in zip(h.max_delay, caps) if c]), cfg
+            zero_cap += any(c == 0 for c in caps)
+        got = upper_bound(cfg)
+        want = min(sum(caps, start=Fraction(0)) for caps in expected)
+        assert got == want and repr(got) == repr(want), cfg
+        below += cfg.T < t_min(cfg)
+        zero_budget += 0 in cfg.N1 + cfg.N2
+    assert below and zero_cap and zero_budget, (below, zero_cap, zero_budget)
+
+
+def test_bisection_invariants_behind_the_removed_refusals():
+    # oswdf's bisection has no refusal for a rate it cannot redistribute, a
+    # non-integral bottleneck count or an empty bottleneck link: at T >= t_min
+    # the pour always drains, every per-link rate is positive, and both ways
+    # of choosing n make every count integral
     branches = {"scale-down": 0, "pour": 0}
-    for cfg in configs:
+    for cfg in bisection_configs():
         bot, other = _ranked_hops(cfg)
+        caps = hop_caps(cfg)[bot.name == "hop2"]
         n, g1, g2 = _initial_plan(cfg, bot, other)
         init_g = g1 if bot.name == "hop1" else g2
-        assert [Fraction(sum(counts), n) for _, counts in init_g] == list(bot.caps)
-        # the concatenated scheme's per-link rates, where the pour starts;
-        # oswdf_optimize reads each link's numerator from the cswdf pair counts
-        nums = [sum(max(0, cfg.T + 1 - z_i - z) for z in other.z) for z_i in bot.z]
-        pair_counts = _pair_counts(cfg)
-        assert (pair_counts[0] if bot.name == "hop1" else pair_counts[1])[1] == nums
-        den = sum(cfg.T + 1 - z for z in other.z)
-        base_rates = [min(cap, Fraction(num, den)) for num, cap in zip(nums, bot.caps)]
+        assert [Fraction(sum(counts), n) for _, counts in init_g] == caps
+        base_rates = concat_base(cfg, bot, other)
         concat = sum(base_rates, start=Fraction(0))
         for j in range(1, 8):
             probe = bot.rate * Fraction(j, 8)
-            rates = _redistribute(bot, base_rates, probe)
+            pairs = pour(bot, base_rates, probe)
+            rates = [Fraction(p, q) for p, q in pairs]
             assert sum(rates) == probe
-            assert all(0 < r <= cap for r, cap in zip(rates, bot.caps))
+            assert all(0 < r <= cap for r, cap in zip(rates, caps))
             branches["scale-down" if probe < concat else "pour"] += 1
-            n = lcm(*[max(1, N) * r.denominator for N, r in zip(bot.N, rates)])
+            n = lcm(*[max(1, N) * q for N, (_, q) in zip(bot.N, pairs)])
             if n > N_MAX:
                 continue
-            n, g1, g2 = _plan_bottleneck_first(cfg, bot, other, n, rates)
+            n, g1, g2 = _plan_bottleneck_first(cfg, bot, other, n, [p * (n // q) for p, q in pairs])
             cand_g = g1 if bot.name == "hop1" else g2
             assert [Fraction(sum(counts), n) for _, counts in cand_g] == rates
+    assert branches["scale-down"] and branches["pour"], branches
+
+
+def test_integer_pour_matches_fraction_oracle(monkeypatch):
+    # rate for rate, at probes j/8 of the bottleneck rate and at every
+    # probe oswdf_optimize makes, in both branches of the pour
+    import relaystream.planner as planner_mod
+
+    calls = []
+    redistribute = planner_mod._redistribute
+    monkeypatch.setattr(planner_mod, "_redistribute",
+                        lambda *args: calls.append(args) or redistribute(*args))
+    rng = random.Random(5)
+    configs = [sample_config(rng) for _ in range(300)] + bisection_configs()
+    branches = {"scale-down": 0, "pour": 0}
+
+    def check(bot, base_rates, probe, got):
+        caps = hop_caps(cfg)[bot.name == "hop2"]
+        want = redistribute_by_fractions(caps, bot.order, base_rates, probe)
+        assert got == [(r.numerator, r.denominator) for r in want], (cfg, probe)
+        branches["scale-down" if probe < sum(base_rates) else "pour"] += 1
+
+    for cfg in configs:
+        bot, other = _ranked_hops(cfg)
+        base_rates = concat_base(cfg, bot, other)
+        for j in range(1, 8):
+            probe = bot.rate * Fraction(j, 8)
+            check(bot, base_rates, probe, pour(bot, base_rates, probe))
+        calls.clear()
+        oswdf_optimize(cfg)
+        for hop, base, base_den, num, den in calls:
+            assert hop == bot
+            assert [Fraction(b, base_den) for b in base] == base_rates
+            check(bot, base_rates, Fraction(num, den), redistribute(hop, base, base_den, num, den))
     assert branches["scale-down"] and branches["pour"], branches
 
 
@@ -453,6 +536,8 @@ def test_oswdf_optimize_builds_one_allocation(monkeypatch):
     alloc = oswdf_optimize(NET_B)
     assert alloc.scheme == "oswdf" and sum(alloc.k1) == sum(alloc.k2)
     assert len(candidates) > 2
+    # each candidate's bottleneck hop comes as integer counts out of its n
+    assert all(type(k) is int for args in candidates for k in args[4])
     assert len(built) == len(NET_B.N1) + len(NET_B.N2)
 
 

@@ -76,6 +76,7 @@ def test_script_runs(script):
 @pytest.mark.parametrize("script,args", [
     ("loss_curves.py", ["--eps", "0.1,abc"]),
     ("loss_curves.py", ["--eps", "1.5"]),
+    ("loss_curves.py", ["--eps", ","]),
     ("loss_curves.py", ["--channel", "ge", "--eps", "1.0"]),
     ("loss_curves.py", ["--channel", "ge", "--alpha", "2"]),
     ("loss_curves.py", ["--seed", "-1"]),

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,44 @@ def test_counts_must_be_integers(count):
     if not isinstance(count, bool):  # summing in from_pairs turns True into 1
         with pytest.raises(ValueError, match="integers"):
             DelayGrouping.from_pairs([(2, count), (1, 1)])
+
+
+@pytest.mark.parametrize("entries,message", [
+    (((2, 1), (2, 1)), "delays must be strictly decreasing"),
+    (((1, 1), (2, 1)), "delays must be strictly decreasing"),
+    (((1, -1), (2, 1)), "delays must be strictly decreasing"),  # delays checked first
+    (((2, 1), (1, -1)), "counts must be nonnegative integers"),
+    (((2, True),), "counts must be nonnegative integers"),
+    (((2, 1.0),), "counts must be nonnegative integers"),
+    (((2, Fraction(2, 1)),), "counts must be nonnegative integers"),
+    (((2, np.int64(3)),), "counts must be nonnegative integers"),
+    (((3, True), (2, -1)), "counts must be nonnegative integers"),
+    (((2, 1, 0),), "too many values to unpack (expected 2)"),
+    (((2.0, 1), (1.0, 1)), None),
+    (((np.int64(2), 1), (np.int64(1), 1)), None),
+    (((float("nan"), 1), (1, 1)), None),  # nan compares false both ways
+    (((2, 0),), None),
+    ((), None),
+], ids=[
+    "equal-delays", "increasing-delays", "increasing-delays-negative-count", "negative-count",
+    "bool-count", "float-count", "Fraction-count", "int64-count", "bool-then-negative",
+    "three-field-entry", "float-delays", "int64-delays", "nan-delay", "zero-count", "empty",
+])
+def test_grouping_validation_outcomes(entries, message):
+    # each outcome, rejection message or acceptance, as the per-entry
+    # generator checks gave it before validation moved to whole-column passes
+    if message is None:
+        assert DelayGrouping(entries).entries == entries
+    else:
+        with pytest.raises(ValueError) as exc:
+            DelayGrouping(entries)
+        assert str(exc.value) == message
+
+
+def test_grouping_rejects_entries_of_mixed_length():
+    for entries in (((2, 1, 5), (1, 1)), ((2, 1), (1,))):
+        with pytest.raises(ValueError):
+            DelayGrouping(entries)
 
 
 def test_optimal_grouping_table_code():
