@@ -9,20 +9,50 @@ identical overhead and the gap is purely the delay-spectrum shape.
 
 import argparse
 import csv
-import sys
+import io
 
 from relaystream import (
-    ChannelSpec,
-    GeParams,
     NetworkConfig,
     assemble,
     mwdf_plan,
     oswdf_optimize,
     run_monte_carlo,
 )
-from relaystream.cli import CliError, config_from_doc, load_json, parse_eps_grid
+from relaystream.cli import CliError, channel_specs, config_from_doc, emit, load_json
 
 REFERENCE = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
+
+
+def loss_curves(args) -> None:
+    # the same refusals as `relaystream simulate`, before any planning
+    if args.packets < 0:
+        raise CliError("--packets must be nonnegative")
+    if args.seed < 0:
+        raise CliError("--seed must be nonnegative")
+    channels = channel_specs(args.channel, args.eps, args.alpha, args.beta)
+    config = REFERENCE
+    if args.config:
+        config = config_from_doc(load_json(args.config), args.config)
+    symbolwise = oswdf_optimize(config)
+    baseline = mwdf_plan(config, match=symbolwise)
+    codes = [("oswdf", assemble(symbolwise)), ("mwdf-matched", assemble(baseline))]
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["scheme", "rate", "channel", "eps", "packets", "lost", "loss_rate"])
+    for channel in channels:
+        for name, code in codes:
+            res = run_monte_carlo(code, channel, args.packets, seed=args.seed)
+            writer.writerow([
+                name,
+                str(code.allocation.rate),
+                res.channel["channel"],
+                res.channel["eps"],
+                res.packets,
+                res.lost,
+                f"{res.loss_rate:.8f}",
+            ])
+    emit(buf.getvalue(), args.out)
 
 
 def main():
@@ -36,51 +66,10 @@ def main():
     ap.add_argument("--seed", type=int, default=2026)
     ap.add_argument("--out", help="csv path; default stdout")
     args = ap.parse_args()
-
-    # the same refusals as `relaystream simulate`, before any planning
-    if args.packets < 0:
-        ap.error("--packets must be nonnegative")
-    if args.seed < 0:
-        ap.error("--seed must be nonnegative")
     try:
-        grid = parse_eps_grid(args.eps)
+        loss_curves(args)
     except CliError as e:
         ap.error(str(e))
-    if args.channel == "iid":
-        channels = [ChannelSpec("iid", eps=eps) for eps in grid]
-    else:
-        try:
-            channels = [ChannelSpec("ge", ge=GeParams(args.alpha, args.beta, eps)) for eps in grid]
-        except ValueError as e:
-            ap.error(f"bad channel params: {e}")
-
-    config = REFERENCE
-    if args.config:
-        try:
-            config = config_from_doc(load_json(args.config), args.config)
-        except CliError as e:
-            ap.error(str(e))
-    symbolwise = oswdf_optimize(config)
-    baseline = mwdf_plan(config, match=symbolwise)
-    codes = [("oswdf", assemble(symbolwise)), ("mwdf-matched", assemble(baseline))]
-
-    fh = open(args.out, "w", newline="") if args.out else sys.stdout
-    writer = csv.writer(fh)
-    writer.writerow(["scheme", "rate", "channel", "eps", "packets", "lost", "loss_rate"])
-    for eps, channel in zip(grid, channels):
-        for name, code in codes:
-            res = run_monte_carlo(code, channel, args.packets, seed=args.seed)
-            writer.writerow([
-                name,
-                str(code.allocation.rate),
-                args.channel,
-                eps,
-                res.packets,
-                res.lost,
-                f"{res.loss_rate:.8f}",
-            ])
-    if args.out:
-        fh.close()
 
 
 if __name__ == "__main__":

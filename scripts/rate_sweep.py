@@ -8,7 +8,7 @@ symbol-wise allocation closes the gap to the bound.
 
 import argparse
 import csv
-import sys
+import io
 from fractions import Fraction
 
 from relaystream import (
@@ -19,6 +19,7 @@ from relaystream import (
     t_min,
     upper_bound,
 )
+from relaystream.cli import CliError, emit
 
 
 def main():
@@ -39,8 +40,8 @@ def main():
         ap.error("--deadlines must be positive")
     start = t_min(config)
 
-    fh = open(args.out, "w", newline="") if args.out else sys.stdout
-    writer = csv.writer(fh)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
     writer.writerow([
         "T", "upper", "mwdf", "cswdf", "oswdf",
         "upper_decimal", "mwdf_decimal", "cswdf_decimal", "oswdf_decimal",
@@ -58,8 +59,10 @@ def main():
             + [str(Fraction(v)) for v in values]
             + [f"{float(v):.6f}" for v in values]
         )
-    if args.out:
-        fh.close()
+    try:
+        emit(buf.getvalue(), args.out)
+    except CliError as e:
+        ap.error(str(e))
 
 
 if __name__ == "__main__":

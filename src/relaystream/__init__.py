@@ -7,7 +7,6 @@ and execution (relay), and measurement plus verification (sim). The cli
 module exposes the same pipeline as subcommands.
 """
 
-from .channels import GeParams
 from .planner import (
     NetworkConfig,
     cswdf_plan,
@@ -22,7 +21,6 @@ from .sim import ChannelSpec, run_monte_carlo, verify_adversarial
 
 __all__ = [
     "ChannelSpec",
-    "GeParams",
     "NetworkConfig",
     "assemble",
     "cswdf_plan",

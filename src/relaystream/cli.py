@@ -327,14 +327,22 @@ SIM_COLUMNS = [
 ]
 
 
-def parse_eps_grid(text: str) -> list[float]:
+def channel_specs(kind: str, eps: str, alpha: float, beta: float) -> list[ChannelSpec]:
+    """One channel per value of the comma-separated ``--eps`` grid: i.i.d.
+    erasures, or Gilbert-Elliott ("ge") with the given transitions, eps
+    being the good state's loss probability."""
     try:
-        grid = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        grid = [float(tok) for tok in eps.split(",") if tok.strip() != ""]
     except ValueError:
-        raise CliError(f"bad --eps value: {text!r}")
+        raise CliError(f"bad --eps value: {eps!r}")
     if not grid or not all(0 <= e <= 1 for e in grid):  # NaN fails both comparisons
-        raise CliError(f"bad --eps value: {text!r}")
-    return grid
+        raise CliError(f"bad --eps value: {eps!r}")
+    if kind == "iid":
+        return [ChannelSpec("iid", eps=e) for e in grid]
+    try:
+        return [ChannelSpec("ge", ge=GeParams(alpha, beta, e)) for e in grid]
+    except ValueError as e:
+        raise CliError(f"bad channel params: {e}")
 
 
 def cmd_simulate(args) -> int:
@@ -344,15 +352,7 @@ def cmd_simulate(args) -> int:
     if args.seed < 0:
         raise CliError("--seed must be nonnegative")
 
-    grid = parse_eps_grid(args.eps)
-    if args.channel == "iid":
-        channels = [ChannelSpec("iid", eps=e) for e in grid]
-    else:
-        try:
-            channels = [ChannelSpec("ge", ge=GeParams(args.alpha, args.beta, e)) for e in grid]
-        except ValueError as e:
-            raise CliError(f"bad channel params: {e}")
-
+    channels = channel_specs(args.channel, args.eps, args.alpha, args.beta)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(SIM_COLUMNS)

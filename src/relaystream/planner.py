@@ -504,14 +504,15 @@ def _redistribute(
 def oswdf_optimize(config: NetworkConfig) -> Allocation:
     """Full optimizer: initial pass, then bisection on the bottleneck rate.
 
-    The initial pass's bottleneck mass is an upper bound on what the other
-    hop can mirror; the mass it actually mirrored, and the concatenated
-    scheme's rate, taken from its pair counts, are achieved lower bounds.
-    Bisection probes rates on a k/n grid that doubles n when it runs out
-    of resolution. It stops in one of two ways: the bracket is tighter
-    than RATE_TOLERANCE, or the packet size passes N_MAX, either the
-    grid's n_work or the n a probe's per-link rates need; the second marks
-    the result capped. Candidates stay in list form and are compared by
+    The initial pass's bottleneck mass, exactly bot.rate times its n, is
+    an upper bound on what the other hop can mirror; the mass it actually
+    mirrored, and the concatenated scheme's rate, taken from its pair
+    counts, are achieved lower bounds. Bisection probes rates on a k/n
+    grid that doubles n when it runs out of resolution, which happens only
+    while n <= 1/RATE_TOLERANCE, so the grid stays below N_MAX. It stops
+    in one of two ways: the bracket is tighter than RATE_TOLERANCE, or the
+    n a probe's per-link rates need passes N_MAX; the second marks the
+    result capped. Candidates stay in list form and are compared by
     their k totals; one Allocation is built, for the plan returned, and
     the full cswdf_plan runs only when the concatenated scheme wins. Rates
     here are integer (num, den) pairs, compared by cross-multiplication.
@@ -530,8 +531,6 @@ def oswdf_optimize(config: NetworkConfig) -> Allocation:
     best: Optional[_Plan] = init if init_wins else None  # None: the cswdf plan
     lb, lb_d = best_k, best_n = (min(k1, k2), n_work) if init_wins else (csw, csw_n)
     ub, ub_d = max(k1, k2), n_work
-    if bot.rate.numerator * ub_d < ub * bot.rate.denominator:
-        ub, ub_d = bot.rate.as_integer_ratio()
     # the concatenated scheme's per-link rates, where _redistribute
     # starts: min(cap, k / s) over base_den
     s = sum(config.T + 1 - z for z in other.z)
@@ -546,9 +545,6 @@ def oswdf_optimize(config: NetworkConfig) -> Allocation:
         # two or more grid steps apart, the midpoint lies strictly in (lb, ub)
         if hi_k - lo_k <= 1:
             n_work *= 2
-            if n_work > N_MAX:
-                capped = True
-                break
             continue
         probe = lo_k + (hi_k - lo_k) // 2  # over n_work
         rates = _redistribute(bot, base, base_den, probe, n_work)

@@ -18,17 +18,19 @@ a within-budget adversary the symbol is always there; beyond the budget
 (stochastic channels) a missing symbol is replaced by zero and noted as a
 protocol violation. Because the relay re-encodes its own row consistently,
 a wrong value corrupts only its own coordinate at the destination, never
-its neighbors. The runtime buffers relay symbols by source time, keyed
-by symbol, and gathers each hop-2 row one buffer bucket per relay delay.
-It can fork, so replays that share a prefix run it once; a replay whose
-pipeline is back to another run's can take that run's later deliveries.
+its neighbors. The runtime keeps one route table per hop: hop 1 reads
+each link's row through its slots' syms and buffers what the relay
+recovers under the same syms, by source time; hop 2 maps each slot to its
+sym and relay delay, and gathers each row one buffer bucket per relay
+delay. It can fork, so replays that share a prefix run it once; a replay
+whose pipeline is back to another run's can take that run's later
+deliveries.
 Hop 1 and the relay also step on their own (``relay_step``, the code
 ``step`` runs), for probes that need only the rows the relay forwards.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -210,30 +212,28 @@ class NetworkState:
         self.state2 = [CodecState(spec) for spec in code.hop2]
         self._sent1: list[dict[int, tuple[int, ...]]] = [{} for _ in code.hop1]
         self._sent2: list[dict[int, tuple[int, ...]]] = [{} for _ in code.hop2]
-        # src_t -> key -> value; a hop-1 slot's key is its route's sym, or a
-        # negative number of its own where no route reads it
+        # src_t -> sym -> value; hop-1 slots no route reads share key k,
+        # which no hop-2 row reads
         self._pending: dict[int, dict[int, int]] = {}
-        # routing tables for step(), shared with forks. Hop 1: per link, a
-        # getter of its row from [*packet, 0] and each slot's buffer key.
-        # Hop 2: per link, its routed slots in slot order as (slot, sym,
-        # relay delay); the same grouped by relay delay as (delay, getter of
-        # the group's syms from a bucket, the group's pre-stream zeros); a
-        # getter placing the groups' values, then a zero, into the row; and
-        # the reverse map slot -> (sym, relay delay)
-        fill1 = [[code.k] * spec.k for spec in code.hop1]
-        unrouted = itertools.count(-1, -1)
-        self._keys1 = [[next(unrouted) for _ in range(spec.k)] for spec in code.hop1]
-        self._feed2: list[list[tuple[int, int, int]]] = [[] for _ in code.hop2]
-        for sym, link1, slot1, relay_delay, link2, slot2, _ in code.routes:
-            fill1[link1][slot1] = sym
+        # routing tables for step(), shared with forks. Hop 1: per link, each
+        # slot's sym, or k where no route reads it; the link's row is read
+        # from [*packet, 0] through it, and what the link recovers is
+        # buffered under it. Hop 2: per link, slot -> (sym, relay delay) in
+        # slot order; the routed slots grouped by relay delay as (delay,
+        # getter of the group's syms from a bucket, the group's pre-stream
+        # zeros); and a getter placing the groups' values, then a zero, into
+        # the row
+        self._keys1 = [[code.k] * spec.k for spec in code.hop1]
+        self._back2: list[dict[int, tuple[int, int]]] = [{} for _ in code.hop2]
+        by_slot2 = sorted(code.routes, key=lambda r: (r.link2, r.slot2))
+        for sym, link1, slot1, relay_delay, link2, slot2, _ in by_slot2:
             self._keys1[link1][slot1] = sym
-            self._feed2[link2].append((slot2, sym, relay_delay))
-        self._read1 = [tuple_getter(fill) for fill in fill1]
+            self._back2[link2][slot2] = sym, relay_delay
+        self._read1 = [tuple_getter(keys) for keys in self._keys1]
         self._groups2, self._place2 = [], []
-        for spec, feed in zip(code.hop2, self._feed2):
-            feed.sort()
+        for spec, back in zip(code.hop2, self._back2):
             groups: dict[int, list[tuple[int, int]]] = {}
-            for slot, sym, delay in feed:
+            for slot, (sym, delay) in back.items():
                 groups.setdefault(delay, []).append((slot, sym))
             order = [slot for members in groups.values() for slot, _ in members]
             self._groups2.append([
@@ -242,7 +242,6 @@ class NetworkState:
             ])
             at = {slot: i for i, slot in enumerate(order)}
             self._place2.append(tuple_getter([at.get(slot, len(order)) for slot in range(spec.k)]))
-        self._back2 = [{slot: (sym, delay) for slot, sym, delay in feed} for feed in self._feed2]
         self._keep = 4 * (code.allocation.config.T + 1) + max(c.span for c in code.hop1)
         self.violations: list[Violation] = []
         self.deliveries: list[Delivery] = []
@@ -308,13 +307,13 @@ class NetworkState:
                     bucket[keys[slot]] = value
 
         rows = []
-        for state, feed, groups, place in zip(self.state2, self._feed2, self._groups2, self._place2):
+        for state, back, groups, place in zip(self.state2, self._back2, self._groups2, self._place2):
             values: list[int] = []
             try:
                 for delay, read, zeros in groups:
                     values += zeros if t < delay else read(pending[t - delay])
             except KeyError:
-                rows.append(self._row_with_violations(state.spec.k, feed))
+                rows.append(self._row_with_violations(state.spec.k, back))
                 continue
             values.append(0)
             rows.append(place(values))
@@ -323,11 +322,11 @@ class NetworkState:
         pending.pop(t - self._keep - 1, None)
         return rows
 
-    def _row_with_violations(self, width: int, feed: Sequence[tuple[int, int, int]]) -> tuple[int, ...]:
+    def _row_with_violations(self, width: int, back: dict[int, tuple[int, int]]) -> tuple[int, ...]:
         # symbol by symbol in slot order, so violations are noted in that order
         t, pending = self.time, self._pending
         row = [0] * width
-        for slot, sym, relay_delay in feed:
+        for slot, (sym, relay_delay) in back.items():
             src_t = t - relay_delay
             if src_t < 0:
                 continue  # pre-stream symbols are known zeros
@@ -411,7 +410,6 @@ def run_network(
     packets: Sequence[Sequence[int]],
     erasures1: Sequence[Iterable[int]] = (),
     erasures2: Sequence[Iterable[int]] = (),
-    flush: Optional[int] = None,
 ) -> NetworkState:
     """Drive a packet stream through the network and drain the pipeline.
 
@@ -422,7 +420,7 @@ def run_network(
     """
     state = NetworkState(code)
     config = code.allocation.config
-    total = len(packets) + (flush if flush is not None else config.T + code.span + max(config.dT1 + config.dT2) + 1)
+    total = len(packets) + config.T + code.span + max(config.dT1 + config.dT2) + 1
     lost1 = [*erasures1] + [()] * (len(code.hop1) - len(erasures1))
     lost2 = [*erasures2] + [()] * (len(code.hop2) - len(erasures2))
     state.run(packets, lost1, lost2, total)

@@ -7,7 +7,8 @@ straightforward constructions (every mwdf split tried, cswdf groupings
 concatenated pair by pair, the point-rate caps and the oswdf bottleneck
 pour in Fractions), the joint replay rerun from time 0 for every
 pattern pair, the witness replay run to its full horizon, the relay-rows
-probe decided by deliveries run from time 0, the per-link check slot by
+probe decided by deliveries run from time 0, the relay's forwarded rows
+and violations built symbol by symbol, the per-link check slot by
 slot, slot shapes and route classes worked out in numpy by sorting every
 route, the per-slot recovery-delay table of the k-th-arrival rule and the
 Monte Carlo loss mask read off it at every slot, each component's worst
@@ -27,10 +28,10 @@ from random import Random
 
 import numpy as np
 
-from relaystream.codes import StreamingCodeSpec, build_grouped_code
+from relaystream.codes import CodecState, StreamingCodeSpec, build_grouped_code, decode_step, encode_step
 from relaystream.gf import FIELD_ORDER, make_mds
 from relaystream.planner import Allocation, point_rate
-from relaystream.relay import run_network
+from relaystream.relay import NetworkState
 from relaystream.sim import (
     INF_DELAY,
     JOINT_PAIRS,
@@ -307,8 +308,8 @@ def list_form(spectrum):
 
 def cross_product_from_zero(code, config, rng):
     # the joint replay without forks: every pattern pair reruns the whole
-    # stream from time 0 through run_network; same pairs, packets and rng
-    # draws
+    # stream from time 0 on a fresh NetworkState; same pairs, packets and
+    # rng draws
     spec1, spec2 = code.hop1[0], code.hop2[0]
     w1 = spec1.span + max(spec1.slot_delays)
     w2 = spec2.span + max(spec2.slot_delays, default=0)
@@ -323,13 +324,8 @@ def cross_product_from_zero(code, config, rng):
     packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(start + w1 + 2)]
     count = 0
     for p1, p2 in pairs:
-        state = run_network(
-            code,
-            packets,
-            [set(p1)],
-            [set(p2)],
-            flush=horizon - len(packets),
-        )
+        state = NetworkState(code)
+        state.run(packets, [set(p1)], [set(p2)], horizon)
         count += 1
         got = {}
         for d in state.deliveries:
@@ -345,19 +341,19 @@ def cross_product_from_zero(code, config, rng):
 
 
 def replay_witness_full_horizon(code, witness):
-    # sim.replay_witness without its early stop: the whole horizon through
-    # run_network, then the symbol's first correct delivery in the log
+    # sim.replay_witness without its early stop: the whole horizon on a
+    # fresh NetworkState, then the symbol's first correct delivery in the log
     config = code.allocation.config
     span = code.span
     horizon = witness.src_time + config.T + 2 * span + max(config.dT1 + config.dT2) + 4
     rng = Random(20240 + witness.src_time)
     packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(witness.src_time + span + 1)]
-    state = run_network(
-        code,
+    state = NetworkState(code)
+    state.run(
         packets,
         [set(times) for times in witness.erasures1],
         [set(times) for times in witness.erasures2],
-        flush=horizon - len(packets),
+        horizon,
     )
     truth = packets[witness.src_time][witness.sym]
     for d in state.deliveries:
@@ -372,10 +368,52 @@ def forwards_clear_by_deliveries(code, packets, p1, horizons):
     # (deliveries(p1, ()) == clear); a run to a horizon delivers what a
     # longer run delivers before it
     def deliveries(lost1):
-        return run_network(code, packets, [lost1], [()], flush=max(horizons) - len(packets)).deliveries
+        state = NetworkState(code)
+        state.run(packets, [lost1], [()], max(horizons))
+        return state.deliveries
 
     got, clear = deliveries(set(p1)), deliveries(set())
     return [[d for d in got if d.at < h] == [d for d in clear if d.at < h] for h in horizons]
+
+
+def relay_rows_by_symbol(code, packets, lost1, until):
+    # hop 1 and the relay route by route: each hop-1 row read symbol by
+    # symbol from the packet, every recovery kept under (source time, sym)
+    # for good, and each hop-2 row built slot by slot from those, a missing
+    # symbol sent as zero and noted; returns the rows of every step and the
+    # violations as (src_time, sym, at), in the order the relay notes them
+    config = code.allocation.config
+    sym1 = {(r.link1, r.slot1): r.sym for r in code.routes}
+    route2 = {(r.link2, r.slot2): r for r in code.routes}
+    states = [CodecState(spec) for spec in code.hop1]
+    sent = [{} for _ in code.hop1]
+    recovered = {}
+    rows, violations = [], []
+    for t in range(until):
+        packet = packets[t] if t < len(packets) else [0] * code.k
+        for link, state in enumerate(states):
+            row = [packet[sym1[link, slot]] if (link, slot) in sym1 else 0 for slot in range(state.spec.k)]
+            sent[link][t] = encode_step(state, row)
+            x = t - config.dT1[link]
+            if x >= 0:
+                for src_t, slot, value in decode_step(state, None if x in lost1[link] else sent[link][x], x):
+                    if (link, slot) in sym1:
+                        recovered[src_t, sym1[link, slot]] = value
+        step_rows = []
+        for link, spec in enumerate(code.hop2):
+            row = [0] * spec.k
+            for slot in range(spec.k):
+                r = route2.get((link, slot))
+                if r is None or t < r.relay_delay:
+                    continue
+                key = (t - r.relay_delay, r.sym)
+                if key in recovered:
+                    row[slot] = recovered[key]
+                else:
+                    violations.append((*key, t))
+            step_rows.append(tuple(row))
+        rows.append(step_rows)
+    return rows, violations
 
 
 def check_links_per_slot(code, config):

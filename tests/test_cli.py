@@ -589,6 +589,40 @@ def test_ensemble_csv_and_summary(tmp_path, capsys):
     assert "upper bound hit" in err
 
 
+def edited(path, tmp_path, edit):
+    doc = json.loads(open(path).read())
+    edit(doc)
+    return write(tmp_path, "edited.json", doc)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (lambda alloc, tmp: ["simulate", alloc, "--packets", "-1"], "--packets must be nonnegative"),
+    (lambda alloc, tmp: ["ensemble", "--trials", "0"], "--trials must be positive"),
+    (lambda alloc, tmp: ["simulate", alloc, "--channel", "ge", "--alpha", "2"],
+     "bad channel params: alpha must be in [0, 1]"),
+    (lambda alloc, tmp: ["simulate", alloc, "--eps", "0.1,abc"], "bad --eps value: '0.1,abc'"),
+    (lambda alloc, tmp: ["verify", edited(alloc, tmp, lambda d: d.pop("hop2"))],
+     "allocation document missing 'hop2'"),
+    (lambda alloc, tmp: ["verify", write(tmp, "list.json", [1, 2])], "top level must be an object"),
+    (lambda alloc, tmp: ["verify", edited(alloc, tmp, lambda d: d["hop1"].append(d["hop1"][0]))],
+     "document lists 3 links where the config has 2"),
+    (lambda alloc, tmp: ["simulate", edited(alloc, tmp, lambda d: d["hop2"][1].pop("n"))],
+     "bad hop entry: 'n'"),
+    (lambda alloc, tmp: ["bounds", "--config", write(tmp, "c.json", [5, [2], [1]])],
+     "top level must be an object"),
+    (lambda alloc, tmp: ["plan", "--config", write(tmp, "c.json", {**NET_A, "N1": [2, -3]})],
+     "bad config: budgets and delays must be nonnegative"),
+], ids=[
+    "negative-packets", "zero-trials", "ge-alpha-2", "eps-not-a-number", "missing-hop2",
+    "document-not-an-object", "link-count-mismatch", "hop-entry-without-n",
+    "config-not-an-object", "negative-budget",
+])
+def test_refusals_print_one_error_line(planned_a, tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, argv(planned_a, tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+
+
 def test_usage_errors(capsys):
     assert main(["plan"]) == 2  # missing --config
     capsys.readouterr()

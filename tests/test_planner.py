@@ -37,6 +37,7 @@ from relaystream.planner import (
     _concat_rate,
     _hops,
     _initial_plan,
+    _mass,
     _pair_counts,
     _plan_bottleneck_first,
     _ranked_hops,
@@ -475,6 +476,34 @@ def test_bisection_invariants_behind_the_removed_refusals():
             cand_g = g1 if bot.name == "hop1" else g2
             assert [Fraction(sum(counts), n) for _, counts in cand_g] == rates
     assert branches["scale-down"] and branches["pour"], branches
+
+
+def test_initial_plan_mass_is_exactly_the_bottleneck_rate():
+    # oswdf_optimize takes its upper bound, max(k1, k2) / n, from the
+    # initial plan without clamping it to bot.rate: the bottleneck carries
+    # exactly bot.rate * n, the rescale multiplies both sides alike, and
+    # the other hop is filled under a budget of that total, which
+    # subtract_constraint never lets it exceed
+    checked = 0
+    for cfg in digest_configs() + bisection_configs():
+        try:
+            bot, other = _ranked_hops(cfg)
+        except ValueError:
+            continue  # below t_min
+        n, g1, g2 = _initial_plan(cfg, bot, other)
+        bot_g, other_g = (g1, g2) if bot.name == "hop1" else (g2, g1)
+        assert Fraction(_mass(bot_g), n) == bot.rate, cfg
+        assert _mass(other_g) <= _mass(bot_g), cfg
+        checked += 1
+    assert checked >= 300, checked
+
+
+def test_bisection_grid_never_doubles_past_the_packet_size_guard():
+    # the grid doubles n_work only when the bracket, at least RATE_TOLERANCE
+    # wide, spans at most one grid step, so only while n_work <=
+    # 1 / RATE_TOLERANCE; oswdf_optimize has no cap on the doubled grid
+    # because it then stays within N_MAX
+    assert 2 / RATE_TOLERANCE <= N_MAX
 
 
 def test_integer_pour_matches_fraction_oracle(monkeypatch):

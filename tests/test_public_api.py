@@ -86,6 +86,9 @@ def test_script_runs(script):
     ("rate_sweep.py", ["--n1", "-1"]),
     ("rate_sweep.py", ["--deadlines", "0"]),
     ("rate_sweep.py", ["--deadlines", "-2"]),
+    # a path under a file: the CSV cannot be written, whatever the machine
+    ("loss_curves.py", ["--packets", "10", "--out", os.path.join(os.devnull, "curves.csv")]),
+    ("rate_sweep.py", ["--deadlines", "2", "--out", os.path.join(os.devnull, "sweep.csv")]),
 ], ids=str)
 def test_script_refuses_bad_input_with_usage_error(script, args):
     proc = run_script(script, args)

@@ -21,6 +21,8 @@ from relaystream.planner import (
 )
 from relaystream.relay import NetworkState, _pair, assemble, run_network
 
+from oracles import relay_rows_by_symbol
+
 NET_A = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
 NET_B = NetworkConfig(T=4, N1=(1,), N2=(3, 2))
 
@@ -377,3 +379,44 @@ def test_run_network_outputs_are_pinned():
             )
             digests[name, over] = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digests == RUNTIME_DIGESTS
+
+
+def test_forwarded_rows_and_violations_match_symbol_by_symbol_oracle():
+    # every step's forwarded rows and the whole violation list, in order,
+    # against a relay built route by route, under hop-1 erasures past the
+    # budget that often start in the first slots, where a row gathered
+    # after a violation still carries pre-stream symbols
+    mid = NetworkConfig(T=20, N1=(3, 5, 7), N2=(2, 4, 6))
+    delayed = NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,), dT2=(1,))
+    codes = [*pinned_runtime_codes(), ("MID-oswdf", oswdf_optimize(mid)), ("delayed", oswdf_optimize(delayed))]
+    rng = random.Random(22)
+    violations = pre_stream = 0
+    for name, alloc in codes:
+        code = assemble(alloc)
+        cfg = alloc.config
+        until = 8 + code.span + cfg.T
+        latest = {}  # hop-2 link -> largest relay delay on it
+        for r in code.routes:
+            latest[r.link2] = max(latest.get(r.link2, 0), r.relay_delay)
+        for trial in range(1 if name == "MID-oswdf" else 8):
+            packets = lcg_packets(8, code.k, seed=trial)
+            eps = rng.choice([0.05, 0.2, 0.5])
+            lost1 = [
+                set(range(rng.randint(0, N + 2))) | {x for x in range(until) if rng.random() < eps}
+                for N in alloc.budgets1
+            ]
+            lost2 = [{x for x in range(until) if rng.random() < eps} for _ in alloc.budgets2]
+            arrive1 = [{x + dt for x in lost} for dt, lost in zip(cfg.dT1, lost1)]
+            arrive2 = [{x + dt for x in lost} for dt, lost in zip(cfg.dT2, lost2)]
+            state = NetworkState(code)
+            rows = [
+                state.step(packets[t] if t < len(packets) else [0] * code.k,
+                           [t in a for a in arrive1], [t in a for a in arrive2])
+                for t in range(until)
+            ]
+            want_rows, want_violations = relay_rows_by_symbol(code, packets, lost1, until)
+            assert rows == want_rows, (name, trial)
+            assert [(v.src_time, v.sym, v.at) for v in state.violations] == want_violations, (name, trial)
+            violations += len(want_violations)
+            pre_stream += sum(at < latest[code.routes[sym].link2] for _, sym, at in want_violations)
+    assert violations and pre_stream, (violations, pre_stream)
