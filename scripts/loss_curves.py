@@ -9,22 +9,16 @@ identical overhead and the gap is purely the delay-spectrum shape.
 
 import argparse
 import csv
-import io
 
-from relaystream import (
-    NetworkConfig,
-    assemble,
-    mwdf_plan,
-    oswdf_optimize,
-    run_monte_carlo,
-)
-from relaystream.cli import CliError, channel_specs, config_from_doc, emit, load_json
+from relaystream import NetworkConfig, run_monte_carlo
+from relaystream.cli import CliError, channel_specs, config_from_doc, load_json, output, plan_code
 
 REFERENCE = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
 
 
 def loss_curves(args) -> None:
-    # the same refusals as `relaystream simulate`, before any planning
+    # the same refusals as `relaystream plan` and `relaystream simulate`,
+    # all before the first Monte Carlo run
     if args.packets < 0:
         raise CliError("--packets must be nonnegative")
     if args.seed < 0:
@@ -33,26 +27,25 @@ def loss_curves(args) -> None:
     config = REFERENCE
     if args.config:
         config = config_from_doc(load_json(args.config), args.config)
-    symbolwise = oswdf_optimize(config)
-    baseline = mwdf_plan(config, match=symbolwise)
-    codes = [("oswdf", assemble(symbolwise)), ("mwdf-matched", assemble(baseline))]
+    symbolwise = plan_code(config, "oswdf")
+    baseline = plan_code(config, "mwdf", match=symbolwise.allocation)
+    codes = [("oswdf", symbolwise), ("mwdf-matched", baseline)]
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["scheme", "rate", "channel", "eps", "packets", "lost", "loss_rate"])
-    for channel in channels:
-        for name, code in codes:
-            res = run_monte_carlo(code, channel, args.packets, seed=args.seed)
-            writer.writerow([
-                name,
-                str(code.allocation.rate),
-                res.channel["channel"],
-                res.channel["eps"],
-                res.packets,
-                res.lost,
-                f"{res.loss_rate:.8f}",
-            ])
-    emit(buf.getvalue(), args.out)
+    with output(args.out) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["scheme", "rate", "channel", "eps", "packets", "lost", "loss_rate"])
+        for channel in channels:
+            for name, code in codes:
+                res = run_monte_carlo(code, channel, args.packets, seed=args.seed)
+                writer.writerow([
+                    name,
+                    str(code.allocation.rate),
+                    res.channel["channel"],
+                    res.channel["eps"],
+                    res.packets,
+                    res.lost,
+                    f"{res.loss_rate:.8f}",
+                ])
 
 
 def main():

@@ -10,7 +10,6 @@ module exposes the same pipeline as subcommands.
 from .planner import (
     NetworkConfig,
     cswdf_plan,
-    mwdf_plan,
     mwdf_rate,
     oswdf_optimize,
     t_min,
@@ -24,7 +23,6 @@ __all__ = [
     "NetworkConfig",
     "assemble",
     "cswdf_plan",
-    "mwdf_plan",
     "mwdf_rate",
     "oswdf_optimize",
     "run_monte_carlo",

@@ -25,9 +25,10 @@ import json
 import re
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional, TextIO
 
 from .channels import GeParams
 from .gf import FIELD_ORDER
@@ -120,7 +121,11 @@ def config_to_doc(config: NetworkConfig) -> dict:
     }
 
 
-def allocation_to_doc(alloc: Allocation) -> dict:
+def allocation_to_doc(code: NetworkCode) -> dict:
+    """The allocation document of an assembled code, its pairing counted
+    over the code's routes."""
+    alloc = code.allocation
+
     def hop(ns, ks, groupings, budgets, net_budgets):
         entries = []
         for i, (n, k, g) in enumerate(zip(ns, ks, groupings)):
@@ -143,7 +148,7 @@ def allocation_to_doc(alloc: Allocation) -> dict:
         "relabel_delay": alloc.relabel_delay,
         "capped": alloc.capped,
     }
-    pairing = Counter((r.relay_delay, r.dest_delay) for r in assemble(alloc).routes)
+    pairing = Counter((r.relay_delay, r.dest_delay) for r in code.routes)
     doc["pairing"] = [
         {"relay_delay": d1, "dest_delay": d2, "count": c}
         for (d1, d2), c in sorted(pairing.items(), reverse=True)
@@ -157,6 +162,8 @@ def allocation_from_doc(doc: dict, path: str) -> Allocation:
     for key in ("scheme", "config", "hop1", "hop2"):
         if key not in doc:
             raise CliError(f"{path}: allocation document missing {key!r}")
+    if not isinstance(doc["config"], dict):
+        raise CliError(f"{path}: config must be an object")
     config = config_from_doc(doc["config"], path)
 
     def hop(name, entries, net_budgets):
@@ -243,15 +250,42 @@ def load_code(path: str) -> tuple[Allocation, NetworkCode]:
     return alloc, code
 
 
+def plan_code(config: NetworkConfig, scheme: str, match: Optional[Allocation] = None) -> NetworkCode:
+    """Plan one scheme for a config and assemble its codes; mwdf may be
+    matched to another plan's packet size and message counts. A config
+    the planner refuses, or a plan that does not assemble, is a usage
+    error."""
+    try:
+        if scheme == "mwdf":
+            alloc = mwdf_plan(config, match=match)
+        elif scheme == "cswdf":
+            alloc = cswdf_plan(config)[1]
+        else:
+            alloc = oswdf_optimize(config)
+        return assemble(alloc)
+    except ValueError as e:
+        raise CliError(f"cannot plan {scheme} for this config: {e}")
+
+
+@contextmanager
+def output(out: Optional[str]) -> Iterator[TextIO]:
+    """Where a command writes: stdout, or the ``--out`` file, opened when
+    the block starts, so a command that opens it before its long work
+    refuses an unwritable path first."""
+    if not out:
+        yield sys.stdout
+        return
+    try:
+        with open(out, "w") as fh:
+            yield fh
+    except OSError as e:
+        raise CliError(f"{out}: cannot write: {e.strerror}")
+
+
 def emit(text: str, out: Optional[str]) -> None:
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise CliError(f"{out}: cannot write: {e.strerror}")
-    else:
-        sys.stdout.write(text)
+    """Write a command's finished output, so a failed command writes nothing."""
+    with output(out) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +310,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    config = config_from_doc(load_json(args.config), args.config)
-    try:
-        if args.scheme == "mwdf":
-            alloc = mwdf_plan(config)
-        elif args.scheme == "cswdf":
-            alloc = cswdf_plan(config)[1]
-        else:
-            alloc = oswdf_optimize(config)
-        doc = allocation_to_doc(alloc)
-    except ValueError as e:
-        raise CliError(f"cannot plan {args.scheme} for this config: {e}")
-    emit(json.dumps(doc, indent=2) + "\n", args.out)
+    code = plan_code(config_from_doc(load_json(args.config), args.config), args.scheme)
+    emit(json.dumps(allocation_to_doc(code), indent=2) + "\n", args.out)
     return 0
 
 
@@ -353,20 +377,19 @@ def cmd_simulate(args) -> int:
         raise CliError("--seed must be nonnegative")
 
     channels = channel_specs(args.channel, args.eps, args.alpha, args.beta)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(SIM_COLUMNS)
-    if args.packets > 0:
-        for spec in channels:
-            res = run_monte_carlo(code, spec, args.packets, args.seed)
-            ch = res.channel
-            writer.writerow([
-                res.scheme,
-                f"{alloc.rate.numerator}/{alloc.rate.denominator}",
-                ch["channel"], ch["eps"], ch["alpha"], ch["beta"],
-                res.packets, res.lost, f"{res.loss_rate:.8f}", res.seed,
-            ])
-    emit(buf.getvalue(), args.out)
+    with output(args.out) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SIM_COLUMNS)
+        if args.packets > 0:
+            for spec in channels:
+                res = run_monte_carlo(code, spec, args.packets, args.seed)
+                ch = res.channel
+                writer.writerow([
+                    res.scheme,
+                    f"{alloc.rate.numerator}/{alloc.rate.denominator}",
+                    ch["channel"], ch["eps"], ch["alpha"], ch["beta"],
+                    res.packets, res.lost, f"{res.loss_rate:.8f}", res.seed,
+                ])
     return 0
 
 

@@ -18,13 +18,14 @@ a within-budget adversary the symbol is always there; beyond the budget
 (stochastic channels) a missing symbol is replaced by zero and noted as a
 protocol violation. Because the relay re-encodes its own row consistently,
 a wrong value corrupts only its own coordinate at the destination, never
-its neighbors. The runtime keeps one route table per hop: hop 1 reads
-each link's row through its slots' syms and buffers what the relay
-recovers under the same syms, by source time; hop 2 maps each slot to its
-sym and relay delay, and gathers each row one buffer bucket per relay
-delay. It can fork, so replays that share a prefix run it once; a replay
-whose pipeline is back to another run's can take that run's later
-deliveries.
+its neighbors. The runtime keeps one route table per hop: hop 1 reads each
+link's row through its slots' syms and buffers what the relay recovers
+under the same syms, in one bucket per source time opened as the source
+sends; hop 2 maps each slot to its sym and relay delay and gathers each
+row one bucket per relay delay, a missing symbol read as None, then zeroed
+and noted in one slot-order pass. It can fork, so replays that share a
+prefix run it once; a replay whose pipeline is back to another run's can
+take that run's later deliveries.
 Hop 1 and the relay also step on their own (``relay_step``, the code
 ``step`` runs), for probes that need only the rows the relay forwards.
 """
@@ -186,6 +187,9 @@ class Violation:
     at: int  # relay time the symbol was due but missing
 
 
+_UNSENT: dict[int, int] = {}  # what a negative relay delay reads: no bucket is written here
+
+
 class NetworkState:
     """Clock-driven source -> relay -> destination pipeline.
 
@@ -197,12 +201,13 @@ class NetworkState:
     destination determines it.
 
     The relay buffers recovered hop-1 symbols in one bucket per source
-    time, keyed by symbol, and drops the bucket that falls out of reach
-    each slot. Each hop-2 row is gathered one bucket per relay delay, not
-    one lookup per symbol. relay_step() runs hop 1 and the relay alone,
-    the same code step() runs, for probes that compare forwarded rows.
-    fork() copies the whole pipeline, so runs that share a prefix need not
-    repeat it.
+    time, keyed by symbol, opened when the source sends that packet and
+    dropped once out of reach. Each hop-2 row is gathered one bucket per
+    relay delay; a symbol the bucket lacks reads as None, and one
+    slot-order pass sends each as zero and records a Violation.
+    relay_step() runs hop 1 and the relay alone, the same code step()
+    runs, for probes that compare forwarded rows. fork() copies the whole
+    pipeline, so runs that share a prefix need not repeat it.
     """
 
     def __init__(self, code: NetworkCode):
@@ -220,9 +225,8 @@ class NetworkState:
         # from [*packet, 0] through it, and what the link recovers is
         # buffered under it. Hop 2: per link, slot -> (sym, relay delay) in
         # slot order; the routed slots grouped by relay delay as (delay,
-        # getter of the group's syms from a bucket, the group's pre-stream
-        # zeros); and a getter placing the groups' values, then a zero, into
-        # the row
+        # the group's syms, the group's pre-stream zeros); and a getter
+        # placing the groups' values, then a zero, into the row
         self._keys1 = [[code.k] * spec.k for spec in code.hop1]
         self._back2: list[dict[int, tuple[int, int]]] = [{} for _ in code.hop2]
         by_slot2 = sorted(code.routes, key=lambda r: (r.link2, r.slot2))
@@ -237,12 +241,14 @@ class NetworkState:
                 groups.setdefault(delay, []).append((slot, sym))
             order = [slot for members in groups.values() for slot, _ in members]
             self._groups2.append([
-                (delay, tuple_getter([sym for _, sym in members]), (0,) * len(members))
+                (delay, tuple(sym for _, sym in members), (0,) * len(members))
                 for delay, members in groups.items()
             ])
             at = {slot: i for i, slot in enumerate(order)}
             self._place2.append(tuple_getter([at.get(slot, len(order)) for slot in range(spec.k)]))
-        self._keep = 4 * (code.allocation.config.T + 1) + max(c.span for c in code.hop1)
+        # past a bucket's last read (relay delay <= T) and last write (dT1 + span)
+        config = code.allocation.config
+        self._keep = 4 * (config.T + 1) + max(c.span for c in code.hop1) + max(config.dT1)
         self.violations: list[Violation] = []
         self.deliveries: list[Delivery] = []
 
@@ -283,14 +289,15 @@ class NetworkState:
         return self.relay_pipeline(), codecs, self._sent2
 
     def _relay(self, source_packet: Sequence[int], erase1: Sequence[bool]) -> list[tuple[int, ...]]:
-        """Hop 1 and the relay at the current slot: transmit the source
-        packet on every hop-1 link, buffer what arrives, drop the bucket
-        out of reach, and return the row each hop-2 link forwards, a
-        missing symbol replaced by zero and noted as a violation."""
+        """Hop 1 and the relay at the current slot: open the packet's
+        bucket, transmit the packet on every hop-1 link, buffer what
+        arrives, drop the bucket out of reach, and return the row each
+        hop-2 link forwards, a missing symbol sent as zero and noted."""
         pending = self._pending
         t = self.time
         if len(source_packet) != self.code.k:
             raise ValueError("source packet must carry one value per routed symbol")
+        pending[t] = {}
 
         # per link: transmit this slot's packet, then take in the one arriving
         row1 = (*source_packet, 0)
@@ -301,42 +308,27 @@ class NetworkState:
                 pkt = None if erase1 and erase1[i] else sent[t - dt]
                 del sent[t - dt]
                 for src_t, slot, value in decode_step(state, pkt, t - dt):
-                    bucket = pending.get(src_t)
-                    if bucket is None:
-                        bucket = pending[src_t] = {}
-                    bucket[keys[slot]] = value
+                    pending[src_t][keys[slot]] = value
 
         rows = []
-        for state, back, groups, place in zip(self.state2, self._back2, self._groups2, self._place2):
-            values: list[int] = []
-            try:
-                for delay, read, zeros in groups:
-                    values += zeros if t < delay else read(pending[t - delay])
-            except KeyError:
-                rows.append(self._row_with_violations(state.spec.k, back))
-                continue
+        for back, groups, place in zip(self._back2, self._groups2, self._place2):
+            # a symbol the relay lacks reads as None
+            values: list[Optional[int]] = []
+            for delay, syms, zeros in groups:
+                values += zeros if t < delay else map(pending.get(t - delay, _UNSENT).get, syms)
             values.append(0)
-            rows.append(place(values))
+            row = place(values)
+            if None in row:
+                # each sent as zero and noted, in slot order
+                self.violations += [
+                    Violation(t - delay, sym, t) for slot, (sym, delay) in back.items() if row[slot] is None
+                ]
+                row = tuple(v or 0 for v in row)
+            rows.append(row)
 
         # t advances by one per step, so this drops the one bucket out of reach
         pending.pop(t - self._keep - 1, None)
         return rows
-
-    def _row_with_violations(self, width: int, back: dict[int, tuple[int, int]]) -> tuple[int, ...]:
-        # symbol by symbol in slot order, so violations are noted in that order
-        t, pending = self.time, self._pending
-        row = [0] * width
-        for slot, (sym, relay_delay) in back.items():
-            src_t = t - relay_delay
-            if src_t < 0:
-                continue  # pre-stream symbols are known zeros
-            bucket = pending.get(src_t)
-            value = bucket.get(sym) if bucket else None
-            if value is None:
-                self.violations.append(Violation(src_time=src_t, sym=sym, at=t))
-                value = 0
-            row[slot] = value
-        return tuple(row)
 
     def step(
         self,

@@ -5,18 +5,19 @@ constrained maximization in exact fractions, the pairing budget as a
 validated dataclass with dict-based subtraction, the planners'
 straightforward constructions (every mwdf split tried, cswdf groupings
 concatenated pair by pair, the point-rate caps and the oswdf bottleneck
-pour in Fractions), the joint replay rerun from time 0 for every
-pattern pair, the witness replay run to its full horizon, the relay-rows
-probe decided by deliveries run from time 0, the relay's forwarded rows
-and violations built symbol by symbol, the per-link check slot by
-slot, slot shapes and route classes worked out in numpy by sorting every
-route, the per-slot recovery-delay table of the k-th-arrival rule and the
-Monte Carlo loss mask read off it at every slot, each component's worst
-case by enumerating every erasure pattern, a code's runs expanded back
-into its flat component list, and the code builders, spectrum
-measurement and channel statistics that only the tests need, and the
-Gilbert-Elliott sampler that writes each sojourn's slice of the loss
-bits as it draws it."""
+pour in Fractions), the joint replay rerun from time 0 for every pattern
+pair, random joint patterns on every link of a multi-link network
+replayed from time 0, the witness replay run to its full horizon, the
+relay-rows probe decided by deliveries run from time 0, the relay's
+forwarded rows and violations built symbol by symbol, the per-link check
+slot by slot, slot shapes and route classes worked out in numpy by
+sorting every route, the per-slot recovery-delay table of the k-th-
+arrival rule and the Monte Carlo loss mask read off it at every slot,
+each component's worst case by enumerating every erasure pattern, a
+code's runs expanded back into its flat component list, and the code
+builders, spectrum measurement and channel statistics that only the
+tests need, and the Gilbert-Elliott sampler that writes each sojourn's
+slice of the loss bits as it draws it."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -338,6 +339,37 @@ def cross_product_from_zero(code, config, rng):
                     witness = FailureWitness((tuple(p1),), (tuple(p2),), t, sym, config.T, late)
                     return witness, count, exhaustive
     return None, count, exhaustive
+
+
+def joint_replay_misses(code, rng, draws):
+    # the joint replay on every link at once, from time 0: per draw, each
+    # link of both hops loses its budget's worth of transmissions, drawn
+    # at random from one window as long as its slowest symbol's reach, and
+    # a fresh NetworkState carries random packets; counts the draws in
+    # which some symbol is not delivered correctly within T
+    config = code.allocation.config
+    start = code.span + 1
+
+    def pattern(spec, N):
+        window = range(start, start + spec.span + max(spec.slot_delays, default=0))
+        return set(rng.sample(window, min(N, len(window))))
+
+    packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(start + 2 * code.span + config.T)]
+    misses = 0
+    for _ in range(draws):
+        lost1 = [pattern(spec, N) for spec, N in zip(code.hop1, config.N1)]
+        lost2 = [pattern(spec, N) for spec, N in zip(code.hop2, config.N2)]
+        state = NetworkState(code)
+        state.run(packets, lost1, lost2, len(packets) + config.T)
+        got = {}
+        for d in state.deliveries:
+            got.setdefault((d.src_time, d.sym), (d.value, d.at))
+        misses += not all(
+            (t, sym) in got and got[t, sym][0] == pkt[sym] and got[t, sym][1] <= t + config.T
+            for t, pkt in enumerate(packets)
+            for sym in range(code.k)
+        )
+    return misses
 
 
 def replay_witness_full_horizon(code, witness):

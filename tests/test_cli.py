@@ -21,6 +21,7 @@ from relaystream.cli import (
     main,
 )
 from relaystream.planner import NetworkConfig, mwdf_plan, oswdf_initial, oswdf_optimize
+from relaystream.relay import assemble
 
 NET_A = {"T": 5, "N1": [2, 3], "N2": [1, 2]}
 NET_B = {"T": 4, "N1": [1], "N2": [3, 2]}
@@ -184,7 +185,7 @@ def test_plan_that_does_not_assemble_is_a_usage_error(tmp_path, capsys):
 
 def test_allocation_document_round_trip(tmp_path):
     alloc = oswdf_initial(NetworkConfig(T=5, N1=(2, 3), N2=(1, 2)))
-    doc = allocation_to_doc(alloc)
+    doc = allocation_to_doc(assemble(alloc))
     back = allocation_from_doc(json.loads(json.dumps(doc)), "mem")
     assert back.rate == alloc.rate
     assert back.k1 == alloc.k1 and back.k2 == alloc.k2
@@ -197,7 +198,7 @@ def test_allocation_document_round_trip(tmp_path):
 def test_matched_baseline_document_round_trip(tmp_path, capsys):
     cfg = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
     alloc = mwdf_plan(cfg, match=oswdf_optimize(cfg))
-    doc = allocation_to_doc(alloc)
+    doc = allocation_to_doc(assemble(alloc))
     assert any("budget" in e for e in doc["hop1"] + doc["hop2"])
     back = allocation_from_doc(json.loads(json.dumps(doc)), "mem")
     assert back.budgets1 == alloc.budgets1
@@ -306,6 +307,22 @@ def test_verify_rejects_relay_delay_below_hop1_deadline(tmp_path, capsys, relabe
     assert f"leaves the relay after {relabel} slots" in err
     assert "may take 3" in err
     assert "witness" in err and "achieved never" in err
+
+
+def test_verify_replays_a_witness_over_hop1_links_slower_than_the_relay_buffer(tmp_path, capsys):
+    # relaying at once over hop-1 links 40 slots long: the relay recovers
+    # each symbol far past the slots it buffers for its deadline, and the
+    # witness replay still ends in a FAIL line
+    cfg = write(tmp_path, "a.json", NET_A)
+    out_path = str(tmp_path / "mwdf.json")
+    assert main(["plan", "--config", cfg, "--scheme", "mwdf", "--out", out_path]) == 0
+    doc = json.loads(open(out_path).read())
+    doc["config"]["dT1"] = [40, 40]
+    doc["relabel_delay"] = 0
+    code, out, err = run(capsys, ["verify", write(tmp_path, "far.json", doc)])
+    assert code == 1 and out == ""
+    assert "leaves the relay after 0 slots" in err and "may take 43" in err
+    assert "achieved never" in err
 
 
 def test_verify_rejects_unpairable_document(planned_a, tmp_path, capsys):
@@ -507,6 +524,18 @@ def test_simulate_rejects_unpairable_document(planned_a, tmp_path, capsys):
     assert run(capsys, ["simulate", path, "--packets", "100"]) == verify
 
 
+def test_simulate_refuses_an_unwritable_out_before_any_monte_carlo(planned_b_mwdf, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("Monte Carlo ran before the output was opened")
+
+    monkeypatch.setattr(relaystream.cli, "run_monte_carlo", never)
+    # a path under a file: the CSV cannot be written, whatever the machine
+    out_path = os.path.join(os.devnull, "sim.csv")
+    code, out, err = run(capsys, ["simulate", planned_b_mwdf, "--out", out_path])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {out_path}: cannot write") and err.count("\n") == 1, err
+
+
 def test_simulate_zero_packets(planned_b_mwdf, capsys):
     code, out, _ = run(capsys, ["simulate", planned_b_mwdf, "--packets", "0"])
     assert code == 0
@@ -604,6 +633,8 @@ def edited(path, tmp_path, edit):
     (lambda alloc, tmp: ["verify", edited(alloc, tmp, lambda d: d.pop("hop2"))],
      "allocation document missing 'hop2'"),
     (lambda alloc, tmp: ["verify", write(tmp, "list.json", [1, 2])], "top level must be an object"),
+    (lambda alloc, tmp: ["verify", write(tmp, "cfg.json", dict(scheme="oswdf", config=[1], hop1=[], hop2=[]))],
+     "cfg.json: config must be an object"),
     (lambda alloc, tmp: ["verify", edited(alloc, tmp, lambda d: d["hop1"].append(d["hop1"][0]))],
      "document lists 3 links where the config has 2"),
     (lambda alloc, tmp: ["simulate", edited(alloc, tmp, lambda d: d["hop2"][1].pop("n"))],
@@ -614,7 +645,7 @@ def edited(path, tmp_path, edit):
      "bad config: budgets and delays must be nonnegative"),
 ], ids=[
     "negative-packets", "zero-trials", "ge-alpha-2", "eps-not-a-number", "missing-hop2",
-    "document-not-an-object", "link-count-mismatch", "hop-entry-without-n",
+    "document-not-an-object", "document-config-not-an-object", "link-count-mismatch", "hop-entry-without-n",
     "config-not-an-object", "negative-budget",
 ])
 def test_refusals_print_one_error_line(planned_a, tmp_path, capsys, argv, message):

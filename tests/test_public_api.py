@@ -89,13 +89,34 @@ def test_script_runs(script):
     # a path under a file: the CSV cannot be written, whatever the machine
     ("loss_curves.py", ["--packets", "10", "--out", os.path.join(os.devnull, "curves.csv")]),
     ("rate_sweep.py", ["--deadlines", "2", "--out", os.path.join(os.devnull, "sweep.csv")]),
+    # a deadline below t_min, which no planner meets
+    ("loss_curves.py", ["--config", "{tmp}/below_t_min.json"]),
 ], ids=str)
-def test_script_refuses_bad_input_with_usage_error(script, args):
-    proc = run_script(script, args)
+def test_script_refuses_bad_input_with_usage_error(script, args, tmp_path):
+    (tmp_path / "below_t_min.json").write_text('{"T": 2, "N1": [2, 3], "N2": [1, 2]}')
+    proc = run_script(script, [arg.format(tmp=tmp_path) for arg in args])
     assert proc.returncode == 2, proc.stderr
-    assert "error:" in proc.stderr
+    assert proc.stderr.count("error:") == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_loss_curves_refuses_an_unwritable_out_before_any_monte_carlo(monkeypatch, capsys):
+    path = os.path.join(ROOT, "scripts", "loss_curves.py")
+    spec = importlib.util.spec_from_file_location("loss_curves", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def never(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the output was opened")
+
+    monkeypatch.setattr(script, "run_monte_carlo", never)
+    monkeypatch.setattr(sys, "argv", ["loss_curves.py", "--out", os.path.join(os.devnull, "curves.csv")])
+    with pytest.raises(SystemExit) as exit_:
+        script.main()
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert err.count("cannot write") == 1, err
 
 
 def test_readme_sketch_runs(capsys):

@@ -5,6 +5,7 @@ closes the capacity gap at rate 1; NET_B (T=4, budgets (1,)/(3,2)) has a
 planning gap and zero-fills one first-hop slot.
 """
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -385,12 +386,20 @@ def test_forwarded_rows_and_violations_match_symbol_by_symbol_oracle():
     # every step's forwarded rows and the whole violation list, in order,
     # against a relay built route by route, under hop-1 erasures past the
     # budget that often start in the first slots, where a row gathered
-    # after a violation still carries pre-stream symbols
+    # after a violation still carries pre-stream symbols; NET_A mwdf
+    # relaying at -3 reads the buckets of slots not yet sent
     mid = NetworkConfig(T=20, N1=(3, 5, 7), N2=(2, 4, 6))
     delayed = NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,), dT2=(1,))
-    codes = [*pinned_runtime_codes(), ("MID-oswdf", oswdf_optimize(mid)), ("delayed", oswdf_optimize(delayed))]
+    early = dataclasses.replace(mwdf_plan(NET_A, match=oswdf_optimize(NET_A)), relabel_delay=-3)
+    codes = [
+        *pinned_runtime_codes(),
+        ("MID-oswdf", oswdf_optimize(mid)),
+        ("delayed", oswdf_optimize(delayed)),
+        ("A-mwdf-early", early),
+    ]
     rng = random.Random(22)
-    violations = pre_stream = 0
+    violations = pre_stream = unsent = 0
+    groups = collections.defaultdict(set)  # (code, trial, at, hop-2 link) -> relay delays noted
     for name, alloc in codes:
         code = assemble(alloc)
         cfg = alloc.config
@@ -419,4 +428,9 @@ def test_forwarded_rows_and_violations_match_symbol_by_symbol_oracle():
             assert [(v.src_time, v.sym, v.at) for v in state.violations] == want_violations, (name, trial)
             violations += len(want_violations)
             pre_stream += sum(at < latest[code.routes[sym].link2] for _, sym, at in want_violations)
-    assert violations and pre_stream, (violations, pre_stream)
+            unsent += sum(src_t > at for src_t, _, at in want_violations)
+            for src_t, sym, at in want_violations:
+                groups[name, trial, at, code.routes[sym].link2].add(at - src_t)
+    # some row notes violations from two relay-delay groups at once
+    assert violations and pre_stream and unsent, (violations, pre_stream, unsent)
+    assert max(map(len, groups.values())) >= 2

@@ -53,6 +53,7 @@ from oracles import (
     cross_product_from_zero,
     dense_loss_mask,
     forwards_clear_by_deliveries,
+    joint_replay_misses,
     measure_spectrum,
     replay_witness_full_horizon,
     route_classes_by_sort,
@@ -688,6 +689,41 @@ SCHEMES = {
     "cswdf": lambda cfg: cswdf_plan(cfg)[1],
     "oswdf": oswdf_optimize,
 }
+
+
+def test_multi_link_codes_that_verify_meet_the_deadline_under_joint_patterns():
+    # verify checks a multi-link code link by link, with no joint replay;
+    # random within-budget patterns on every link at once, replayed through
+    # the runtime, miss nothing on the codes it passes, and do miss once
+    # mwdf relays one or two slots before hop 1 may recover
+    rng = random.Random(23)
+    for n1, n2, dt1, dt2, extra in AUDIT_MULTI:
+        cfg = NetworkConfig(T=1, N1=n1, N2=n2, dT1=dt1, dT2=dt2)
+        cfg = dataclasses.replace(cfg, T=t_min(cfg) + extra)
+        for scheme, plan in SCHEMES.items():
+            code = assemble(plan(cfg))
+            assert verify_adversarial(code).ok, (cfg, scheme)
+            assert joint_replay_misses(code, rng, 20) == 0, (cfg, scheme)
+        alloc = mwdf_plan(cfg)
+        for lower in (1, 2):
+            early = assemble(dataclasses.replace(alloc, relabel_delay=alloc.relabel_delay - lower))
+            assert not verify_adversarial(early).ok, (cfg, lower)
+            assert joint_replay_misses(early, rng, 20), (cfg, lower)
+
+
+@pytest.mark.parametrize("shape", AUDIT_1X1, ids=str)
+def test_verify_verdict_matches_joint_replay_from_zero(shape):
+    # every scheme on the audit 1x1 shapes, at the planned deadline and one
+    # slot tighter: verify passes exactly when rerunning every joint pair
+    # from time 0 finds no witness
+    n1, n2, dt1, dt2, offset = shape
+    cfg = NetworkConfig(T=n1[0] + dt1[0] + n2[0] + dt2[0] + offset, N1=n1, N2=n2, dT1=dt1, dT2=dt2)
+    for scheme, plan in SCHEMES.items():
+        code = assemble(plan(cfg))
+        for T in (cfg.T, cfg.T - 1):
+            check = dataclasses.replace(cfg, T=T)
+            witness = cross_product_from_zero(code, check, random.Random(T))[0]
+            assert verify_adversarial(code, check).ok == (witness is None), (scheme, T)
 
 
 def loss_mask_plans():
