@@ -18,14 +18,14 @@ a within-budget adversary the symbol is always there; beyond the budget
 (stochastic channels) a missing symbol is replaced by zero and noted as a
 protocol violation. Because the relay re-encodes its own row consistently,
 a wrong value corrupts only its own coordinate at the destination, never
-its neighbors. The runtime keeps one route table per hop: hop 1 reads each
-link's row through its slots' syms and buffers what the relay recovers
-under the same syms, in one bucket per source time opened as the source
-sends; hop 2 maps each slot to its sym and relay delay and gathers each
-row one bucket per relay delay, a missing symbol read as None, then zeroed
-and noted in one slot-order pass. It can fork, so replays that share a
-prefix run it once; a replay whose pipeline is back to another run's can
-take that run's later deliveries.
+its neighbors. The runtime keeps one route table per hop, each slot's sym:
+hop 1 reads each link's row through it, and the relay files what it
+recovers under the time the symbol leaves, in one bucket per forward
+time; hop 2 reads each row from the bucket due now through its table, a
+missing symbol read as None, then zeroed and noted in one slot-order pass.
+So the relay holds only what it has yet to send. The runtime can fork, so
+replays that share a prefix run it once; a replay whose pipeline is back
+to another run's can take that run's later deliveries.
 Hop 1 and the relay also step on their own (``relay_step``, the code
 ``step`` runs), for probes that need only the rows the relay forwards.
 """
@@ -187,9 +187,6 @@ class Violation:
     at: int  # relay time the symbol was due but missing
 
 
-_UNSENT: dict[int, int] = {}  # what a negative relay delay reads: no bucket is written here
-
-
 class NetworkState:
     """Clock-driven source -> relay -> destination pipeline.
 
@@ -200,14 +197,15 @@ class NetworkState:
     slot on each link. Deliveries report every source symbol the moment the
     destination determines it.
 
-    The relay buffers recovered hop-1 symbols in one bucket per source
-    time, keyed by symbol, opened when the source sends that packet and
-    dropped once out of reach. Each hop-2 row is gathered one bucket per
-    relay delay; a symbol the bucket lacks reads as None, and one
-    slot-order pass sends each as zero and records a Violation.
-    relay_step() runs hop 1 and the relay alone, the same code step()
-    runs, for probes that compare forwarded rows. fork() copies the whole
-    pipeline, so runs that share a prefix need not repeat it.
+    The relay files each symbol hop 1 recovers under the time it leaves,
+    source time plus relay delay, in one bucket per forward time keyed by
+    symbol; a recovery whose forward time has passed is dropped. Each
+    hop-2 row is one read of the bucket due now, popped as it is read; a
+    symbol the bucket lacks reads as None, and one slot-order pass sends
+    each as zero and records a Violation unless the symbol predates the
+    stream. relay_step() runs hop 1 and the relay alone, the same code
+    step() runs, for probes that compare forwarded rows. fork() copies the
+    whole pipeline, so runs that share a prefix need not repeat it.
     """
 
     def __init__(self, code: NetworkCode):
@@ -217,38 +215,25 @@ class NetworkState:
         self.state2 = [CodecState(spec) for spec in code.hop2]
         self._sent1: list[dict[int, tuple[int, ...]]] = [{} for _ in code.hop1]
         self._sent2: list[dict[int, tuple[int, ...]]] = [{} for _ in code.hop2]
-        # src_t -> sym -> value; hop-1 slots no route reads share key k,
-        # which no hop-2 row reads
-        self._pending: dict[int, dict[int, int]] = {}
-        # routing tables for step(), shared with forks. Hop 1: per link, each
-        # slot's sym, or k where no route reads it; the link's row is read
-        # from [*packet, 0] through it, and what the link recovers is
-        # buffered under it. Hop 2: per link, slot -> (sym, relay delay) in
-        # slot order; the routed slots grouped by relay delay as (delay,
-        # the group's syms, the group's pre-stream zeros); and a getter
-        # placing the groups' values, then a zero, into the row
-        self._keys1 = [[code.k] * spec.k for spec in code.hop1]
-        self._back2: list[dict[int, tuple[int, int]]] = [{} for _ in code.hop2]
-        by_slot2 = sorted(code.routes, key=lambda r: (r.link2, r.slot2))
-        for sym, link1, slot1, relay_delay, link2, slot2, _ in by_slot2:
+        # routing tables for step(), shared with forks: per link, each slot's
+        # sym, or k where no route reads it. Hop 1's row is read from
+        # [*packet, 0] through them and hop 2's from the bucket due now,
+        # which holds 0 under k. Each sym's relay delay; k's is -1, so what
+        # hop 1 recovers in an unrouted slot is never due
+        k = code.k
+        self._keys1 = [[k] * spec.k for spec in code.hop1]
+        self._keys2 = [[k] * spec.k for spec in code.hop2]
+        self._delay = [-1] * (k + 1)
+        for sym, link1, slot1, relay_delay, link2, slot2, _ in code.routes:
             self._keys1[link1][slot1] = sym
-            self._back2[link2][slot2] = sym, relay_delay
+            self._keys2[link2][slot2] = sym
+            self._delay[sym] = relay_delay
         self._read1 = [tuple_getter(keys) for keys in self._keys1]
-        self._groups2, self._place2 = [], []
-        for spec, back in zip(code.hop2, self._back2):
-            groups: dict[int, list[tuple[int, int]]] = {}
-            for slot, (sym, delay) in back.items():
-                groups.setdefault(delay, []).append((slot, sym))
-            order = [slot for members in groups.values() for slot, _ in members]
-            self._groups2.append([
-                (delay, tuple(sym for _, sym in members), (0,) * len(members))
-                for delay, members in groups.items()
-            ])
-            at = {slot: i for i, slot in enumerate(order)}
-            self._place2.append(tuple_getter([at.get(slot, len(order)) for slot in range(spec.k)]))
-        # past a bucket's last read (relay delay <= T) and last write (dT1 + span)
-        config = code.allocation.config
-        self._keep = 4 * (config.T + 1) + max(c.span for c in code.hop1) + max(config.dT1)
+        # forward time -> sym -> value, one bucket per time from the clock
+        # to reach - 1 past it: nothing recovered is due later than the
+        # largest relay delay, which assemble keeps at or below T
+        self._reach = max(0, *self._delay)
+        self._due: dict[int, dict[int, int]] = {at: {k: 0} for at in range(self._reach)}
         self.violations: list[Violation] = []
         self.deliveries: list[Delivery] = []
 
@@ -260,7 +245,7 @@ class NetworkState:
         other.state2 = [s.fork() for s in self.state2]
         other._sent1 = [dict(sent) for sent in self._sent1]
         other._sent2 = [dict(sent) for sent in self._sent2]
-        other._pending = {t: dict(bucket) for t, bucket in self._pending.items()}
+        other._due = {at: dict(bucket) for at, bucket in self._due.items()}
         other.violations = list(self.violations)
         other.deliveries = list(self.deliveries)
         return other
@@ -274,7 +259,7 @@ class NetworkState:
         packets and hop-1 erasures from here on, forward the same rows.
         """
         codecs = [(s.enc_time, s.dec_time, s._history, s._received, s._records) for s in self.state1]
-        return self.time, codecs, self._sent1, self._pending
+        return self.time, codecs, self._sent1, self._due
 
     def pipeline(self) -> tuple:
         """Everything later steps read: the relay pipeline plus each hop-2
@@ -289,15 +274,16 @@ class NetworkState:
         return self.relay_pipeline(), codecs, self._sent2
 
     def _relay(self, source_packet: Sequence[int], erase1: Sequence[bool]) -> list[tuple[int, ...]]:
-        """Hop 1 and the relay at the current slot: open the packet's
-        bucket, transmit the packet on every hop-1 link, buffer what
-        arrives, drop the bucket out of reach, and return the row each
-        hop-2 link forwards, a missing symbol sent as zero and noted."""
-        pending = self._pending
+        """Hop 1 and the relay at the current slot: open the bucket reach
+        slots ahead, transmit the packet on every hop-1 link, file what
+        arrives under its forward time, and return the row each hop-2 link
+        forwards from the bucket due now, a missing symbol sent as zero
+        and noted."""
+        due, delay = self._due, self._delay
         t = self.time
         if len(source_packet) != self.code.k:
             raise ValueError("source packet must carry one value per routed symbol")
-        pending[t] = {}
+        due[t + self._reach] = {self.code.k: 0}
 
         # per link: transmit this slot's packet, then take in the one arriving
         row1 = (*source_packet, 0)
@@ -308,26 +294,25 @@ class NetworkState:
                 pkt = None if erase1 and erase1[i] else sent[t - dt]
                 del sent[t - dt]
                 for src_t, slot, value in decode_step(state, pkt, t - dt):
-                    pending[src_t][keys[slot]] = value
+                    sym = keys[slot]
+                    at = src_t + delay[sym]
+                    if at >= t:
+                        due[at][sym] = value
 
+        bucket = due.pop(t)
         rows = []
-        for back, groups, place in zip(self._back2, self._groups2, self._place2):
+        for keys in self._keys2:
             # a symbol the relay lacks reads as None
-            values: list[Optional[int]] = []
-            for delay, syms, zeros in groups:
-                values += zeros if t < delay else map(pending.get(t - delay, _UNSENT).get, syms)
-            values.append(0)
-            row = place(values)
+            row = tuple(map(bucket.get, keys))
             if None in row:
-                # each sent as zero and noted, in slot order
+                # each sent as zero, and noted in slot order unless it predates the stream
                 self.violations += [
-                    Violation(t - delay, sym, t) for slot, (sym, delay) in back.items() if row[slot] is None
+                    Violation(t - delay[sym], sym, t)
+                    for sym, value in zip(keys, row)
+                    if value is None and t >= delay[sym]
                 ]
                 row = tuple(v or 0 for v in row)
             rows.append(row)
-
-        # t advances by one per step, so this drops the one bucket out of reach
-        pending.pop(t - self._keep - 1, None)
         return rows
 
     def step(
@@ -339,17 +324,17 @@ class NetworkState:
         """Advance every hop one slot; return the rows the relay forwarded."""
         rows = self._relay(source_packet, erase1)
         # per hop-2 link: transmit the forwarded row, then decode the packet arriving
-        t = self.time
-        links2 = zip(self.state2, self._sent2, rows, self._back2, self.code.allocation.config.dT2)
-        for j, (state, sent, row, back, dt) in enumerate(links2):
+        t, k, delay = self.time, self.code.k, self._delay
+        links2 = zip(self.state2, self._sent2, rows, self._keys2, self.code.allocation.config.dT2)
+        for j, (state, sent, row, keys, dt) in enumerate(links2):
             sent[t] = encode_step(state, row)
             if t >= dt:
                 pkt = None if erase2 and erase2[j] else sent[t - dt]
                 del sent[t - dt]
                 for relay_t, slot, value in decode_step(state, pkt, t - dt):
-                    route = back.get(slot)
-                    if route is not None and relay_t >= route[1]:
-                        self.deliveries.append(Delivery(relay_t - route[1], route[0], value, t))
+                    sym = keys[slot]
+                    if sym < k and relay_t >= delay[sym]:
+                        self.deliveries.append(Delivery(relay_t - delay[sym], sym, value, t))
         self.time += 1
         return rows
 

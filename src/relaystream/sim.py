@@ -124,7 +124,9 @@ def replay_witness(code: NetworkCode, witness: FailureWitness) -> Optional[int]:
 
     Deliveries come in time order, so the run stops at the symbol's first
     correct delivery; only a symbol that never arrives correctly runs the
-    whole horizon."""
+    whole horizon. A delivery of a zero the relay forwarded in the
+    symbol's place (a Violation) is no recovery, even where the drawn
+    symbol is zero."""
     config = code.allocation.config
     span = code.span
     horizon = witness.src_time + config.T + 2 * span + max(config.dT1 + config.dT2) + 4
@@ -142,7 +144,8 @@ def replay_witness(code: NetworkCode, witness: FailureWitness) -> Optional[int]:
     ):
         for d in deliveries[seen:]:
             if d.src_time == witness.src_time and d.sym == witness.sym and d.value == truth:
-                return d.at - witness.src_time
+                zeroed = any(v.src_time == d.src_time and v.sym == d.sym for v in state.violations)
+                return None if zeroed else d.at - witness.src_time
         seen = len(deliveries)
     return None
 
@@ -195,7 +198,9 @@ def _check_links(
     slots at worst (or never, for every j) against a declared N + k - 1 - j,
     so the run's first slot decides for all of its slots."""
     checked = 0
-    anchor = code.span + config.T + 2
+    # at the document's T, as _route_witness anchors, not at the deadline
+    # checked: a --deadline neither moves a witness nor lengthens its replay
+    anchor = code.span + code.allocation.config.T + 2
     # the hop's budgets and where its (link, slot) pair sits in a route
     hops = ((1, code.hop1, config.N1, 1), (2, code.hop2, config.N2, 4))
     for hop, specs, budgets, col in hops:

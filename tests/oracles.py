@@ -374,7 +374,8 @@ def joint_replay_misses(code, rng, draws):
 
 def replay_witness_full_horizon(code, witness):
     # sim.replay_witness without its early stop: the whole horizon on a
-    # fresh NetworkState, then the symbol's first correct delivery in the log
+    # fresh NetworkState, then the symbol's first correct delivery in the
+    # log, unless the relay forwarded a zero in its place
     config = code.allocation.config
     span = code.span
     horizon = witness.src_time + config.T + 2 * span + max(config.dT1 + config.dT2) + 4
@@ -388,9 +389,10 @@ def replay_witness_full_horizon(code, witness):
         horizon,
     )
     truth = packets[witness.src_time][witness.sym]
+    zeroed = {(v.src_time, v.sym) for v in state.violations}
     for d in state.deliveries:
         if d.src_time == witness.src_time and d.sym == witness.sym and d.value == truth:
-            return d.at - witness.src_time
+            return None if (d.src_time, d.sym) in zeroed else d.at - witness.src_time
     return None
 
 
@@ -458,7 +460,7 @@ def check_links_per_slot(code, config):
         routed[1, r.link1, r.slot1] = r
         routed[2, r.link2, r.slot2] = r
     checked = 0
-    anchor = code.span + config.T + 2
+    anchor = code.span + code.allocation.config.T + 2
     for hop, specs, budgets in ((1, code.hop1, config.N1), (2, code.hop2, config.N2)):
         for link, spec in enumerate(specs):
             budget = budgets[link]

@@ -391,6 +391,23 @@ def test_verify_names_a_slot_that_never_recovers(tmp_path, capsys):
     ]
 
 
+def test_a_loose_deadline_leaves_a_per_link_witness_where_it_was(planned_a, tmp_path, capsys):
+    # NET_A oswdf checked against hop-1 budgets one over its codes': the
+    # per-link witness sits past the document's T, not past the deadline
+    # checked, so a deadline of 10 000 replays the same witness and says
+    # the same; anchored past the deadline, it landed on a source packet
+    # whose drawn symbol is 0, and read the 0 the relay forwards in place
+    # of a symbol it lacks as a recovery
+    doc = json.loads(open(planned_a).read())
+    doc["config"]["N1"] = [3, 4]
+    doc["hop1"][0]["budget"], doc["hop1"][1]["budget"] = 2, 3
+    path = write(tmp_path, "raised.json", doc)
+    code, out, err = run(capsys, ["verify", path])
+    assert (code, out) == (1, "")
+    assert "never recovers" in err and "achieved never" in err
+    assert run(capsys, ["verify", path, "--deadline", "10000"]) == (1, "", err)
+
+
 def cap_address_space():
     # runs in the child only: 2 GiB of address space, far below what a
     # dense range over 3*10^8 delays takes

@@ -289,27 +289,29 @@ def test_fork_resumes_like_a_fresh_run(cfg, lost1, lost2):
         assert twin.violations == fresh.violations, at
 
 
-@pytest.mark.parametrize("cfg,lost1,lost2,settles", [
+@pytest.mark.parametrize("cfg,lost1,lost2,within", [
     (NetworkConfig(T=5, N1=(2, 3), N2=(1, 2)), [{3, 4}, {3, 4, 5}], [{6}, {6, 7}], True),
     (NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,), dT2=(1,)), [{4, 5}], [{7, 9}], True),
-    # over the hop-1 budget: the relay buffer stays short of symbols
+    # over the hop-1 budget: the relay misses symbols at their forward
+    # times, and each leaves the buffer with its bucket
     (NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,), dT2=(1,)), [{4, 5, 6}], [{7, 9}], False),
 ])
-def test_pipeline_settles_one_span_past_the_last_erasure(cfg, lost1, lost2, settles):
+def test_pipeline_settles_one_span_past_the_last_erasure(cfg, lost1, lost2, within):
     # the pipeline leaves the erasure-free run's with the first erasure
-    # arrival; within budget it is back one span past the last, though the
-    # delivery logs still differ
+    # arrival and is back one span past the last, within the budget or
+    # not, though the delivery logs still differ
     code = assemble(oswdf_optimize(cfg))
     packets = lcg_packets(12, code.k)
     arrivals = [x + dt for lost, dt in zip(lost1 + lost2, cfg.dT1 + cfg.dT2) for x in lost]
     span = max(c.span for c in code.hop1 + code.hop2)
     clear, erased = NetworkState(code), NetworkState(code)
-    checks = ((min(arrivals), True), (min(arrivals) + 1, False), (max(arrivals) + span + 1, settles))
+    checks = ((min(arrivals), True), (min(arrivals) + 1, False), (max(arrivals) + span + 1, True))
     for at, equal in checks:
         clear.run(packets, [()] * len(lost1), [()] * len(lost2), at)
         erased.run(packets, lost1, lost2, at)
         assert (clear.pipeline() == erased.pipeline()) == equal, at
     assert clear.deliveries != erased.deliveries
+    assert bool(erased.violations) != within
 
 
 def test_pipeline_holds_everything_later_steps_read():
@@ -326,7 +328,7 @@ def test_pipeline_holds_everything_later_steps_read():
         lambda s: s.state1[0]._received.pop(min(s.state1[0]._received)),
         lambda s: next(r for c in s.state1 + s.state2 for r in c._records if r).clear(),
         lambda s: s._sent2[0].clear(),
-        lambda s: s._pending.pop(min(s._pending)),
+        lambda s: next(bucket for bucket in s._due.values() if len(bucket) > 1).popitem(),
     )
     for i, poke in enumerate(pokes):
         twin = state.fork()
@@ -387,7 +389,7 @@ def test_forwarded_rows_and_violations_match_symbol_by_symbol_oracle():
     # against a relay built route by route, under hop-1 erasures past the
     # budget that often start in the first slots, where a row gathered
     # after a violation still carries pre-stream symbols; NET_A mwdf
-    # relaying at -3 reads the buckets of slots not yet sent
+    # relaying at -3 forwards symbols of slots not yet sent
     mid = NetworkConfig(T=20, N1=(3, 5, 7), N2=(2, 4, 6))
     delayed = NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,), dT2=(1,))
     early = dataclasses.replace(mwdf_plan(NET_A, match=oswdf_optimize(NET_A)), relabel_delay=-3)
@@ -431,6 +433,35 @@ def test_forwarded_rows_and_violations_match_symbol_by_symbol_oracle():
             unsent += sum(src_t > at for src_t, _, at in want_violations)
             for src_t, sym, at in want_violations:
                 groups[name, trial, at, code.routes[sym].link2].add(at - src_t)
-    # some row notes violations from two relay-delay groups at once
+    # some row notes violations of two relay delays at once
     assert violations and pre_stream and unsent, (violations, pre_stream, unsent)
     assert max(map(len, groups.values())) >= 2
+
+
+def test_relay_holds_only_what_it_has_yet_to_send():
+    # the relay files each recovery under its forward time and drops one
+    # already past, so after every step it holds at most one bucket per
+    # slot up to the largest relay delay ahead, however many symbols hop 1
+    # recovers late or never; NET_A mwdf relaying at -3 holds none. The
+    # mid-size network is planned mwdf: its oswdf code carries 8 826 symbols
+    mid = NetworkConfig(T=20, N1=(3, 5, 7), N2=(2, 4, 6))
+    mwdf = mwdf_plan(NET_A, match=oswdf_optimize(NET_A))
+    allocs = [
+        oswdf_optimize(NET_A),
+        mwdf,
+        mwdf_plan(mid),
+        dataclasses.replace(mwdf, relabel_delay=-3),
+    ]
+    rng = random.Random(24)
+    until = 2000
+    for alloc in allocs:
+        code = assemble(alloc)
+        reach = max(0, max(r.relay_delay for r in code.routes))
+        lost1, lost2 = (
+            [{x for x in range(until) if rng.random() < 0.2} for _ in hop]
+            for hop in (code.hop1, code.hop2)
+        )
+        state = NetworkState(code)
+        for _ in state.steps(lcg_packets(until, code.k), lost1, lost2, until):
+            assert len(state._due) <= reach, (alloc.config, state.time)
+        assert state.violations, alloc.config

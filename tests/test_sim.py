@@ -356,6 +356,28 @@ def test_witness_replay_stops_where_the_full_horizon_replay_finds_it():
     assert None in delays and any(d is not None for d in delays)
 
 
+def test_a_zero_forwarded_on_a_violation_is_no_recovery():
+    # hop 1 loses a symbol whose drawn byte is 0: the relay forwards 0 in
+    # its place, noting a Violation, and the destination decodes that 0,
+    # which equals the drawn byte but is not the symbol arriving
+    code = assemble(oswdf_optimize(NET_A))
+    span, k = code.span, code.k
+    for src_time in itertools.count(span + NET_A.T + 2):
+        rng = random.Random(20240 + src_time)  # replay_witness's draws
+        row = [[rng.randrange(256) for _ in range(k)] for _ in range(src_time + 1)][-1]
+        if 0 in row:
+            break
+    sym = row.index(0)
+    burst = tuple(range(src_time - span, src_time + span + NET_A.T))
+    erasures1 = tuple(burst if link == code.routes[sym].link1 else () for link in range(len(code.hop1)))
+    witness = FailureWitness(erasures1, ((),) * len(code.hop2), src_time, sym, NET_A.T)
+    state = run_network(code, [[0] * k] * (src_time + 1), erasures1)
+    assert any((v.src_time, v.sym) == (src_time, sym) for v in state.violations)
+    assert any((d.src_time, d.sym, d.value) == (src_time, sym, 0) for d in state.deliveries)
+    assert replay_witness(code, witness) is None
+    assert replay_witness_full_horizon(code, witness) is None
+
+
 def test_verify_reports_per_link_violation(monkeypatch):
     code = assemble(oswdf_initial(NET_B))
     real = component_worst_delays

@@ -8,6 +8,10 @@ it in ``__all__``. A definition left behind when its last caller goes is
 dead code: its name then appears nowhere but in its own definition, in
 no expression, attribute, import or string of the package, the scripts,
 the tests or the benchmark. Dunder names are called by Python itself.
+A module-level name the package assigns (a constant, a sentinel, a
+table) is dead once nothing loads it: no expression reads it as a name or
+an attribute, and no string names it. Dunders such as ``__all__`` are
+read by Python itself.
 """
 
 import ast
@@ -54,9 +58,10 @@ def test_module_imports_are_all_read(path):
         assert unused_imports(fh.read()) == []
 
 
-def named(source: str) -> set[str]:
+def named(source: str, loads: bool = False) -> set[str]:
     """Every name some expression, attribute, import or string other than
-    a docstring uses."""
+    a docstring uses; with ``loads``, only names and attributes read, not
+    assigned, and strings."""
     tree = ast.parse(source)
     scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     docstrings = {
@@ -66,13 +71,13 @@ def named(source: str) -> set[str]:
     }
     names = set()
     for node in ast.walk(tree):
-        if id(node) in docstrings:
+        if id(node) in docstrings or loads and isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
             continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, ast.alias) and not loads:
             names.add(node.name.split(".")[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.update(re.findall(r"\w+", node.value))
@@ -102,11 +107,44 @@ def test_finds_a_dead_definition():
     assert dead == ["m.py line 5: unused", "m.py line 8: helper"]
 
 
-def test_every_package_definition_is_named_elsewhere():
+def package_and_readers() -> tuple[dict[str, str], list[str]]:
+    """The package's sources by path, and every reader's source."""
     sources = {}
     for path in READERS:
         with open(path) as fh:
             sources[os.path.relpath(path, ROOT)] = fh.read()
     package = {os.path.relpath(path, ROOT) for path in PACKAGE}
-    definers = {path: source for path, source in sources.items() if path in package}
-    assert dead_definitions(definers, list(sources.values())) == []
+    return {path: source for path, source in sources.items() if path in package}, list(sources.values())
+
+
+def test_every_package_definition_is_named_elsewhere():
+    assert dead_definitions(*package_and_readers()) == []
+
+
+def dead_assignments(definers: dict[str, str], readers: list[str]) -> list[str]:
+    """Module-level names the definers assign, by file, that no reader
+    loads."""
+    read = set().union(*(named(source, loads=True) for source in readers))
+    dead = []
+    for path, source in definers.items():
+        assigns = (ast.Assign, ast.AnnAssign, ast.AugAssign)
+        for node in ast.parse(source).body:
+            for name in ast.walk(node) if isinstance(node, assigns) else ():
+                stored = isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                if stored and not re.fullmatch(r"__\w+__", name.id) and name.id not in read:
+                    dead.append((path, node.lineno, name.id))
+    return [f"{path} line {line}: {name}" for path, line, name in sorted(dead)]
+
+
+def test_finds_a_dead_assignment():
+    source = (
+        "__all__ = []\nLIMIT = 3\n_SENTINEL: dict = {}\nA, B = 1, 2\nTABLE = {}\n"
+        "def f():\n    return LIMIT + A\n"
+    )
+    reader = '"""_SENTINEL and B are named here, in a docstring only."""\nm.TABLE.clear()\n'
+    dead = dead_assignments({"m.py": source}, [source, reader])
+    assert dead == ["m.py line 3: _SENTINEL", "m.py line 4: B"]
+
+
+def test_every_package_assignment_is_read():
+    assert dead_assignments(*package_and_readers()) == []
