@@ -181,18 +181,6 @@ class CodecState:
         self._received: dict[int, Optional[Sequence[int]]] = {}
         self._records: list[dict[int, list]] = [{} for _ in spec.plan]
 
-    def fork(self) -> "CodecState":
-        """An independent copy that continues from this exact point."""
-        other = object.__new__(type(self))
-        other.__dict__.update(self.__dict__)
-        other._history = dict(self._history)
-        other._received = dict(self._received)
-        other._records = [
-            {d: [count, set(unknown)] for d, (count, unknown) in records.items()}
-            for records in self._records
-        ]
-        return other
-
 
 def encode_step(state: CodecState, source_packet: Sequence[int]) -> tuple[int, ...]:
     """Emit the channel packet for the next time slot."""

@@ -23,11 +23,7 @@ hop 1 reads each link's row through it, and the relay files what it
 recovers under the time the symbol leaves, in one bucket per forward
 time; hop 2 reads each row from the bucket due now through its table, a
 missing symbol read as None, then zeroed and noted in one slot-order pass.
-So the relay holds only what it has yet to send. The runtime can fork, so
-replays that share a prefix run it once; a replay whose pipeline is back
-to another run's can take that run's later deliveries.
-Hop 1 and the relay also step on their own (``relay_step``, the code
-``step`` runs), for probes that need only the rows the relay forwards.
+So the relay holds only what it has yet to send.
 """
 
 from __future__ import annotations
@@ -203,9 +199,7 @@ class NetworkState:
     hop-2 row is one read of the bucket due now, popped as it is read; a
     symbol the bucket lacks reads as None, and one slot-order pass sends
     each as zero and records a Violation unless the symbol predates the
-    stream. relay_step() runs hop 1 and the relay alone, the same code
-    step() runs, for probes that compare forwarded rows. fork() copies the
-    whole pipeline, so runs that share a prefix need not repeat it.
+    stream.
     """
 
     def __init__(self, code: NetworkCode):
@@ -215,11 +209,11 @@ class NetworkState:
         self.state2 = [CodecState(spec) for spec in code.hop2]
         self._sent1: list[dict[int, tuple[int, ...]]] = [{} for _ in code.hop1]
         self._sent2: list[dict[int, tuple[int, ...]]] = [{} for _ in code.hop2]
-        # routing tables for step(), shared with forks: per link, each slot's
-        # sym, or k where no route reads it. Hop 1's row is read from
-        # [*packet, 0] through them and hop 2's from the bucket due now,
-        # which holds 0 under k. Each sym's relay delay; k's is -1, so what
-        # hop 1 recovers in an unrouted slot is never due
+        # routing tables for step(): per link, each slot's sym, or k where
+        # no route reads it. Hop 1's row is read from [*packet, 0] through
+        # them and hop 2's from the bucket due now, which holds 0 under k.
+        # Each sym's relay delay; k's is -1, so what hop 1 recovers in an
+        # unrouted slot is never due
         k = code.k
         self._keys1 = [[k] * spec.k for spec in code.hop1]
         self._keys2 = [[k] * spec.k for spec in code.hop2]
@@ -237,57 +231,23 @@ class NetworkState:
         self.violations: list[Violation] = []
         self.deliveries: list[Delivery] = []
 
-    def fork(self) -> "NetworkState":
-        """An independent copy that continues from this exact point."""
-        other = object.__new__(type(self))
-        other.__dict__.update(self.__dict__)
-        other.state1 = [s.fork() for s in self.state1]
-        other.state2 = [s.fork() for s in self.state2]
-        other._sent1 = [dict(sent) for sent in self._sent1]
-        other._sent2 = [dict(sent) for sent in self._sent2]
-        other._due = {at: dict(bucket) for at, bucket in self._due.items()}
-        other.violations = list(self.violations)
-        other.deliveries = list(self.deliveries)
-        return other
-
-    def relay_pipeline(self) -> tuple:
-        """Everything later relay steps read: the clock, each hop-1
-        codec's clocks, window and decoder records, the packets in flight
-        on hop 1 and the relay buffer.
-
-        Two runs of one code with equal relay pipelines, fed the same
-        packets and hop-1 erasures from here on, forward the same rows.
-        """
-        codecs = [(s.enc_time, s.dec_time, s._history, s._received, s._records) for s in self.state1]
-        return self.time, codecs, self._sent1, self._due
-
-    def pipeline(self) -> tuple:
-        """Everything later steps read: the relay pipeline plus each hop-2
-        codec's clocks, window and decoder records and the packets in
-        flight on hop 2; not the logs (violations, deliveries), which no
-        step reads.
-
-        Two runs of one code with equal pipelines, fed the same packets
-        and erasures from here on, deliver the same from here on.
-        """
-        codecs = [(s.enc_time, s.dec_time, s._history, s._received, s._records) for s in self.state2]
-        return self.relay_pipeline(), codecs, self._sent2
-
-    def _relay(self, source_packet: Sequence[int], erase1: Sequence[bool]) -> list[tuple[int, ...]]:
-        """Hop 1 and the relay at the current slot: open the bucket reach
-        slots ahead, transmit the packet on every hop-1 link, file what
-        arrives under its forward time, and return the row each hop-2 link
-        forwards from the bucket due now, a missing symbol sent as zero
-        and noted."""
-        due, delay = self._due, self._delay
+    def step(
+        self,
+        source_packet: Sequence[int],
+        erase1: Sequence[bool] = (),
+        erase2: Sequence[bool] = (),
+    ) -> list[tuple[int, ...]]:
+        """Advance every hop one slot; return the rows the relay forwarded."""
+        due, delay, k = self._due, self._delay, self.code.k
+        config = self.code.allocation.config
         t = self.time
-        if len(source_packet) != self.code.k:
+        if len(source_packet) != k:
             raise ValueError("source packet must carry one value per routed symbol")
-        due[t + self._reach] = {self.code.k: 0}
+        due[t + self._reach] = {k: 0}
 
-        # per link: transmit this slot's packet, then take in the one arriving
+        # per hop-1 link: transmit this slot's packet, then take in the one arriving
         row1 = (*source_packet, 0)
-        links1 = zip(self.state1, self._sent1, self._read1, self._keys1, self.code.allocation.config.dT1)
+        links1 = zip(self.state1, self._sent1, self._read1, self._keys1, config.dT1)
         for i, (state, sent, read, keys, dt) in enumerate(links1):
             sent[t] = encode_step(state, read(row1))
             if t >= dt:
@@ -313,19 +273,9 @@ class NetworkState:
                 ]
                 row = tuple(v or 0 for v in row)
             rows.append(row)
-        return rows
 
-    def step(
-        self,
-        source_packet: Sequence[int],
-        erase1: Sequence[bool] = (),
-        erase2: Sequence[bool] = (),
-    ) -> list[tuple[int, ...]]:
-        """Advance every hop one slot; return the rows the relay forwarded."""
-        rows = self._relay(source_packet, erase1)
         # per hop-2 link: transmit the forwarded row, then decode the packet arriving
-        t, k, delay = self.time, self.code.k, self._delay
-        links2 = zip(self.state2, self._sent2, rows, self._keys2, self.code.allocation.config.dT2)
+        links2 = zip(self.state2, self._sent2, rows, self._keys2, config.dT2)
         for j, (state, sent, row, keys, dt) in enumerate(links2):
             sent[t] = encode_step(state, row)
             if t >= dt:
@@ -335,14 +285,6 @@ class NetworkState:
                     sym = keys[slot]
                     if sym < k and relay_t >= delay[sym]:
                         self.deliveries.append(Delivery(relay_t - delay[sym], sym, value, t))
-        self.time += 1
-        return rows
-
-    def relay_step(self, source_packet: Sequence[int], erase1: Sequence[bool] = ()) -> list[tuple[int, ...]]:
-        """Advance hop 1 and the relay one slot, as step() does, and return
-        the rows forwarded; hop 2 does not move, so from here on the state
-        serves further relay steps only."""
-        rows = self._relay(source_packet, erase1)
         self.time += 1
         return rows
 

@@ -5,12 +5,12 @@ constrained maximization in exact fractions, the pairing budget as a
 validated dataclass with dict-based subtraction, the planners'
 straightforward constructions (every mwdf split tried, cswdf groupings
 concatenated pair by pair, the point-rate caps and the oswdf bottleneck
-pour in Fractions), the joint replay rerun from time 0 for every pattern
-pair, random joint patterns on every link of a multi-link network
-replayed from time 0, the witness replay run to its full horizon, the
-relay-rows probe decided by deliveries run from time 0, the relay's
-forwarded rows and violations built symbol by symbol, the per-link check
-slot by slot, slot shapes and route classes worked out in numpy by
+pour in Fractions), the 1x1 joint replay of every hop-pattern pair from
+time 0 (the pairs verify counts but does not run), random joint patterns
+on every link of a multi-link network replayed from time 0, the witness
+replay run to its full horizon, the relay's forwarded rows and
+violations built symbol by symbol, the per-link check slot by slot,
+slot shapes and route classes worked out in numpy by
 sorting every route, the per-slot recovery-delay table of the k-th-
 arrival rule and the Monte Carlo loss mask read off it at every slot,
 each component's worst case by enumerating every erasure pattern, a
@@ -33,14 +33,10 @@ from relaystream.codes import CodecState, StreamingCodeSpec, build_grouped_code,
 from relaystream.gf import FIELD_ORDER, make_mds
 from relaystream.planner import Allocation, point_rate
 from relaystream.relay import NetworkState
-from relaystream.sim import (
-    INF_DELAY,
-    JOINT_PAIRS,
-    FailureWitness,
-    _witness,
-    component_worst_delays,
-)
+from relaystream.sim import INF_DELAY, FailureWitness, _witness, component_worst_delays
 from relaystream.spectrum import DelayGrouping, optimal_grouping
+
+JOINT_PAIRS = 400  # most joint hop-pattern pairs cross_product_from_zero replays
 
 
 def slow_mul(a: int, b: int) -> int:
@@ -308,9 +304,11 @@ def list_form(spectrum):
 
 
 def cross_product_from_zero(code, config, rng):
-    # the joint replay without forks: every pattern pair reruns the whole
-    # stream from time 0 on a fresh NetworkState; same pairs, packets and
-    # rng draws
+    # the 1x1 joint replay: each hop's budget placed every way in a window
+    # of its span plus its largest declared delay, and every pattern pair
+    # rerun from time 0 on a fresh NetworkState, past JOINT_PAIRS pairs a
+    # sample of them; returns the first witness (or None), the pairs run
+    # and whether they were all of them
     spec1, spec2 = code.hop1[0], code.hop2[0]
     w1 = spec1.span + max(spec1.slot_delays)
     w2 = spec2.span + max(spec2.slot_delays, default=0)
@@ -394,20 +392,6 @@ def replay_witness_full_horizon(code, witness):
         if d.src_time == witness.src_time and d.sym == witness.sym and d.value == truth:
             return None if (d.src_time, d.sym) in zeroed else d.at - witness.src_time
     return None
-
-
-def forwards_clear_by_deliveries(code, packets, p1, horizons):
-    # per horizon, whether the 1x1 run under hop-1 pattern p1 with hop 2
-    # clear delivers what the erasure-free run does, both run from time 0
-    # (deliveries(p1, ()) == clear); a run to a horizon delivers what a
-    # longer run delivers before it
-    def deliveries(lost1):
-        state = NetworkState(code)
-        state.run(packets, [lost1], [()], max(horizons))
-        return state.deliveries
-
-    got, clear = deliveries(set(p1)), deliveries(set())
-    return [[d for d in got if d.at < h] == [d for d in clear if d.at < h] for h in horizons]
 
 
 def relay_rows_by_symbol(code, packets, lost1, until):

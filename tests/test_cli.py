@@ -441,17 +441,20 @@ def test_grouping_delay_outside_the_field_fails_in_bounded_memory(tmp_path, caps
 
 
 def test_verify_loose_deadline_is_cheap(tmp_path, capsys):
-    # the joint replay of a 1x1 network runs to a horizon past the audited
-    # deadline, but each settled replay stops a span past its last erasure
-    # and takes the rest from the one erasure-free run
+    # verify's cost follows the document, not the deadline it checks: the
+    # 1x1 joint pairs are counted, not replayed to a horizon past the
+    # deadline, so a deadline of 10^9 takes no longer than the document's own
     cfg = write(tmp_path, "one.json", {"T": 4, "N1": [2], "N2": [1]})
     out_path = str(tmp_path / "mwdf.json")
     assert main(["plan", "--config", cfg, "--scheme", "mwdf", "--out", out_path]) == 0
-    start = time.perf_counter()
-    code, out, _ = run(capsys, ["verify", out_path, "--deadline", "20000"])
-    assert time.perf_counter() - start < 10
-    assert code == 0
-    assert out.startswith("PASS") and "73 patterns checked" in out
+    src = os.path.dirname(os.path.dirname(relaystream.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaystream.cli", "verify", out_path, "--deadline", "1000000000"],
+        capture_output=True, text=True, timeout=5, preexec_fn=cap_address_space,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "PASS: rate 1/2 within deadline T=1000000000; 73 patterns checked, exhaustive\n"
 
 
 @pytest.mark.parametrize("hop2", [
@@ -459,8 +462,8 @@ def test_verify_loose_deadline_is_cheap(tmp_path, capsys):
     {"n": 3, "k": 0, "grouping": []},
 ], ids=["hop2-carries", "hop2-silent"])
 def test_verify_one_by_one_with_silent_hop1_link(tmp_path, capsys, hop2):
-    # the joint replay sizes its window from each hop's slot delays, and a
-    # link that carries no symbols has none
+    # the 1x1 joint-pair count sizes each hop's window from its slot
+    # delays, and a link that carries no symbols has none
     doc = {
         "scheme": "oswdf",
         "config": {"T": 4, "N1": [1], "N2": [1]},

@@ -265,80 +265,6 @@ def test_passthrough_second_hop():
     assert not state.violations
     assert_stream_recovered(code, state, packets)
 
-@pytest.mark.parametrize("cfg,lost1,lost2", [
-    # NET_A with bursts on every link
-    (NetworkConfig(T=5, N1=(2, 3), N2=(1, 2)), [{3, 4}, {3, 4, 5}], [{6}, {6, 7}]),
-    # a 1x1 network with propagation delays and a budget overrun
-    (NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,), dT2=(1,)), [{4, 5, 6}], [{7, 9}]),
-])
-def test_fork_resumes_like_a_fresh_run(cfg, lost1, lost2):
-    # forked at every time, the copy ends exactly where an unforked run
-    # does, even while the original goes on under other erasures
-    code = assemble(oswdf_optimize(cfg))
-    packets = lcg_packets(12, code.k)
-    fresh = run_network(code, packets, lost1, lost2)
-    end = fresh.time
-    assert fresh.deliveries
-    for at in range(end + 1):
-        state = NetworkState(code)
-        state.run(packets, lost1, lost2, at)
-        twin = state.fork()
-        state.run(packets, [set(range(0, end, 2))] * len(lost1), [set(range(end))] * len(lost2), end)
-        twin.run(packets, lost1, lost2, end)
-        assert twin.deliveries == fresh.deliveries, at
-        assert twin.violations == fresh.violations, at
-
-
-@pytest.mark.parametrize("cfg,lost1,lost2,within", [
-    (NetworkConfig(T=5, N1=(2, 3), N2=(1, 2)), [{3, 4}, {3, 4, 5}], [{6}, {6, 7}], True),
-    (NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,), dT2=(1,)), [{4, 5}], [{7, 9}], True),
-    # over the hop-1 budget: the relay misses symbols at their forward
-    # times, and each leaves the buffer with its bucket
-    (NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,), dT2=(1,)), [{4, 5, 6}], [{7, 9}], False),
-])
-def test_pipeline_settles_one_span_past_the_last_erasure(cfg, lost1, lost2, within):
-    # the pipeline leaves the erasure-free run's with the first erasure
-    # arrival and is back one span past the last, within the budget or
-    # not, though the delivery logs still differ
-    code = assemble(oswdf_optimize(cfg))
-    packets = lcg_packets(12, code.k)
-    arrivals = [x + dt for lost, dt in zip(lost1 + lost2, cfg.dT1 + cfg.dT2) for x in lost]
-    span = max(c.span for c in code.hop1 + code.hop2)
-    clear, erased = NetworkState(code), NetworkState(code)
-    checks = ((min(arrivals), True), (min(arrivals) + 1, False), (max(arrivals) + span + 1, True))
-    for at, equal in checks:
-        clear.run(packets, [()] * len(lost1), [()] * len(lost2), at)
-        erased.run(packets, lost1, lost2, at)
-        assert (clear.pipeline() == erased.pipeline()) == equal, at
-    assert clear.deliveries != erased.deliveries
-    assert bool(erased.violations) != within
-
-
-def test_pipeline_holds_everything_later_steps_read():
-    # a change to any clock, codec window or record, packet in flight or
-    # relay bucket shows in the pipeline; the logs do not
-    code = assemble(oswdf_optimize(NetworkConfig(T=6, N1=(2,), N2=(2,), dT1=(1,), dT2=(1,))))
-    state = NetworkState(code)
-    state.run(lcg_packets(12, code.k), [{4, 5}], [{7}], 9)
-    pokes = (
-        lambda s: setattr(s, "time", s.time + 1),
-        lambda s: setattr(s.state2[0], "enc_time", s.state2[0].enc_time + 1),
-        lambda s: setattr(s.state1[0], "dec_time", s.state1[0].dec_time + 1),
-        lambda s: s.state2[0]._history.pop(min(s.state2[0]._history)),
-        lambda s: s.state1[0]._received.pop(min(s.state1[0]._received)),
-        lambda s: next(r for c in s.state1 + s.state2 for r in c._records if r).clear(),
-        lambda s: s._sent2[0].clear(),
-        lambda s: next(bucket for bucket in s._due.values() if len(bucket) > 1).popitem(),
-    )
-    for i, poke in enumerate(pokes):
-        twin = state.fork()
-        poke(twin)
-        assert twin.pipeline() != state.pipeline(), i
-    twin = state.fork()
-    twin.deliveries.clear()
-    twin.violations.append(None)
-    assert twin.pipeline() == state.pipeline()
-
 
 # codes whose runs are pinned: NET_A oswdf, NET_B's initial oswdf plan (a
 # zero-pinned hop-1 slot), NET_A mwdf matched to oswdf (one relabel delay,

@@ -10,11 +10,12 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import relaystream.sim as sim_mod
 from relaystream.channels import GeParams
@@ -42,8 +43,6 @@ from relaystream.sim import (
     run_monte_carlo,
     sample_config,
     verify_adversarial,
-    _cross_product_check,
-    _JointReplay,
 )
 from relaystream.spectrum import DelayGrouping
 
@@ -52,7 +51,6 @@ from oracles import (
     component_worst_delays_by_enumeration,
     cross_product_from_zero,
     dense_loss_mask,
-    forwards_clear_by_deliveries,
     joint_replay_misses,
     measure_spectrum,
     replay_witness_full_horizon,
@@ -170,36 +168,18 @@ def test_verify_single_link_cross_product():
     assert report.ok and report.exhaustive
 
 
-def test_verify_sampled_joint_replay_is_not_exhaustive(tmp_path, monkeypatch, capsys):
-    # the per-link checks are exact, but once the joint cross product has
-    # more than JOINT_PAIRS pairs only a sample is replayed, and the report
-    # and the verify line say so
-    import relaystream.sim as sim_mod
-
-    cfg = NetworkConfig(T=5, N1=(2,), N2=(1,))
-    code = assemble(oswdf_optimize(cfg))
-    full = verify_adversarial(code)
-    monkeypatch.setattr(sim_mod, "JOINT_PAIRS", 3)
-    sampled = verify_adversarial(code)
-    assert full.ok and full.exhaustive
-    assert sampled.ok and not sampled.exhaustive
-    total = full.checked_patterns - sampled.checked_patterns + 3
-    assert total > 3
-    for limit, exhaustive in ((total, True), (total - 1, False)):
-        monkeypatch.setattr(sim_mod, "JOINT_PAIRS", limit)
-        assert verify_adversarial(code).exhaustive is exhaustive
-
-    monkeypatch.setattr(sim_mod, "JOINT_PAIRS", 3)
+def test_verify_counts_every_joint_pair_of_a_1x1_network(tmp_path, capsys):
+    # the joint pairs are counted, not replayed, so a 1x1 network with
+    # hundreds of them reports every one, exhaustive: C(6, 2) = 15 hop-1
+    # by C(7, 3) = 35 hop-2 patterns here, after 28 per-link ones
     config_path = tmp_path / "cfg.json"
-    config_path.write_text(json.dumps({"T": 5, "N1": [2], "N2": [1]}))
+    config_path.write_text(json.dumps({"T": 6, "N1": [2], "N2": [3], "dT1": [1], "dT2": [0]}))
     doc = str(tmp_path / "alloc.json")
     assert main(["plan", "--config", str(config_path), "--scheme", "oswdf", "--out", doc]) == 0
     capsys.readouterr()
     assert main(["verify", doc]) == 0
     out = capsys.readouterr().out
-    assert out.endswith(
-        f"{sampled.checked_patterns} patterns checked, sampled (not exhaustive)\n"
-    ), out
+    assert out.endswith("553 patterns checked, exhaustive\n"), out
 
 
 # the 1x1 shapes of the audit benchmark: (N1, N2, dT1, dT2, T - t_min)
@@ -216,26 +196,9 @@ AUDIT_1X1 = (
 )
 
 
-@pytest.mark.parametrize("shape", AUDIT_1X1, ids=str)
-def test_forked_cross_product_matches_rerun_from_zero(shape):
-    # resuming every pair from the erasure-free run's fork gives the same
-    # witness and count as rerunning it from time 0, at the planned
-    # deadline (no failure) and one slot tighter (a witness)
-    n1, n2, dt1, dt2, offset = shape
-    config = NetworkConfig(T=n1[0] + dt1[0] + n2[0] + dt2[0] + offset,
-                           N1=n1, N2=n2, dT1=dt1, dT2=dt2)
-    code = assemble(oswdf_optimize(config))
-    for T in (config.T, config.T - 1):
-        check = NetworkConfig(T=T, N1=n1, N2=n2, dT1=dt1, dT2=dt2)
-        fast = _cross_product_check(code, check, random.Random(T))
-        slow = cross_product_from_zero(code, check, random.Random(T))
-        assert fast == slow
-        assert (fast[0] is None) == (T == config.T)
-
-
 # 1x1 mwdf networks (N1, N2, dT1, dT2, T) whose relabel delay is then
-# lowered: the relay forwards rows before hop 1 may recover them, so the
-# hop-1 patterns change what hop 2 carries and their pairs replay jointly
+# lowered: the relay forwards rows before hop 1 may recover them, so verify
+# fails them on route timing and some joint pattern pair misses a deadline
 MISTIMED_1X1 = (
     ((2,), (1,), (0,), (0,), 4),
     ((3,), (1,), (0,), (0,), 5),
@@ -244,81 +207,9 @@ MISTIMED_1X1 = (
 )
 
 
-@pytest.mark.parametrize("lower", (1, 2))
-@pytest.mark.parametrize("shape", MISTIMED_1X1, ids=str)
-def test_forked_cross_product_matches_rerun_from_zero_when_mistimed(shape, lower):
-    n1, n2, dt1, dt2, T = shape
-    config = NetworkConfig(T=T, N1=n1, N2=n2, dT1=dt1, dT2=dt2)
-    alloc = mwdf_plan(config)
-    code = assemble(dataclasses.replace(alloc, relabel_delay=alloc.relabel_delay - lower))
-    fast = _cross_product_check(code, config, random.Random(T))
-    slow = cross_product_from_zero(code, config, random.Random(T))
-    assert fast == slow
-    assert fast[0] is not None
-
-
-def joint_codes():
-    # the audit 1x1 codes at their planned deadline, and the mistimed ones
-    for n1, n2, dt1, dt2, offset in AUDIT_1X1:
-        config = NetworkConfig(T=n1[0] + dt1[0] + n2[0] + dt2[0] + offset,
-                               N1=n1, N2=n2, dT1=dt1, dT2=dt2)
-        yield f"{config}", assemble(oswdf_optimize(config))
-    for lower in (1, 2):
-        for n1, n2, dt1, dt2, T in MISTIMED_1X1:
-            alloc = mwdf_plan(NetworkConfig(T=T, N1=n1, N2=n2, dT1=dt1, dT2=dt2))
-            code = assemble(dataclasses.replace(alloc, relabel_delay=alloc.relabel_delay - lower))
-            yield f"{alloc.config}-lowered{lower}", code
-
-
-def test_relay_rows_probe_matches_deliveries_oracle():
-    # for every hop-1 pattern of the joint check, and at every horizon up to
-    # the check's, comparing forwarded rows up to horizon - dT2 decides what
-    # comparing deliveries does; the short horizons put row changes in the
-    # last dT2 slots, which deliver nothing yet
-    outcomes, edges = set(), 0
-    for name, code in joint_codes():
-        config = code.allocation.config
-        spec1, spec2 = code.hop1[0], code.hop2[0]
-        w1 = spec1.span + max(spec1.slot_delays)
-        w2 = spec2.span + max(spec2.slot_delays, default=0)
-        start = max(spec1.span, spec2.span) + 1
-        pats1 = list(itertools.combinations(range(start, start + w1), min(config.N1[0], w1)))
-        full = start + w1 + w2 + config.T + 2
-        rng = random.Random(config.T)
-        packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(start + w1 + 2)]
-        horizons = range(start, full + 1)
-        replays = {h: _JointReplay(code, packets, h, [(p1, ()) for p1 in pats1]) for h in horizons}
-        for p1 in pats1:
-            want = forwards_clear_by_deliveries(code, packets, p1, horizons)
-            got = [replays[h].forwards_clear(p1) for h in horizons]
-            assert got == want, (name, p1)
-            outcomes.add(("lowered" in name, want[-1]))
-            # a changed row on a dT2 = 1 code: the sweep meets the horizon
-            # one slot past the row, which it reaches no delivery before
-            edges += config.dT2[0] == 1 and not want[-1]
-    # properly timed codes forward clear rows; mistimed ones may not
-    assert outcomes == {(False, True), (True, True), (True, False)}
-    assert edges
-
-
-def test_relay_rows_probe_counts_a_violation_forwarding_zero_as_clear():
-    # zero packets on a mistimed code: the relay misses symbols, forwards
-    # zero in their place, and zero is what it should have forwarded, so
-    # the deliveries and the rows are the erasure-free run's
-    code = next(code for name, code in joint_codes() if "lowered" in name)
-    config = code.allocation.config
-    start = code.span + 1
-    w1 = code.hop1[0].span + max(code.hop1[0].slot_delays)
-    pats1 = list(itertools.combinations(range(start, start + w1), config.N1[0]))
-    horizon = start + 3 * w1 + config.T
-    packets = [[0] * code.k for _ in range(start + w1 + 2)]
-    replay = _JointReplay(code, packets, horizon, [(p1, ()) for p1 in pats1])
-    violated = 0
-    for p1 in pats1:
-        assert forwards_clear_by_deliveries(code, packets, p1, [horizon]) == [True]
-        assert replay.forwards_clear(p1)
-        violated += bool(run_network(code, packets, [set(p1)], [()]).violations)
-    assert violated
+def mistimed(alloc, lower):
+    # the allocation relaying lower slots earlier than planned
+    return assemble(dataclasses.replace(alloc, relabel_delay=alloc.relabel_delay - lower))
 
 
 def witness_cases():
@@ -336,8 +227,9 @@ def witness_cases():
                 dataclasses.replace(cfg, N2=tuple(N + 1 for N in n2)),
             ):
                 yield code, verify_adversarial(code, check).failure
-    for name, code in joint_codes():
-        if "lowered" in name:
+    for lower in (1, 2):
+        for n1, n2, dt1, dt2, T in MISTIMED_1X1:
+            code = mistimed(mwdf_plan(NetworkConfig(T=T, N1=n1, N2=n2, dT1=dt1, dT2=dt2)), lower)
             yield code, verify_adversarial(code).failure
 
 
@@ -436,11 +328,10 @@ def golden_configs():
     yield {"T": 33, "N1": [1, 1], "N2": [1]}
 
 
-# one sha256 per golden config, keyed by its document, plus one for the
-# joint replay's own witness
+# one sha256 per golden config, keyed by its document
 VERIFY_DIGESTS = {
     '{"T": 6, "N1": [2], "N2": [3], "dT1": [1], "dT2": [0]}':
-        "022fdf729558f9610b20af1794882aca0410eb0cf4fdd72190fcbd8c9d38a03e",
+        "fb275a9fd67c888417098b6e513f83735df208445132c352ebcc89a7eecb2c74",
     '{"T": 6, "N1": [3, 1], "N2": [1, 3], "dT1": [1, 1], "dT2": [1, 0]}':
         "9e233f35976ee54e96139959e39dd20d6ef444ce032cc3659b942d9cf44b8826",
     '{"T": 7, "N1": [3], "N2": [1, 3], "dT1": [0], "dT2": [0, 0]}':
@@ -451,17 +342,15 @@ VERIFY_DIGESTS = {
         "2e5fb0fd36674c515440dcdf40a1f7dc08448e6e1d0c10b6a7c828c735bf24c3",
     '{"T": 33, "N1": [1, 1], "N2": [1]}':
         "02e413e79a81f2f69b1f5c304fa0f8560bd2b07af5eb72d26473494594c16ac5",
-    "joint replay": "7aa540ef807c550da3918722e565f3a55fe1dac8b7df4a2da259c0bcb57baa68",
 }
 
 
 def test_verify_outputs_are_pinned(tmp_path, capsys):
     # exit code, stdout and stderr of plan, then verify at T and T-1, for
-    # every scheme: PASS lines (with the 1x1 joint replay) and route
-    # witnesses. With each hop-1 budget raised by one over the code's,
-    # verify gives per-link witnesses, pinned from their second line.
-    # Last, the joint replay's own witness on a 1x1 code whose relay
-    # forwards too early.
+    # every scheme: PASS lines (with the 1x1 joint pairs counted) and
+    # route witnesses. With each hop-1 budget raised by one over the
+    # code's, verify gives per-link witnesses, pinned from their second
+    # line.
     digests = {}
 
     def run(argv):
@@ -492,12 +381,6 @@ def test_verify_outputs_are_pinned(tmp_path, capsys):
             digest.update(repr((out, err.splitlines()[1:])).encode())
         digests[json.dumps(config)] = digest.hexdigest()
 
-    config = NetworkConfig(T=5, N1=(2,), N2=(2,))
-    alloc = mwdf_plan(config)
-    code = assemble(dataclasses.replace(alloc, relabel_delay=alloc.relabel_delay - 1))
-    witness, count, exhaustive = _cross_product_check(code, config, random.Random(5))
-    assert exhaustive
-    digests["joint replay"] = hashlib.sha256(repr((witness, count)).encode()).hexdigest()
     assert digests == VERIFY_DIGESTS
 
 
@@ -726,26 +609,75 @@ def test_multi_link_codes_that_verify_meet_the_deadline_under_joint_patterns():
             code = assemble(plan(cfg))
             assert verify_adversarial(code).ok, (cfg, scheme)
             assert joint_replay_misses(code, rng, 20) == 0, (cfg, scheme)
-        alloc = mwdf_plan(cfg)
         for lower in (1, 2):
-            early = assemble(dataclasses.replace(alloc, relabel_delay=alloc.relabel_delay - lower))
+            early = mistimed(mwdf_plan(cfg), lower)
             assert not verify_adversarial(early).ok, (cfg, lower)
             assert joint_replay_misses(early, rng, 20), (cfg, lower)
 
 
-@pytest.mark.parametrize("shape", AUDIT_1X1, ids=str)
-def test_verify_verdict_matches_joint_replay_from_zero(shape):
-    # every scheme on the audit 1x1 shapes, at the planned deadline and one
-    # slot tighter: verify passes exactly when rerunning every joint pair
-    # from time 0 finds no witness
-    n1, n2, dt1, dt2, offset = shape
-    cfg = NetworkConfig(T=n1[0] + dt1[0] + n2[0] + dt2[0] + offset, N1=n1, N2=n2, dT1=dt1, dT2=dt2)
-    for scheme, plan in SCHEMES.items():
-        code = assemble(plan(cfg))
-        for T in (cfg.T, cfg.T - 1):
-            check = dataclasses.replace(cfg, T=T)
-            witness = cross_product_from_zero(code, check, random.Random(T))[0]
-            assert verify_adversarial(code, check).ok == (witness is None), (scheme, T)
+def verdict_cases():
+    # each audit 1x1 shape, then each mistimed shape at both lowerings
+    for shape in AUDIT_1X1:
+        yield pytest.param(shape, 0, id=str(shape))
+    for lower in (1, 2):
+        for shape in MISTIMED_1X1:
+            yield pytest.param(shape, lower, id=f"{shape}-lowered{lower}")
+
+
+@pytest.mark.parametrize("shape,lower", verdict_cases())
+def test_verify_verdict_matches_joint_replay_from_zero(shape, lower):
+    # verify passes exactly when rerunning every joint pair from time 0
+    # finds no witness: every scheme on an audit 1x1 shape, at the planned
+    # deadline and one slot tighter, and a mistimed code at its own, which
+    # both fail
+    n1, n2, dt1, dt2, last = shape
+    if lower:
+        cfg = NetworkConfig(T=last, N1=n1, N2=n2, dT1=dt1, dT2=dt2)
+        cases = [(mistimed(mwdf_plan(cfg), lower), cfg)]
+    else:
+        cfg = NetworkConfig(T=n1[0] + dt1[0] + n2[0] + dt2[0] + last, N1=n1, N2=n2, dT1=dt1, dT2=dt2)
+        cases = [
+            (assemble(plan(cfg)), dataclasses.replace(cfg, T=T))
+            for plan in SCHEMES.values()
+            for T in (cfg.T, cfg.T - 1)
+        ]
+    for code, check in cases:
+        witness = cross_product_from_zero(code, check, random.Random(check.T))[0]
+        assert verify_adversarial(code, check).ok == (witness is None), (code.allocation.scheme, check.T)
+        assert witness is not None or not lower
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_verdict_matches_joint_replays_on_small_documents(data):
+    # 1x1 and 2x2 documents with budgets 0-2 and delays 0-1, planned by any
+    # scheme at t_min to t_min + 2, mwdf relaying up to two slots early: on
+    # 1x1, verify passes exactly when no joint pair rerun from time 0
+    # misses a deadline; on 2x2, random joint patterns on every link miss
+    # nothing where verify passes
+    links = data.draw(st.sampled_from((1, 2)))
+
+    def per_link(values):
+        return data.draw(st.lists(values, min_size=links, max_size=links).map(tuple))
+
+    cfg = NetworkConfig(T=1, N1=per_link(st.integers(0, 2)), N2=per_link(st.integers(0, 2)),
+                        dT1=per_link(st.integers(0, 1)), dT2=per_link(st.integers(0, 1)))
+    cfg = dataclasses.replace(cfg, T=max(1, t_min(cfg)) + data.draw(st.integers(0, 2)))
+    scheme = data.draw(st.sampled_from(sorted(SCHEMES)))
+    alloc = SCHEMES[scheme](cfg)
+    assume(alloc.n <= 60)  # some small networks plan oswdf codes 10^5 slots wide
+    lower = data.draw(st.integers(0, 2)) if scheme == "mwdf" else 0
+    code = mistimed(alloc, lower) if lower else assemble(alloc)
+    ok = verify_adversarial(code).ok
+    if links == 2:
+        assert not ok or joint_replay_misses(code, random.Random(0), 10) == 0
+        return
+    pairs = 1
+    for spec, budget in ((code.hop1[0], cfg.N1[0]), (code.hop2[0], cfg.N2[0])):
+        window = spec.span + max(spec.slot_delays, default=0)
+        pairs *= math.comb(window, min(budget, window))
+    assume(pairs <= 100)
+    assert ok == (cross_product_from_zero(code, cfg, random.Random(0))[0] is None)
 
 
 def loss_mask_plans():
