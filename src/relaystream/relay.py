@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .codes import (
     CodecState,
@@ -288,16 +288,16 @@ class NetworkState:
         self.time += 1
         return rows
 
-    def steps(
+    def run(
         self,
         packets: Sequence[Sequence[int]],
         lost1: Sequence[Iterable[int]],
         lost2: Sequence[Iterable[int]],
         until: int,
-    ) -> Iterator[int]:
-        """Step until the clock reads ``until``, yielding the clock after
-        each step. lost1/lost2 hold, per hop link, the lost transmission
-        times; packets past the list are zero."""
+    ) -> None:
+        """Step until the clock reads ``until``, resuming at the current
+        clock. lost1/lost2 hold, per hop link, the lost transmission times;
+        packets past the list are zero."""
         config = self.code.allocation.config
         # a packet sent at x arrives at x + dT
         arrive1 = [{x + dt for x in lost} for dt, lost in zip(config.dT1, lost1)]
@@ -310,18 +310,6 @@ class NetworkState:
                 [t in a for a in arrive1] if t in any1 else (),
                 [t in a for a in arrive2] if t in any2 else (),
             )
-            yield self.time
-
-    def run(
-        self,
-        packets: Sequence[Sequence[int]],
-        lost1: Sequence[Iterable[int]],
-        lost2: Sequence[Iterable[int]],
-        until: int,
-    ) -> None:
-        """Step until the clock reads ``until`` (see steps())."""
-        for _ in self.steps(packets, lost1, lost2, until):
-            pass
 
 
 def run_network(

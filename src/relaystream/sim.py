@@ -30,8 +30,8 @@ sum stays within T, no pair of within-budget hop patterns misses a
 deadline: on a 1x1 network the verifier counts those joint pairs rather
 than replaying them. The tests replay them through the real pipeline
 (``tests/oracles.py``), which checks the runtime against this argument.
-A failure witness is replayed until its symbol's first correct delivery,
-not to the end of its horizon.
+A failure witness's achieved delay comes from the same rule, applied on
+each hop of its symbol's route, not from a run of the pipeline.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .planner import (
     t_min,
     upper_bound,
 )
-from .relay import NetworkCode, NetworkState
+from .relay import NetworkCode
 
 INF_DELAY = 1 << 20  # sentinel for "never recovered"
 
@@ -101,7 +101,7 @@ class FailureWitness:
     src_time: int
     sym: int
     required_delay: int
-    actual_delay: Optional[int] = None  # None: never correctly recovered in replay
+    actual_delay: Optional[int] = None  # None: never correctly recovered (replay_witness)
 
 
 @dataclass
@@ -117,36 +117,36 @@ class VerificationReport:
         return True
 
 
-def replay_witness(code: NetworkCode, witness: FailureWitness) -> Optional[int]:
-    """Re-run the witness; return the achieved delay of the offending
-    symbol (None if it never arrives correctly).
+def _known_at(spec: StreamingCodeSpec, slot: int, t: int, erased: set[int]) -> Optional[int]:
+    """Link-clock time at which the slot's symbol sent at t is known: t
+    unless erased, else its diagonal's k-th known position (pre-stream
+    positions are never erased, so they count), None if the diagonal never
+    holds k."""
+    if t not in erased:
+        return t
+    n_c, k_c, j = spec.shapes[slot]
+    start = t - (j - 1)
+    known = [p for p in range(start, start + n_c) if p not in erased]
+    return known[k_c - 1] if len(known) >= k_c else None
 
-    Deliveries come in time order, so the run stops at the symbol's first
-    correct delivery; only a symbol that never arrives correctly runs the
-    whole horizon. A delivery of a zero the relay forwarded in the
-    symbol's place (a Violation) is no recovery, even where the drawn
-    symbol is zero."""
+
+def replay_witness(code: NetworkCode, witness: FailureWitness) -> Optional[int]:
+    """The achieved delay of the offending symbol under the witness's
+    erasures (None if it never arrives correctly), by the k-th-arrival
+    rule on each hop of its route.
+
+    Hop 1 must know the symbol by the time it leaves the relay, or the
+    relay forwards a zero in its place, which is no recovery; hop 2 then
+    runs on the relay's clock. Pairing keeps every relay delay at or below
+    T, so the hop-2 diagonal lies within any replay's horizon: no cap."""
     config = code.allocation.config
-    span = code.span
-    horizon = witness.src_time + config.T + 2 * span + max(config.dT1 + config.dT2) + 4
-    rng = random.Random(20240 + witness.src_time)
-    packets = [[rng.randrange(256) for _ in range(code.k)] for _ in range(witness.src_time + span + 1)]
-    truth = packets[witness.src_time][witness.sym]
-    state = NetworkState(code)
-    deliveries = state.deliveries
-    seen = 0
-    for _ in state.steps(
-        packets,
-        [set(times) for times in witness.erasures1],
-        [set(times) for times in witness.erasures2],
-        horizon,
-    ):
-        for d in deliveries[seen:]:
-            if d.src_time == witness.src_time and d.sym == witness.sym and d.value == truth:
-                zeroed = any(v.src_time == d.src_time and v.sym == d.sym for v in state.violations)
-                return None if zeroed else d.at - witness.src_time
-        seen = len(deliveries)
-    return None
+    _, link1, slot1, relay, link2, slot2, _ = code.routes[witness.sym]
+    s = witness.src_time
+    c1 = _known_at(code.hop1[link1], slot1, s, set(witness.erasures1[link1]))
+    if c1 is None or c1 + config.dT1[link1] > s + relay:
+        return None
+    c2 = _known_at(code.hop2[link2], slot2, s + relay, set(witness.erasures2[link2]))
+    return None if c2 is None else c2 + config.dT2[link2] - s
 
 
 def _witness(
@@ -157,7 +157,8 @@ def _witness(
     required: int,
 ) -> FailureWitness:
     """The witness erasing ``erased[hop, link]`` on each link it names,
-    replayed unless it has no symbol (sym -1, a slot pinned to zero)."""
+    with its achieved delay (``replay_witness``) unless it has no symbol
+    (sym -1, a slot pinned to zero)."""
     witness = FailureWitness(
         erasures1=tuple(erased.get((1, link), ()) for link in range(len(code.hop1))),
         erasures2=tuple(erased.get((2, link), ()) for link in range(len(code.hop2))),
@@ -198,7 +199,7 @@ def _check_links(
     so the run's first slot decides for all of its slots."""
     checked = 0
     # at the document's T, as _route_witness anchors, not at the deadline
-    # checked: a --deadline neither moves a witness nor lengthens its replay
+    # checked: a --deadline does not move a witness
     anchor = code.span + code.allocation.config.T + 2
     # the hop's budgets and where its (link, slot) pair sits in a route
     hops = ((1, code.hop1, config.N1, 1), (2, code.hop2, config.N2, 4))

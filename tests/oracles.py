@@ -8,8 +8,8 @@ concatenated pair by pair, the point-rate caps and the oswdf bottleneck
 pour in Fractions), the 1x1 joint replay of every hop-pattern pair from
 time 0 (the pairs verify counts but does not run), random joint patterns
 on every link of a multi-link network replayed from time 0, the witness
-replay run to its full horizon, the relay's forwarded rows and
-violations built symbol by symbol, the per-link check slot by slot,
+replayed through the runtime to its full horizon, the relay's forwarded
+rows and violations built symbol by symbol, the per-link check slot by slot,
 slot shapes and route classes worked out in numpy by
 sorting every route, the per-slot recovery-delay table of the k-th-
 arrival rule and the Monte Carlo loss mask read off it at every slot,
@@ -371,9 +371,10 @@ def joint_replay_misses(code, rng, draws):
 
 
 def replay_witness_full_horizon(code, witness):
-    # sim.replay_witness without its early stop: the whole horizon on a
-    # fresh NetworkState, then the symbol's first correct delivery in the
-    # log, unless the relay forwarded a zero in its place
+    # the witness run through the symbolic pipeline, which sim.replay_witness
+    # reads off the k-th-arrival rule instead: random packets over the whole
+    # horizon on a fresh NetworkState, then the symbol's first correct
+    # delivery in the log, unless the relay forwarded a zero in its place
     config = code.allocation.config
     span = code.span
     horizon = witness.src_time + config.T + 2 * span + max(config.dT1 + config.dT2) + 4

@@ -457,6 +457,28 @@ def test_verify_loose_deadline_is_cheap(tmp_path, capsys):
     assert proc.stdout == "PASS: rate 1/2 within deadline T=1000000000; 73 patterns checked, exhaustive\n"
 
 
+def test_verify_witness_on_a_wide_code_is_cheap(tmp_path, capsys):
+    # a failure witness's delay comes from the k-th-arrival rule on its
+    # route, not from stepping the runtime, so a witness on an oswdf code
+    # 84 480 slots wide costs what the document's size does
+    cfg = write(tmp_path, "wide.json", {"T": 7, "N1": [2, 2], "N2": [2, 2], "dT1": [0, 1], "dT2": [1, 0]})
+    out_path = str(tmp_path / "oswdf.json")
+    assert main(["plan", "--config", cfg, "--scheme", "oswdf", "--out", out_path]) == 0
+    src = os.path.dirname(os.path.dirname(relaystream.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaystream.cli", "verify", out_path, "--deadline", "6"],
+        capture_output=True, text=True, timeout=5, preexec_fn=cap_address_space,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [
+        "FAIL: symbol 0 pairs delays 5+2 > T=6 (exhaustive)",
+        "  witness: source packet 15, symbol 0; required delay 6, achieved 7",
+        "  hop-1 erasures: [[15, 16], []]",
+        "  hop-2 erasures: [[], [18, 20]]",
+    ]
+
+
 @pytest.mark.parametrize("hop2", [
     {"n": 3, "k": 2, "grouping": [[2, 1], [1, 1]]},
     {"n": 3, "k": 0, "grouping": []},

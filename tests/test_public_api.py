@@ -130,6 +130,34 @@ def test_readme_sketch_runs(capsys):
     assert 0 <= float(capsys.readouterr().out) < 1
 
 
+# the symbolic runtime: the relay, the codec and the field solve
+RUNTIME = {"NetworkState", "run_network", "CodecState", "encode_step", "decode_step", "solve_erasures"}
+
+
+def identifiers(source: str) -> set[str]:
+    # every name, attribute and imported name the code refers to
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_only_the_runtime_layers_name_the_runtime():
+    # verification and measurement work from the k-th-arrival rule; only
+    # the modules that make up the symbolic runtime refer to it
+    package = os.path.dirname(relaystream.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name not in ("relay.py", "codes.py", "gf.py"):
+            with open(os.path.join(package, name)) as fh:
+                assert not identifiers(fh.read()) & RUNTIME, name
+    assert identifiers("from relaystream.relay import run_network as r\nr.x") >= {"run_network"}
+
+
 def perfbench_module(name):
     # a benchmark module loaded by path, as the harness runs it
     spec = importlib.util.spec_from_file_location(

@@ -387,7 +387,8 @@ def test_relay_holds_only_what_it_has_yet_to_send():
             [{x for x in range(until) if rng.random() < 0.2} for _ in hop]
             for hop in (code.hop1, code.hop2)
         )
-        state = NetworkState(code)
-        for _ in state.steps(lcg_packets(until, code.k), lost1, lost2, until):
+        state, packets = NetworkState(code), lcg_packets(until, code.k)
+        for t in range(until):
+            state.run(packets, lost1, lost2, t + 1)
             assert len(state._due) <= reach, (alloc.config, state.time)
         assert state.violations, alloc.config

@@ -233,10 +233,10 @@ def witness_cases():
             yield code, verify_adversarial(code).failure
 
 
-def test_witness_replay_stops_where_the_full_horizon_replay_finds_it():
-    # the replay that stops at the symbol's first correct delivery gives
-    # the delay the whole-horizon replay reads off its log, including
-    # None for symbols that never arrive correctly
+def test_witness_delay_rule_matches_the_full_horizon_replay():
+    # the k-th-arrival rule on each hop of the route gives the delay the
+    # whole-horizon replay through the runtime reads off its log,
+    # including None for symbols that never arrive correctly
     delays = []
     for code, witness in witness_cases():
         if witness is None or witness.sym < 0:
@@ -248,6 +248,49 @@ def test_witness_replay_stops_where_the_full_horizon_replay_finds_it():
     assert None in delays and any(d is not None for d in delays)
 
 
+budgets = st.lists(st.integers(1, 3), min_size=1, max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n1=budgets,
+    n2=budgets,
+    slack=st.integers(0, 2),
+    scheme=st.sampled_from(["mwdf", "cswdf", "oswdf"]),
+    lower=st.integers(0, 2),
+    eps=st.floats(0, 0.6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_witness_delay_rule_matches_the_full_horizon_replay_on_random_witnesses(
+    n1, n2, slack, scheme, lower, eps, seed
+):
+    # random witnesses on 1-2 x 1-2 link networks: i.i.d. erasures on every
+    # link, any source time and symbol, and mwdf relaying up to two slots
+    # before hop 1 may recover
+    rng = random.Random(seed)
+    cfg = NetworkConfig(
+        T=1,
+        N1=tuple(n1),
+        N2=tuple(n2),
+        dT1=tuple(rng.randint(0, 1) for _ in n1),
+        dT2=tuple(rng.randint(0, 1) for _ in n2),
+    )
+    cfg = dataclasses.replace(cfg, T=t_min(cfg) + slack)
+    alloc = SCHEMES[scheme](cfg)
+    assume(max(alloc.n1 + alloc.n2) <= 60 and alloc.k > 0)
+    code = mistimed(alloc, lower) if scheme == "mwdf" else assemble(alloc)
+    src_time = rng.randint(0, code.span + cfg.T + 2)
+    horizon = src_time + cfg.T + 2 * code.span + max(cfg.dT1 + cfg.dT2) + 4
+    erased = [
+        tuple(x for x in range(horizon) if rng.random() < eps)
+        for _ in code.hop1 + code.hop2
+    ]
+    witness = FailureWitness(
+        erased[: len(code.hop1)], erased[len(code.hop1) :], src_time, rng.randrange(code.k), cfg.T
+    )
+    assert replay_witness(code, witness) == replay_witness_full_horizon(code, witness), witness
+
+
 def test_a_zero_forwarded_on_a_violation_is_no_recovery():
     # hop 1 loses a symbol whose drawn byte is 0: the relay forwards 0 in
     # its place, noting a Violation, and the destination decodes that 0,
@@ -255,7 +298,7 @@ def test_a_zero_forwarded_on_a_violation_is_no_recovery():
     code = assemble(oswdf_optimize(NET_A))
     span, k = code.span, code.k
     for src_time in itertools.count(span + NET_A.T + 2):
-        rng = random.Random(20240 + src_time)  # replay_witness's draws
+        rng = random.Random(20240 + src_time)  # replay_witness_full_horizon's draws
         row = [[rng.randrange(256) for _ in range(k)] for _ in range(src_time + 1)][-1]
         if 0 in row:
             break
