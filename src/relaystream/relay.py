@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Container, Iterable, NamedTuple, Optional, Sequence
 
 from .codes import (
     CodecState,
@@ -59,8 +60,9 @@ class SymbolRoute(NamedTuple):
 class NetworkCode:
     """Per-link streaming codes plus the routing table that joins them:
     one route per source symbol, routes[sym] for symbol sym. Message slots
-    that no route names carry zeros. The route classes the Monte Carlo
-    kernel tests are derived once per code, on first use."""
+    that no route names carry zeros. The route classes, and the lateness
+    tests the Monte Carlo kernel runs, are derived once per code, on first
+    use."""
 
     allocation: Allocation
     hop1: tuple[StreamingCodeSpec, ...]
@@ -76,7 +78,7 @@ class NetworkCode:
         """Longest memory of any link's code, zero-dimension padding included."""
         return max(c.span for c in self.hop1 + self.hop2)
 
-    @cached_property
+    @property
     def classes(self) -> tuple[tuple[tuple[int, int, int, int, int, int], ...], ...]:
         """Per hop, the distinct (link, n_c, k_c, j, clock offset, allowed
         delay) over the routes.
@@ -90,6 +92,26 @@ class NetworkCode:
         whose routes broke that would list a class twice, and the looser
         row would only repeat a test the tighter one decides.
         """
+        return self.lateness[0]
+
+    @cached_property
+    def lateness(self) -> tuple[
+        tuple[tuple[tuple[int, int, int, int, int, int], ...], ...],
+        tuple[dict[tuple[int, int], dict[tuple[int, int], list[int]]], ...],
+    ]:
+        """The route classes and, per hop, the lateness tests they reduce
+        to, derived in one pass on first use and kept with the code.
+
+        An erased symbol of a class, sent at tau, is late iff the window
+        [s, s + thr] of its diagonal, s = tau - (j - 1) and thr =
+        min(allowed + j - 1, n_c - 1), holds more than b = max(thr + 1 -
+        k_c, 0) erasures; tau is one, so a window that cannot spare any has
+        b = 0. Classes that agree on (link, j, thr, b) share a test,
+        whatever their clock offsets. The tests are keyed by (link, j), on
+        which the window start depends, then by (thr, b), each holding its
+        classes' offsets in ascending order. thr < j - 1 marks a negative
+        allowed delay, which loses every packet.
+        """
         config = self.allocation.config
         shapes1 = [spec.shapes for spec in self.hop1]
         shapes2 = [spec.shapes for spec in self.hop2]
@@ -101,7 +123,17 @@ class NetworkCode:
             (l2, *shapes2[l2][s2], relay, config.T - relay - config.dT2[l2])
             for _, _, _, relay, l2, s2, _ in self.routes
         }
-        return tuple(hop1), tuple(hop2)
+        tests = []
+        for classes in (hop1, hop2):
+            starts: dict[tuple[int, int], dict[tuple[int, int], list[int]]] = {}
+            # by link, j and offset, so each test's offsets ascend
+            for link, n, k, j, offset, allowed in sorted(classes, key=itemgetter(0, 3, 4)):
+                thr = min(allowed + j - 1, n - 1)
+                offsets = starts.setdefault((link, j), {}).setdefault((thr, max(thr + 1 - k, 0)), [])
+                if offset not in offsets:
+                    offsets.append(offset)
+            tests.append(starts)
+        return (tuple(hop1), tuple(hop2)), tuple(tests)
 
 
 def _slot_entries(
@@ -291,24 +323,21 @@ class NetworkState:
     def run(
         self,
         packets: Sequence[Sequence[int]],
-        lost1: Sequence[Iterable[int]],
-        lost2: Sequence[Iterable[int]],
+        lost1: Sequence[Container[int]],
+        lost2: Sequence[Container[int]],
         until: int,
     ) -> None:
         """Step until the clock reads ``until``, resuming at the current
-        clock. lost1/lost2 hold, per hop link, the lost transmission times;
-        packets past the list are zero."""
+        clock. lost1/lost2 hold, per hop link, the set of lost transmission
+        times; packets past the list are zero."""
         config = self.code.allocation.config
-        # a packet sent at x arrives at x + dT
-        arrive1 = [{x + dt for x in lost} for dt, lost in zip(config.dT1, lost1)]
-        arrive2 = [{x + dt for x in lost} for dt, lost in zip(config.dT2, lost2)]
-        any1, any2 = set().union(*arrive1), set().union(*arrive2)
         zero = [0] * self.code.k
         for t in range(self.time, until):
+            # the packet arriving at t was sent at t - dT
             self.step(
                 packets[t] if t < len(packets) else zero,
-                [t in a for a in arrive1] if t in any1 else (),
-                [t in a for a in arrive2] if t in any2 else (),
+                [t - dt in lost for dt, lost in zip(config.dT1, lost1)],
+                [t - dt in lost for dt, lost in zip(config.dT2, lost2)],
             )
 
 
@@ -328,7 +357,7 @@ def run_network(
     state = NetworkState(code)
     config = code.allocation.config
     total = len(packets) + config.T + code.span + max(config.dT1 + config.dT2) + 1
-    lost1 = [*erasures1] + [()] * (len(code.hop1) - len(erasures1))
-    lost2 = [*erasures2] + [()] * (len(code.hop2) - len(erasures2))
+    lost1 = [set(times) for times in erasures1] + [set()] * (len(code.hop1) - len(erasures1))
+    lost2 = [set(times) for times in erasures2] + [set()] * (len(code.hop2) - len(erasures2))
     state.run(packets, lost1, lost2, total)
     return state

@@ -13,12 +13,15 @@ comparison per run and costs per run, not per slot. The same rule lets
 the Monte Carlo path skip the symbolic decoder. Packets are erased whole,
 so every component on a link sees the same sorted erasure times: an
 erased symbol is late iff its diagonal's window up to the allowed delay
-holds more erasures than it can spare, one binary search in those times.
-Each route class (link, shape, diagonal position, relay offset) is tested
-once, however many routes share it, and only at erased slots, so the cost
-follows the erasures, not the horizon. The classes are derived once per
-code (``NetworkCode.classes``), so repeated runs on one code pay for them
-once.
+holds more erasures than it can spare, which one index into those times
+decides. At diagonal position j = 1 the window starts at the erasure
+itself, whose index is known; at j >= 2 its start is one binary search
+per link and j. Route classes (link, shape, diagonal position, relay
+offset) that agree on the window and on what it can spare share one
+lateness test, run only at erased slots over the union of their packet
+ranges, so the cost follows the erasures, not the horizon. The tests are
+derived with the classes, once per code (``NetworkCode.lateness``), so
+repeated runs on one code pay for them once.
 
 The network decomposes per hop: the relay re-encodes consistently, so a
 source symbol survives end to end iff its first hop recovers it by the
@@ -358,33 +361,41 @@ def loss_mask(
     Only erased slots are visited. Symbol j of an (n, k) component sent at
     tau is recovered within delay d iff its diagonal, which starts at
     s = tau - (j-1), receives k of the slots s .. s + min(d + j - 1, n - 1)
-    (slots before 0 are known pre-stream slots); one search in the link's
-    sorted erasure times counts that window's erasures. Each route class
-    of ``code.classes`` is tested once, so the cost is about (erased slots
-    x log) per class, not the horizon: on NET_A this beats a horizon-long
-    scan below about 25% erasures and loses above it (4x slower at 90%).
-    The classes are derived on the code's first call and kept with it.
+    (slots before 0 are known pre-stream slots); the window's (b+1)-th
+    erasure from s decides it. At j = 1 that erasure's index is tau's own
+    plus b; at j >= 2 the first erasure at or after s comes from one search
+    in the link's sorted erasure times, shared by every test on that link
+    and j. Each lateness test of ``code.lateness`` runs once over the union
+    of its classes' packet ranges and marks each offset's packets, so the
+    cost is about (erased slots x log) per link and j, not the horizon: on
+    NET_A (5·10^4 packets) this is about 16x faster than a horizon-long
+    scan at 1% erasures and 1.6x at 25%, breaks even near 35% and is 2.6x
+    slower at 90%.
     """
-    lost = np.zeros(num_packets, dtype=bool)
+    # a test runs over the union of its offsets' packet ranges: what falls
+    # outside one offset's packets is clipped onto a guard slot at either end
+    lost = np.zeros(num_packets + 2, dtype=bool)
     tail = np.arange(code.span + 1)
-    for bits, classes in zip((bits1, bits2), code.classes):
+    for bits, starts in zip((bits1, bits2), code.lateness[1]):
         # erasure times per link, sentinels standing in for the slots past the array
         times = [np.concatenate([np.flatnonzero(b), len(b) + tail]) for b in bits]
-        for link, n, k, j, offset, allowed in classes:
-            if allowed < 0:
-                return np.ones(num_packets, dtype=bool)
+        for (link, j), rules in starts.items():
             t = times[link]
-            tau = t[t.searchsorted(offset) : t.searchsorted(offset + num_packets)]
-            # the window [s, s + thr] is late iff it holds more than b
-            # erasures: tau is one, so always when b <= 0, else iff the
-            # (b+1)-th erasure from s falls inside
-            thr = min(allowed + j - 1, n - 1)
-            b = thr + 1 - k
-            if b > 0:
-                s = tau - (j - 1)
-                tau = tau[t[t.searchsorted(s) + b] <= s + thr]
-            lost[tau - offset] = True
-    return lost
+            # per erasure tau, the index of the first erasure at or after its
+            # diagonal's start s = tau - (j - 1); at j = 1, tau's own
+            first = t.searchsorted(t - (j - 1)) if j > 1 else None
+            for (thr, b), offsets in rules.items():
+                if thr < j - 1:
+                    return np.ones(num_packets, dtype=bool)
+                lo, hi = t.searchsorted(offsets[0]), t.searchsorted(offsets[-1] + num_packets)
+                # late iff the window [s, s + thr] holds more than b
+                # erasures, that is iff the (b+1)-th from s falls inside it
+                ahead = t[lo + b : hi + b] if first is None else t[first[lo:hi] + b]
+                tau = t[lo:hi]
+                tau = tau[ahead <= tau + (thr - j + 1)]
+                for offset in offsets:
+                    lost.put(tau - (offset - 1), True, mode="clip")
+    return lost[1:-1]
 
 
 def run_monte_carlo(

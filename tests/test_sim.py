@@ -61,6 +61,10 @@ from test_planner import digest_configs
 
 NET_A = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
 NET_B = NetworkConfig(T=4, N1=(1,), N2=(3, 2))
+MID = NetworkConfig(T=20, N1=(3, 5, 7), N2=(2, 4, 6))
+# its oswdf code runs all of hop 2 as one lateness test over relay offsets
+# 5..8, which no other class covers
+WIDE_SHARED_TEST = NetworkConfig(T=9, N1=(5,), N2=(1,))
 
 
 # ---------------------------------------------------------------------------
@@ -727,10 +731,9 @@ def loss_mask_plans():
     # the loss-curve codes (NET_A oswdf, mwdf matched to it, the mid-size
     # network), every scheme on the audit shapes, and cswdf on ensemble
     # networks
-    mid = NetworkConfig(T=20, N1=(3, 5, 7), N2=(2, 4, 6))
     yield "A-oswdf", lambda: oswdf_optimize(NET_A)
     yield "A-mwdf", lambda: mwdf_plan(NET_A, match=oswdf_optimize(NET_A))
-    yield "MID-oswdf", lambda: oswdf_optimize(mid)
+    yield "MID-oswdf", lambda: oswdf_optimize(MID)
     for i, (n1, n2, dt1, dt2, extra) in enumerate(AUDIT_1X1 + AUDIT_MULTI):
         cfg = NetworkConfig(T=1, N1=n1, N2=n2, dT1=dt1, dT2=dt2)
         cfg = dataclasses.replace(cfg, T=t_min(cfg) + extra)
@@ -869,14 +872,22 @@ def test_loss_mask_matches_dense_oracle(plan):
         assert_masks_agree(code, num, bits1, bits2)
 
 
+# the loss-curve codes among them: NET_A oswdf shares hop-2 tests between
+# relay offsets, its matched mwdf code runs two tests from one j = 1
+# start, and MID shares (link, j) window starts between tests up to j = 12
+# on hop 2 and reaches j = 16 on hop 1; one test spans four offsets on
+# WIDE_SHARED_TEST
 PROPERTY_CODES = [
     assemble(oswdf_optimize(NET_A)),
+    assemble(mwdf_plan(NET_A, match=oswdf_optimize(NET_A))),
+    assemble(oswdf_optimize(MID)),
+    assemble(oswdf_optimize(WIDE_SHARED_TEST)),
     assemble(oswdf_initial(NET_B)),
     assemble(mwdf_plan(NetworkConfig(T=6, N1=(1, 2), N2=(1,), dT1=(0, 1), dT2=(1,)))),
 ]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_loss_mask_matches_dense_oracle_on_any_bits(data):
     code = data.draw(st.sampled_from(PROPERTY_CODES))
@@ -886,6 +897,34 @@ def test_loss_mask_matches_dense_oracle_on_any_bits(data):
     bits1 = [data.draw(links) for _ in code.hop1]
     bits2 = [data.draw(links) for _ in code.hop2]
     assert_masks_agree(code, num, bits1, bits2)
+
+
+@pytest.mark.parametrize("cfg", [NET_A, WIDE_SHARED_TEST], ids=["A-oswdf", "wide-oswdf"])
+def test_loss_mask_cuts_a_shared_test_at_each_offsets_edges(cfg):
+    # hop-2 classes that differ only in relay offset share one lateness
+    # test over the union of their packet ranges. A late window at the
+    # union's first clock is packet 0 for the smallest offset and before
+    # the stream for the others; at its last clock, the last packet for the
+    # largest offset and past the stream for the others. One edge at a
+    # time, so a stray mark on the far end shows
+    code = assemble(oswdf_optimize(cfg))
+    num = 30
+    horizon = num + code.span + cfg.T + 2
+    shared = [
+        (link, j, thr, offsets)
+        for (link, j), rules in code.lateness[1][1].items()
+        for (thr, _), offsets in rules.items()
+        if len(offsets) > 1
+    ]
+    assert shared
+    clear1 = [np.zeros(horizon, dtype=bool) for _ in code.hop1]
+    for link, j, thr, offsets in shared:
+        for clock, packet in ((offsets[0], 0), (offsets[-1] + num - 1, num - 1)):
+            bits2 = [np.zeros(horizon, dtype=bool) for _ in code.hop2]
+            # the whole window of the erasure at clock
+            bits2[link][clock - (j - 1) : clock - (j - 1) + thr + 1] = True
+            lost = assert_masks_agree(code, num, clear1, bits2)
+            assert lost[packet] and not lost[num - 1 - packet]
 
 
 def test_loss_mask_matches_dense_oracle_off_the_verified_region():
