@@ -14,15 +14,18 @@ plus one pass that marks the bad sojourns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads on first use: bounds, plan, verify and ensemble never need it
+    import numpy as np
 
 
 class ErasureSequence:
     """Binary loss pattern over a finite horizon; 1 marks a lost packet."""
 
     def __init__(self, bits: Sequence[int] | np.ndarray):
+        import numpy as np
+
         arr = np.asarray(bits, dtype=bool)
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
@@ -33,10 +36,14 @@ class ErasureSequence:
         return int(self.bits.sum())
 
     def __eq__(self, other) -> bool:
+        import numpy as np
+
         return isinstance(other, ErasureSequence) and np.array_equal(self.bits, other.bits)
 
 
 def sample_iid(eps: float, horizon: int, seed: int) -> ErasureSequence:
+    import numpy as np
+
     if not 0 <= eps <= 1:
         raise ValueError("need 0 <= eps <= 1")
     rng = np.random.default_rng(seed)
@@ -72,6 +79,8 @@ def sample_ge(params: GeParams, horizon: int, seed: int) -> ErasureSequence:
     buffer in place. Bad sojourns are marked after the loop in one pass, and
     the good-state losses come from a single ``buffer < eps``.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     a, b = params.alpha, params.beta
     if a == 0 and b == 0:

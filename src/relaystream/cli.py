@@ -49,6 +49,9 @@ from .spectrum import DelayGrouping
 
 
 RATE_RE = re.compile(r"[0-9]+/[0-9]+")
+# the planners loop over the deadline's slots and build lists about T long,
+# so a document's T is capped; --deadline is not, verify's cost ignores it
+MAX_DEADLINE = 10_000
 
 
 class CliError(Exception):
@@ -99,9 +102,12 @@ def config_from_doc(doc: dict, path: str) -> NetworkConfig:
     missing = [key for key in ("T", "N1", "N2") if key not in doc]
     if missing:
         raise CliError(f"{path}: missing required keys: {', '.join(missing)}")
+    T = read_int(doc["T"], "T", path)
+    if T > MAX_DEADLINE:
+        raise CliError(f"{path}: bad T: {T} is above the largest deadline {MAX_DEADLINE}")
     try:
         return NetworkConfig(
-            T=read_int(doc["T"], "T", path),
+            T=T,
             N1=tuple(read_int(x, "N1", path) for x in doc["N1"]),
             N2=tuple(read_int(x, "N2", path) for x in doc["N2"]),
             dT1=tuple(read_int(x, "dT1", path) for x in doc.get("dT1", ())),

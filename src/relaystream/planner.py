@@ -362,13 +362,17 @@ def _fill_under_constraint(
 ) -> tuple[int, list[Spectrum]]:
     """Fill the unallocated hop link by link under the pairing budget.
 
-    Links are visited in decreasing effective-budget order. Whenever a
-    link's message count breaks the (n - k) divisibility by its budget,
-    the whole allocation so far (n, both hops' groupings, the remaining
-    budget) is scaled by that budget, which restores divisibility
-    without re-flooring. Returns the possibly rescaled n and the new hop's
-    groupings; the allocated hop's groupings ``first`` are rescaled in
-    place.
+    Links are visited in decreasing effective-budget order. Each link
+    takes the largest message count the remaining budget allows over its
+    candidate delays max_delay..N-1, one slice of the budget's prefix
+    sums, and its grouping is then charged to the budget, which costs the
+    link's used delays plus how far a deficit carries toward larger
+    delays. Whenever a link's message count breaks the (n - k)
+    divisibility by its budget, the whole allocation so far (n, both
+    hops' groupings, the remaining budget) is scaled by that budget,
+    which restores divisibility without re-flooring. Returns the possibly
+    rescaled n and the new hop's groupings; the allocated hop's groupings
+    ``first`` are rescaled in place.
     """
     top, budget = constraint
     filled: list[Spectrum] = [(0, [])] * len(links.N)
@@ -387,8 +391,7 @@ def _fill_under_constraint(
             # symbols at effective delay dt take the budget at delays >= dt
             k_i = min(n, sum(budget[: max(0, top - dt + 1)]))
         else:
-            delays = range(maxd, N - 2, -1)
-            k_i = max_symbols_under_constraint(n, N, delays, (top, budget), delay_shift=dt)
+            k_i = max_symbols_under_constraint(n, N, maxd, (top, budget), delay_shift=dt)
             if k_i and (n - k_i) % N != 0:
                 rescale(N)
                 k_i *= N

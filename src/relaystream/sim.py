@@ -43,9 +43,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .channels import GeParams, sample_ge, sample_iid
 from .codes import StreamingCodeSpec
@@ -59,6 +57,9 @@ from .planner import (
     upper_bound,
 )
 from .relay import NetworkCode
+
+if TYPE_CHECKING:  # numpy loads on first use: bounds, plan, verify and ensemble never need it
+    import numpy as np
 
 INF_DELAY = 1 << 20  # sentinel for "never recovered"
 
@@ -320,6 +321,8 @@ class ChannelSpec:
         return {"channel": "clear", "eps": 0.0, "alpha": "", "beta": ""}
 
     def sample(self, horizon: int, seed) -> np.ndarray:
+        import numpy as np
+
         if self.kind == "iid":
             return np.asarray(sample_iid(self.eps, horizon, seed).bits)
         if self.kind == "ge":
@@ -372,6 +375,8 @@ def loss_mask(
     scan at 1% erasures and 1.6x at 25%, breaks even near 35% and is 2.6x
     slower at 90%.
     """
+    import numpy as np
+
     # a test runs over the union of its offsets' packet ranges: what falls
     # outside one offset's packets is clipped onto a guard slot at either end
     lost = np.zeros(num_packets + 2, dtype=bool)
@@ -411,6 +416,8 @@ def run_monte_carlo(
     child seeds spawned from ``seed``, so results replay bit for bit. The
     result's channel describes the shared spec, or every link's ("per-link").
     """
+    import numpy as np
+
     config = code.allocation.config
     links = len(code.hop1) + len(code.hop2)
     if isinstance(channel, ChannelSpec):

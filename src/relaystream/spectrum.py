@@ -12,7 +12,11 @@ The allocator's loop works on the list form of a spectrum, a pair
 (top, counts) with counts[i] symbols at delay top - i, and builds the
 validated DelayGrouping only when it assembles a plan. A pairing budget
 in list form ends with a zero terminal entry one below its smallest
-allowed delay: delays below the terminal add no budget.
+allowed delay: delays below the terminal add no budget. Per link, the
+loop's two steps touch only the link's own delays: the constrained
+maximization reads the budget's prefix sums over the link's candidate
+delays as one slice, and the subtraction walks the delays the link
+used, then up only as far as a deficit carries.
 
 A count is a number of symbols, so it is an int: DelayGrouping rejects
 any other type, the converse bound is an integer ceiling and the
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import le
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Spectrum = tuple[int, list[int]]  # list form: (top delay, dense counts)
 
@@ -124,8 +128,10 @@ def subtract_constraint(constraint: Spectrum, used: Spectrum) -> Spectrum:
     it is zeroed and charged to the next larger delay. Symbols used below
     the terminal are all deficit, as delays there hold no budget. A
     deficit that escapes past the top delay means the budget was
-    oversubscribed, which the allocator never does. O(D) in the delays
-    spanned.
+    oversubscribed, which the allocator never does. The walk runs from
+    the bottom of the used range toward the top delay and stops at the
+    first larger delay that absorbs the carried deficit, so it costs the
+    used range plus how far the carry goes.
     """
     top, budget = constraint
     used_top, counts = used
@@ -134,29 +140,45 @@ def subtract_constraint(constraint: Spectrum, used: Spectrum) -> Spectrum:
     if used_top > top:
         raise ValueError("used symbols above the constraint's delay range")
     off = top - used_top
-    remaining = budget + [0] * (off + len(counts) - len(budget))
-    for i, c in enumerate(counts, off):
-        remaining[i] -= c
+    size = len(budget)
+    end = off + len(counts)
     carry = 0
-    for i in range(len(remaining) - 1, -1, -1):
-        r = remaining[i] + carry
-        carry = min(r, 0)
-        remaining[i] = r - carry
+    if end > size:
+        # symbols used below the terminal find no budget there
+        carry = -sum(counts[size - off if size > off else 0 :])
+        end = size
+    remaining = budget.copy()
+    for i in range(end - 1, off - 1, -1):
+        r = remaining[i] - counts[i - off] + carry
+        if r < 0:
+            remaining[i] = 0
+            carry = r
+        else:
+            remaining[i] = r
+            carry = 0
     if carry:
-        raise ValueError("constraint oversubscribed")
-    return top, remaining[: len(budget)]
+        # a deficit moves toward larger delays, i.e. lower indices
+        for i in range((off if off < size else size) - 1, -1, -1):
+            carry += remaining[i]
+            if carry >= 0:
+                remaining[i] = carry
+                break
+            remaining[i] = 0
+        else:
+            raise ValueError("constraint oversubscribed")
+    return top, remaining
 
 
 def max_symbols_under_constraint(
     n: int,
     N: int,
-    delays: Sequence[int],
+    max_delay: int,
     constraint: Spectrum,
     delay_shift: int = 0,
 ) -> int:
     """Largest message size a rate-adjusted code can carry under the budget.
 
-    For each candidate delay d (largest first, down to N-1), inverting the
+    For each candidate delay d, from max_delay down to N-1, inverting the
     converse bound with the budget available above d gives
 
         k'[d] = n - n*N*(1 - allowed_above(d)/n) / (d + 1);
@@ -166,14 +188,27 @@ def max_symbols_under_constraint(
     to the total budget at delays >= N, capping the code by the pairing
     mass it may consume. delay_shift maps code delays to constraint delays
     when the link adds a fixed propagation delay.
+
+    allowed_above(d) is the budget prefix sum at index top - d - delay_shift,
+    which runs over one contiguous range as d falls: the range is read as
+    one slice of the prefix sums, padded with 0 above the budget's top
+    delay and with the whole budget below its terminal.
     """
-    if not delays:
+    if max_delay < N - 1:
         raise ValueError("no candidate delays")
     top, budget = constraint
-    # above[i]: budget at delays strictly above top - i, one prefix sum
-    above = list(accumulate(budget, initial=0))
     last = len(budget)
-    return max(0, min([
-        (n * (d + 1) - N * (n - above[min(max(top - d - delay_shift, 0), last)])) // (d + 1)
-        for d in delays
-    ]))
+    lo = top - max_delay - delay_shift  # prefix index of d = max_delay
+    hi = top - N + 1 - delay_shift  # of d = N - 1
+    a = 0 if lo < 0 else last if lo > last else lo
+    b = 0 if hi < 0 else last if hi > last else hi
+    # prefix sums a..b: the part of the window inside the budget's range
+    window = list(accumulate(budget[a:b], initial=sum(budget[:a])))
+    if a != lo or b != hi:
+        inner = window if hi >= 0 and lo <= last else []
+        window = [0] * (min(hi + 1, 0) - lo) + inner + [window[-1]] * (hi - max(lo - 1, last))
+    # floor(k'[d]) with e = d + 1 is (n*e + N*(x - n)) // e = n + N*(x - n) // e
+    k = n + min([
+        N * (x - n) // e for e, x in zip(range(max_delay + 1, N - 1, -1), window, strict=True)
+    ])
+    return k if k > 0 else 0

@@ -88,6 +88,20 @@ def test_bounds_large_deadline_is_cheap(tmp_path, capsys):
     assert doc["mwdf"]["exact"] == "1993/998" and doc["mwdf"]["split"] == [5, 1995]
 
 
+def test_bounds_refuses_a_deadline_past_the_cap(tmp_path):
+    # the planners loop over the deadline's slots: a 41-byte document with
+    # T = 10^9 ran until killed, and now exits 2 before any planning
+    path = tmp_path / "huge.json"
+    path.write_text('{"T": 1000000000, "N1": [1], "N2": [1]}')
+    src = os.path.dirname(os.path.dirname(relaystream.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaystream.cli", "bounds", "--config", str(path)],
+        capture_output=True, text=True, timeout=5, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {path}: bad T: 1000000000 is above the largest deadline 10000\n"
+
+
 def test_bounds_parse_error_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"T": 5,\n  "N1": [2,],\n}')
@@ -438,6 +452,17 @@ def test_grouping_delay_outside_the_field_fails_in_bounded_memory(tmp_path, caps
     assert proc.stderr.splitlines() == [
         f"FAIL: hop1 link 0 grouping delay {delay} is outside 0..255, the delays the field has components for"
     ]
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # only sampling and the loss kernel use numpy; bounds, plan, verify and
+    # ensemble processes skip its import
+    src = os.path.dirname(os.path.dirname(relaystream.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import relaystream.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, timeout=30, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_verify_loose_deadline_is_cheap(tmp_path, capsys):

@@ -174,7 +174,7 @@ def test_max_symbols_first_link():
     k, kprime = max_symbols_kprime(12, 3, [3, 2], SpectrumConstraint(((3, 4), (2, 4), (1, 0))))
     assert kprime == [3, 4]
     assert k == 3
-    assert max_symbols_under_constraint(12, 3, [3, 2], con) == k
+    assert max_symbols_under_constraint(12, 3, 3, con) == k
 
 
 def test_max_symbols_second_link_after_subtraction():
@@ -183,7 +183,7 @@ def test_max_symbols_second_link_after_subtraction():
     k, kprime = max_symbols_kprime(12, 2, [3, 2, 1], SpectrumConstraint(((3, 1), (2, 4), (1, 0))))
     assert kprime == [6, Fraction(14, 3), 5]
     assert k == 4
-    assert max_symbols_under_constraint(12, 2, [3, 2, 1], con) == k
+    assert max_symbols_under_constraint(12, 2, 3, con) == k
 
 
 def test_subtract_constraint_worked_sequence():
@@ -207,6 +207,43 @@ def test_subtract_conserves_total():
     con = constraint_fig4()
     after = subtract_constraint(con, (2, [5, 2]))
     assert sum(after[1]) == sum(con[1]) - 7
+
+
+@pytest.mark.parametrize("n,N,max_delay,constraint,shift,expect", [
+    (12, 2, 4, (3, [4, 4, 0]), 5, 0),  # every candidate above the top delay
+    (12, 2, 5, (10, [2, 3, 0]), 0, 5),  # every candidate below the terminal
+    (12, 1, 8, (6, [1, 2, 3, 0]), 0, 6),  # past both ends
+    (20, 2, 5, (6, [1, 2, 3, 0]), 1, 6),  # shifted, past both ends
+    (30, 1, 4, (6, [1, 2, 3, 4, 5, 6, 0]), 0, 21),  # inside the range
+], ids=["above", "below", "straddle", "straddle-shifted", "inside"])
+def test_max_symbols_window_against_budget_range(n, N, max_delay, constraint, shift, expect):
+    # the candidate window read as one slice of the prefix sums, padded
+    # past either end of the budget, against the exact per-delay oracle
+    top, budget = constraint
+    con = SpectrumConstraint(tuple((top - i, c) for i, c in enumerate(budget)))
+    k, _ = max_symbols_kprime(n, N, range(max_delay, N - 2, -1), con, delay_shift=shift)
+    assert k == expect
+    assert max_symbols_under_constraint(n, N, max_delay, constraint, shift) == expect
+
+
+def test_max_symbols_needs_a_candidate_delay():
+    with pytest.raises(ValueError, match="no candidate delays"):
+        max_symbols_under_constraint(12, 3, 1, constraint_fig4())
+
+
+def test_subtract_constraint_carries_only_as_far_as_the_deficit():
+    con = (5, [1, 2, 3, 4, 0])
+    # the deficit at delay 2 runs past the used range's top (delay 3) and
+    # stops at delay 4, leaving delay 5 alone
+    assert subtract_constraint(con, (3, [3, 6])) == (5, [1, 0, 0, 0, 0])
+    # absorbed inside the used range
+    assert subtract_constraint(con, (3, [1, 6])) == (5, [1, 2, 0, 0, 0])
+    # used at the terminal: all deficit, carried up to delay 3
+    assert subtract_constraint(con, (1, [5])) == (5, [1, 2, 2, 0, 0])
+    # wholly below the terminal
+    assert subtract_constraint(con, (-1, [2, 0, 3])) == (5, [1, 2, 2, 0, 0])
+    with pytest.raises(ValueError, match="^constraint oversubscribed$"):
+        subtract_constraint(con, (4, [0, 0, 20]))
 
 
 def _outcome(fn, *args):
@@ -244,9 +281,9 @@ def test_list_algebra_matches_dataclass_oracle():
         for shift in range(4):
             N = rng.randint(1, 4)
             n = rng.randint(1, 40)
-            delays = range(max(N - 1, rng.randint(0, top + 2)), N - 2, -1)
-            k, _ = max_symbols_kprime(n, N, delays, con, delay_shift=shift)
-            assert max_symbols_under_constraint(n, N, delays, list_form(con), shift) == k
+            max_delay = max(N - 1, rng.randint(0, top + 2))
+            k, _ = max_symbols_kprime(n, N, range(max_delay, N - 2, -1), con, delay_shift=shift)
+            assert max_symbols_under_constraint(n, N, max_delay, list_form(con), shift) == k
 
         hop, dts = [], []
         for _ in range(rng.randint(1, 4)):
@@ -324,8 +361,7 @@ def constraint_and_link(draw):
 @given(constraint_and_link())
 def test_constrained_max_respects_cumulative_budget(args):
     con, N, n, top = args
-    delays = list(range(top, N - 2, -1))
-    k = max_symbols_under_constraint(n, N, delays, list_form(con))
+    k = max_symbols_under_constraint(n, N, top, list_form(con))
     if k <= 0 or (n - k) % N != 0:
         return
     T1 = delay_lower_bound(n, k, N)
@@ -343,4 +379,4 @@ def test_max_symbols_matches_fraction_oracle(args, shift):
     con, N, n, top = args
     delays = list(range(top, N - 2, -1))
     k, _ = max_symbols_kprime(n, N, delays, con, delay_shift=shift)
-    assert max_symbols_under_constraint(n, N, delays, list_form(con), delay_shift=shift) == k
+    assert max_symbols_under_constraint(n, N, top, list_form(con), delay_shift=shift) == k
