@@ -11,7 +11,9 @@ import argparse
 import csv
 
 from relaystream import NetworkConfig, run_monte_carlo
-from relaystream.cli import CliError, channel_specs, config_from_doc, load_json, output, plan_code
+from relaystream.cli import (
+    CliError, channel_specs, check_simulation, config_from_doc, load_json, output, plan_code,
+)
 
 REFERENCE = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
 
@@ -19,10 +21,6 @@ REFERENCE = NetworkConfig(T=5, N1=(2, 3), N2=(1, 2))
 def loss_curves(args) -> None:
     # the same refusals as `relaystream plan` and `relaystream simulate`,
     # all before the first Monte Carlo run
-    if args.packets < 0:
-        raise CliError("--packets must be nonnegative")
-    if args.seed < 0:
-        raise CliError("--seed must be nonnegative")
     channels = channel_specs(args.channel, args.eps, args.alpha, args.beta)
     config = REFERENCE
     if args.config:
@@ -30,6 +28,8 @@ def loss_curves(args) -> None:
     symbolwise = plan_code(config, "oswdf")
     baseline = plan_code(config, "mwdf", match=symbolwise.allocation)
     codes = [("oswdf", symbolwise), ("mwdf-matched", baseline)]
+    for _, code in codes:
+        check_simulation(code, args.packets, args.seed)
 
     with output(args.out) as fh:
         writer = csv.writer(fh)

@@ -10,15 +10,14 @@ Configs and allocation documents are JSON. Exact rates appear as "p/q"
 strings next to a float so logs stay greppable and lossless at once.
 Exit codes: 0 success or pass, 1 verification failure, 2 bad usage or
 unparseable input. Exit-1 messages start with ``FAIL:``, exit-2 messages
-with ``error:``. ``main`` builds only the parser of the subcommand its
-first argument names; any other command line, and one with arguments that
-parser leaves over, goes through the full ``build_parser()`` tree, so help
-and error texts are those of the full tree.
+with ``error:``. ``main`` reads a well-formed command line from the
+``COMMANDS`` table; any other goes to the named subcommand's argparse
+parser, or to the full ``build_parser()`` tree when it names none or leaves
+arguments over, so help and error texts are those of the full tree.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -28,6 +27,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterator, Optional, TextIO
 
 from .channels import GeParams
@@ -49,9 +49,11 @@ from .spectrum import DelayGrouping
 
 
 RATE_RE = re.compile(r"[0-9]+/[0-9]+")
-# the planners loop over the deadline's slots and build lists about T long,
-# so a document's T is capped; --deadline is not, verify's cost ignores it
+# the planners loop over a document's T slots and links per hop, and a Monte
+# Carlo run draws all its links' slots at once (--deadline is free: verify ignores it)
 MAX_DEADLINE = 10_000
+MAX_LINKS = 64
+MAX_SLOTS = 20_000_000
 
 
 class CliError(Exception):
@@ -106,7 +108,7 @@ def config_from_doc(doc: dict, path: str) -> NetworkConfig:
     if T > MAX_DEADLINE:
         raise CliError(f"{path}: bad T: {T} is above the largest deadline {MAX_DEADLINE}")
     try:
-        return NetworkConfig(
+        config = NetworkConfig(
             T=T,
             N1=tuple(read_int(x, "N1", path) for x in doc["N1"]),
             N2=tuple(read_int(x, "N2", path) for x in doc["N2"]),
@@ -115,6 +117,10 @@ def config_from_doc(doc: dict, path: str) -> NetworkConfig:
         )
     except (TypeError, ValueError) as e:
         raise CliError(f"{path}: bad config: {e}")
+    for hop, budgets in (("N1", config.N1), ("N2", config.N2)):
+        if len(budgets) > MAX_LINKS:
+            raise CliError(f"{path}: bad {hop}: {len(budgets)} links are above the largest hop of {MAX_LINKS}")
+    return config
 
 
 def config_to_doc(config: NetworkConfig) -> dict:
@@ -374,13 +380,21 @@ def channel_specs(kind: str, eps: str, alpha: float, beta: float) -> list[Channe
         raise CliError(f"bad channel params: {e}")
 
 
+def check_simulation(code: NetworkCode, packets: int, seed: int) -> None:
+    """Refuse a negative --packets or --seed, or a Monte Carlo run past
+    MAX_SLOTS: packets + span + T + 2 slots on each link, as it draws them."""
+    if packets < 0:
+        raise CliError("--packets must be nonnegative")
+    if seed < 0:
+        raise CliError("--seed must be nonnegative")
+    slots = (packets + code.span + code.allocation.config.T + 2) * (len(code.hop1) + len(code.hop2))
+    if slots > MAX_SLOTS:
+        raise CliError(f"--packets {packets} needs {slots} erasure slots over all links, above the cap of {MAX_SLOTS}")
+
+
 def cmd_simulate(args) -> int:
     alloc, code = load_code(args.allocation)
-    if args.packets < 0:
-        raise CliError("--packets must be nonnegative")
-    if args.seed < 0:
-        raise CliError("--seed must be nonnegative")
-
+    check_simulation(code, args.packets, args.seed)
     channels = channel_specs(args.channel, args.eps, args.alpha, args.beta)
     with output(args.out) as fh:
         writer = csv.writer(fh)
@@ -442,83 +456,99 @@ def cmd_ensemble(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bounds_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="network config JSON")
-    p.add_argument("--out", help="write the document here instead of stdout")
-    p.set_defaults(func=cmd_bounds)
+_CONFIG = ("--config", dict(required=True, help="network config JSON"))
+_ALLOCATION = ("allocation", dict(help="allocation document JSON"))
+_SEED = ("--seed", dict(type=int, default=0))
+_DOC_OUT = ("--out", dict(help="write the document here instead of stdout"))
+_CSV_OUT = ("--out", dict(help="write the CSV here instead of stdout"))
 
-
-def _plan_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="network config JSON")
-    p.add_argument("--scheme", choices=["mwdf", "cswdf", "oswdf"], default="oswdf")
-    p.add_argument("--out", help="write the document here instead of stdout")
-    p.set_defaults(func=cmd_plan)
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("allocation", help="allocation document JSON")
-    p.add_argument(
-        "--deadline", type=int, default=None,
-        help="audit against this deadline instead of the document's T",
-    )
-    p.set_defaults(func=cmd_verify)
-
-
-def _simulate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("allocation", help="allocation document JSON")
-    p.add_argument("--channel", choices=["iid", "ge"], default="iid")
-    p.add_argument("--eps", default="0.01", help="loss probability; comma list sweeps a grid")
-    p.add_argument("--alpha", type=float, default=0.0, help="good-to-bad transition (ge)")
-    p.add_argument("--beta", type=float, default=0.0, help="bad-to-good transition (ge)")
-    p.add_argument("--packets", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write the CSV here instead of stdout")
-    p.set_defaults(func=cmd_simulate)
-
-
-def _ensemble_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write the CSV here instead of stdout")
-    p.set_defaults(func=cmd_ensemble)
-
-
-# name -> (help line in the top-level listing, function adding its arguments)
+# name -> (help line in the top-level listing, handler, its arguments as
+# (flag, add_argument keywords)); argparse and _read_table both read them
 COMMANDS = {
-    "bounds": ("closed-form rates for a network config", _bounds_args),
-    "plan": ("emit a full allocation document", _plan_args),
-    "verify": ("re-check an allocation document", _verify_args),
-    "simulate": ("Monte Carlo loss of an assembled allocation", _simulate_args),
-    "ensemble": ("compare planners over random networks", _ensemble_args),
+    "bounds": ("closed-form rates for a network config", cmd_bounds, (_CONFIG, _DOC_OUT)),
+    "plan": ("emit a full allocation document", cmd_plan, (
+        _CONFIG, ("--scheme", dict(choices=["mwdf", "cswdf", "oswdf"], default="oswdf")), _DOC_OUT,
+    )),
+    "verify": ("re-check an allocation document", cmd_verify, (
+        _ALLOCATION,
+        ("--deadline", dict(type=int, default=None, help="audit against this deadline instead of the document's T")),
+    )),
+    "simulate": ("Monte Carlo loss of an assembled allocation", cmd_simulate, (
+        _ALLOCATION,
+        ("--channel", dict(choices=["iid", "ge"], default="iid")),
+        ("--eps", dict(default="0.01", help="loss probability; comma list sweeps a grid")),
+        ("--alpha", dict(type=float, default=0.0, help="good-to-bad transition (ge)")),
+        ("--beta", dict(type=float, default=0.0, help="bad-to-good transition (ge)")),
+        ("--packets", dict(type=int, default=10000)),
+        _SEED, _CSV_OUT,
+    )),
+    "ensemble": ("compare planners over random networks", cmd_ensemble, (
+        ("--trials", dict(type=int, default=1000)), _SEED, _CSV_OUT,
+    )),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
     p = argparse.ArgumentParser(
-        prog="relaystream",
-        description="plan, verify and simulate streaming codes for a relayed link",
-    )
+        prog="relaystream", description="plan, verify and simulate streaming codes for a relayed link")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args) in COMMANDS.items():
-        add_args(sub.add_parser(name, help=help_text))
+    for name, (help_text, _, _) in COMMANDS.items():
+        command_parser(name, sub.add_parser(name, help=help_text))
     return p
 
 
-def command_parser(name: str) -> argparse.ArgumentParser:
-    """One subcommand's parser on its own. Its help and error texts are
-    those of the same subparser inside build_parser()."""
-    p = argparse.ArgumentParser(prog=f"relaystream {name}")
-    COMMANDS[name][1](p)
+def command_parser(name: str, p=None):
+    """One subcommand's parser, or its arguments added to the subparser
+    ``p``; its help and error texts are those of the same build_parser() one."""
+    import argparse
+    p = p or argparse.ArgumentParser(prog=f"relaystream {name}")
+    _, func, arguments = COMMANDS[name]
+    for flag, kwargs in arguments:
+        p.add_argument(flag, **kwargs)
+    p.set_defaults(func=func)
     return p
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    if argv and argv[0] in COMMANDS:
+def _read_table(argv: list[str]) -> Optional[SimpleNamespace]:
+    """What command_parser(argv[0]) parses from exact ``--flag value`` pairs and
+    the declared positionals, read from the same COMMANDS entry; None for any
+    other line (help, abbreviations, values starting "-", bad or missing ones)."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, arguments = COMMANDS[argv[0]]
+    table = dict(arguments)
+    values = {flag: kwargs.get("default") for flag, kwargs in arguments}
+    positionals = [flag for flag in table if not flag.startswith("-")]
+    missing = {flag for flag, kwargs in arguments if kwargs.get("required")} | set(positionals)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            flag, token = token, next(tokens, "-")
+        else:
+            flag = positionals.pop(0) if positionals else "-"  # "-" names no argument
+        if flag not in table or token.startswith("-"):
+            return None
+        try:  # each occurrence is checked, the last one kept
+            values[flag] = value = table[flag].get("type", str)(token)
+        except ValueError:
+            return None
+        if value not in table[flag].get("choices", [value]):
+            return None
+        missing.discard(flag)
+    if missing:
+        return None
+    dests = [flag[2:].replace("-", "_") if flag.startswith("--") else flag for flag in values]
+    return SimpleNamespace(**dict(zip(dests, values.values())), func=func)
+
+
+def _parse_args(argv: list[str]):
+    args = _read_table(argv)
+    if args is None and argv and argv[0] in COMMANDS:
         args, extras = command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            return args
+        args = None if extras else args
     # the full tree reports unrecognized arguments under its own usage line
-    return build_parser().parse_args(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -2,6 +2,8 @@
 document round-trips, witness reporting, CSV determinism, exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import resource
@@ -10,14 +12,22 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import relaystream
+from relaystream import cli
 from relaystream.cli import (
     COMMANDS,
+    MAX_LINKS,
+    MAX_SLOTS,
+    CliError,
     allocation_from_doc,
     allocation_to_doc,
     build_parser,
+    check_simulation,
     command_parser,
+    config_from_doc,
+    load_code,
     main,
 )
 from relaystream.planner import NetworkConfig, mwdf_plan, oswdf_initial, oswdf_optimize
@@ -100,6 +110,28 @@ def test_bounds_refuses_a_deadline_past_the_cap(tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {path}: bad T: 1000000000 is above the largest deadline 10000\n"
+
+
+def test_bounds_refuses_a_hop_past_the_link_cap(tmp_path):
+    # the planners loop over each hop's links: 1 500 + 1 500 links of budget
+    # 1 at T = 3000 took 51 s, and now exit 2 before any planning
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"T": 3000, "N1": [1] * 1500, "N2": [1] * 1500}))
+    src = os.path.dirname(os.path.dirname(relaystream.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaystream.cli", "bounds", "--config", str(path)],
+        capture_output=True, text=True, timeout=5, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {path}: bad N1: 1500 links are above the largest hop of 64\n"
+
+
+@pytest.mark.parametrize("hop", ["N1", "N2"])
+def test_config_link_cap_admits_64_links(hop):
+    doc = {**NET_A, hop: [1] * MAX_LINKS}
+    assert len(getattr(config_from_doc(doc, "c.json"), hop)) == MAX_LINKS
+    with pytest.raises(CliError, match=f"bad {hop}: 65 links are above the largest hop of 64"):
+        config_from_doc({**NET_A, hop: [1] * (MAX_LINKS + 1)}, "c.json")
 
 
 def test_bounds_parse_error_reports_line(tmp_path, capsys):
@@ -454,6 +486,33 @@ def test_grouping_delay_outside_the_field_fails_in_bounded_memory(tmp_path, caps
     ]
 
 
+def test_simulate_refuses_packets_past_the_slot_cap_in_bounded_memory(planned_a, tmp_path):
+    # the erasures of every link over the whole horizon are drawn at once:
+    # 10^13 packets died of a numpy allocation error with exit 1
+    out = tmp_path / "sim.csv"
+    src = os.path.dirname(os.path.dirname(relaystream.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaystream.cli", "simulate", planned_a,
+         "--packets", str(10**13), "--out", str(out)],
+        capture_output=True, text=True, timeout=5, preexec_fn=cap_address_space,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: --packets {10**13} needs ") and line.endswith(f"above the cap of {MAX_SLOTS}")
+    assert not out.exists()
+
+
+def test_slot_cap_is_the_horizon_over_every_link(planned_a):
+    _, code = load_code(planned_a)
+    links = len(code.hop1) + len(code.hop2)
+    most = MAX_SLOTS // links - code.span - code.allocation.config.T - 2
+    check_simulation(code, most, 0)
+    with pytest.raises(CliError, match=f"--packets {most + 1} needs {(MAX_SLOTS // links + 1) * links} "):
+        check_simulation(code, most + 1, 0)
+
+
 def test_importing_the_cli_leaves_numpy_unloaded():
     # only sampling and the loss kernel use numpy; bounds, plan, verify and
     # ensemble processes skip its import
@@ -463,6 +522,21 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         capture_output=True, text=True, timeout=30, env=dict(os.environ, PYTHONPATH=src),
     )
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_a_well_formed_command_line_leaves_argparse_unloaded(planned_a):
+    # argparse, and gettext with it, load only for help and usage errors
+    src = os.path.dirname(os.path.dirname(relaystream.__file__))
+    script = (
+        "import sys; from relaystream.cli import main; "
+        f"assert main(['verify', {planned_a!r}]) == 0; assert 'argparse' not in sys.modules"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=30, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("PASS: ")
 
 
 def test_verify_loose_deadline_is_cheap(tmp_path, capsys):
@@ -873,7 +947,7 @@ def test_command_parsers_match_the_full_tree(monkeypatch):
         assert command_parser(name).format_help() == parser.format_help(), name
 
 
-def test_main_builds_only_the_invoked_parser(planned_a, monkeypatch, capsys):
+def test_main_builds_a_parser_only_for_help_and_usage_errors(planned_a, tmp_path, monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -882,13 +956,123 @@ def test_main_builds_only_the_invoked_parser(planned_a, monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cfg = write(tmp_path, "a.json", NET_A)
+    # the benchmark's plan, verify, tightened verify and simulate lines
+    assert run(capsys, ["plan", "--config", cfg, "--scheme", "mwdf", "--out", planned_a])[0] == 0
     assert run(capsys, ["verify", planned_a])[0] == 0
-    assert built == ["relaystream verify"]
-    assert run(capsys, ["simulate", planned_a, "--packets", "10"])[0] == 0
-    assert built == ["relaystream verify", "relaystream simulate"]
+    assert run(capsys, ["verify", planned_a, "--deadline", "4"])[0] == 1
+    csv_path = str(tmp_path / "sim.csv")
+    assert run(capsys, ["simulate", planned_a, "--packets", "20", "--seed", "3", "--out", csv_path])[0] == 0
+    assert run(capsys, ["bounds", "--config", cfg, "--out", str(tmp_path / "b.json")])[0] == 0
+    assert run(capsys, ["ensemble", "--trials", "2", "--seed", "1", "--out", str(tmp_path / "e.csv")])[0] == 0
+    assert built == []
     code, _, err = run(capsys, ["verify", "a", "b"])
     assert code == 2
+    assert built[:2] == ["relaystream verify", "relaystream"]
     assert err.splitlines()[0] == "usage: relaystream [-h] {bounds,plan,verify,simulate,ensemble} ..."
+
+
+def fields(namespace):
+    # by repr, so that a NaN read twice compares equal
+    return sorted((name, repr(value)) for name, value in vars(namespace).items())
+
+
+def assert_reader_matches_argparse(argv):
+    """Whenever the table reader accepts a command line, the subcommand's
+    argparse parser reads the same namespace from it, with nothing left."""
+    args = cli._read_table(argv)
+    if args is not None:
+        expected, extras = command_parser(argv[0]).parse_known_args(argv[1:])
+        assert (fields(args), extras) == (fields(expected), [])
+    return args
+
+
+READER_CASES = [
+    (["plan", "--config", "c.json", "--scheme", "mwdf", "--out", "a.json"], True),
+    (["verify", "a.json"], True),
+    (["verify", "--deadline", "4", "a.json"], True),
+    (["verify", "a.json", "--deadline", "1_0"], True),
+    (["simulate", "a.json", "--packets", "2000", "--seed", "7", "--out", "s.csv"], True),
+    (["simulate", "a.json", "--alpha", "nan", "--eps", "", "--channel", "ge"], True),
+    (["ensemble", "--seed", "1", "--seed", "2"], True),
+    (["bounds", "--config", ""], True),
+    (["ensemble"], True),
+    # argparse reads -1 as a value; the reader leaves every "-" value to it
+    (["verify", "a.json", "--deadline", "-1"], False),
+    (["simulate", "a.json", "--out", "--seed"], False),
+    (["simulate", "a.json", "--eps", "-"], False),
+    (["plan", "--config", "c.json", "--scheme", "bogus"], False),
+    (["plan", "--config", "c.json", "--scheme", "bogus", "--scheme", "oswdf"], False),
+    (["ensemble", "--seed", "x", "--seed", "1"], False),
+    (["simulate", "a.json", "--beta", "1_0.5"], True),
+    (["simulate", "a.json", "--beta", "0,5"], False),
+    (["bounds", "--out", "b.json"], False),
+    (["verify"], False),
+    (["verify", "a", "b"], False),
+    (["verify", "a.json", "--dead", "3"], False),
+    (["ensemble", "--seed=3"], False),
+    (["ensemble", "--trials"], False),
+    (["ensemble", "-h"], False),
+    (["ensemble", "--", "x"], False),
+    (["verify", "-"], False),
+    (["-h"], False),
+    (["frob"], False),
+    ([], False),
+]
+
+
+@pytest.mark.parametrize("argv, accepted", READER_CASES, ids=[" ".join(a) or "no-args" for a, _ in READER_CASES])
+def test_table_reader_matches_argparse(argv, accepted):
+    assert (assert_reader_matches_argparse(argv) is not None) == accepted
+
+
+FLAGS = sorted({flag for _, _, arguments in COMMANDS.values() for flag, _ in arguments if flag.startswith("-")})
+VALUES = ["3", "0", "-1", "1_0", "2.5", "nan", "", "oswdf", "mwdf", "bogus", "iid", "ge", "a.json", "x y"]
+OTHER_TOKENS = ["--dead", "--se", "--conf", "--seed=3", "--eps=0.1", "-h", "--help", "--", "-", "--bogus"]
+
+
+def command_line_parts(command):
+    # mostly (argument, value) pairs of the command's own table, a bare
+    # value for a positional; now and then any token of the pool
+    own = [flag for flag, _ in COMMANDS[command][2]] if command in COMMANDS else FLAGS
+    pair = st.tuples(st.sampled_from(own), st.sampled_from(VALUES))
+    pair = pair.map(lambda part: part if part[0].startswith("-") else part[1:])
+    token = st.tuples(st.sampled_from(FLAGS + VALUES + OTHER_TOKENS))
+    return st.lists(st.one_of(pair, pair, token), max_size=6).map(
+        lambda parts: [command] + [t for part in parts for t in part]
+    )
+
+
+command_lines = st.sampled_from(list(COMMANDS) + ["frob"]).flatmap(command_line_parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(command_lines)
+def test_table_reader_matches_argparse_on_any_command_line(argv):
+    assert_reader_matches_argparse(argv)
+
+
+def call_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_lines)
+def test_main_answers_as_the_argparse_only_path(argv):
+    def handler(args):
+        print(fields(args))
+        return 0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        for name, (help_text, _, arguments) in COMMANDS.items():
+            mp.setitem(COMMANDS, name, (help_text, handler, arguments))
+        answer = call_main(argv)
+        mp.setattr(cli, "_read_table", lambda argv: None)
+        assert answer == call_main(argv)
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):

@@ -87,6 +87,7 @@ def test_script_runs(script):
     ("loss_curves.py", ["--channel", "ge", "--alpha", "2"]),
     ("loss_curves.py", ["--seed", "-1"]),
     ("loss_curves.py", ["--packets", "-1"]),
+    ("loss_curves.py", ["--packets", str(10**13)]),
     ("rate_sweep.py", ["--n1", "2,x"]),
     ("rate_sweep.py", ["--n1", ""]),
     ("rate_sweep.py", ["--n1", "-1"]),
